@@ -106,31 +106,35 @@ let uniquify_loops (p : program) =
    doesn't depend on (window, MSHR count). Memoize on a structural digest
    of the program plus the line size; [p_name] is part of the digest, so
    workloads with distinct initializers never collide. The returned
-   closure reads an immutable profile, so sharing across domains is safe. *)
+   closure reads an immutable profile, so sharing across domains is safe.
+   Candidates keep the source's declarations (the pipeline enforces it),
+   so the shared initialized source store is their store too:
+   [Profile.run] executes over a private copy of it. *)
 let pm_cache : (int -> float) Memclust_util.Analysis_cache.t =
   Memclust_util.Analysis_cache.create ~cap:512 ~name:"driver-profile-pm" ()
 
-let make_pm options ~init p =
+let make_pm options ~source p =
   if not options.profile_pm then fun _ -> 1.0
   else begin
     let line_size = options.machine.Machine_model.line_size in
     let key =
       Printf.sprintf "%d|%s|%s" line_size
-        (match init with None -> "-" | Some _ -> "i")
+        (match source with None -> "-" | Some _ -> "i")
         (Digest.to_hex (Digest.string (Marshal.to_string p [])))
     in
     Memclust_util.Analysis_cache.find_or_compute pm_cache key (fun () ->
-        let data = Data.create p in
-        (match init with Some f -> f data | None -> ());
+        let data =
+          match source with Some s -> Lazy.force s | None -> Data.create p
+        in
         let prof = Profile.run ~line_size p data in
         fun id -> Profile.miss_rate prof id)
   end
 
 (* Evaluate f for the innermost construct identified by [key] inside the
    top-level nest whose loop variable is [nest_var]. *)
-let evaluate options ~init p ~nest_var ~key =
+let evaluate options ~source p ~nest_var ~key =
   let loc = Locality.analyze ~line_size:options.machine.Machine_model.line_size p in
-  let pm = make_pm options ~init p in
+  let pm = make_pm options ~source p in
   match Pass.find_nest p nest_var with
   | None -> None
   | Some (_, nest) -> (
@@ -166,7 +170,7 @@ let try_factor p ~nest_var (parent : loop) enclosing n =
           let nest' = Pass.replace_loop ~var:parent.var ~repl (Loop nest) in
           Ok (Program.renumber (Pass.replace_nest p ~var:nest_var ~repl:nest')))
 
-let resolve_recurrences options ~init p ~nest_var ~key parent enclosing ~alpha ~f0
+let resolve_recurrences options ~source p ~nest_var ~key parent enclosing ~alpha ~f0
     =
   let lp = float_of_int options.machine.Machine_model.mshrs in
   let target = alpha *. lp in
@@ -203,7 +207,7 @@ let resolve_recurrences options ~init p ~nest_var ~key parent enclosing ~alpha ~
     match try_factor p ~nest_var parent enclosing n with
     | Error msg -> Error msg
     | Ok p' -> (
-        match evaluate options ~init p' ~nest_var ~key with
+        match evaluate options ~source p' ~nest_var ~key with
         | Some (_, _, _, _, fest) -> Ok (p', fest.Festimate.f)
         | None -> Error "internal: nest vanished")
   in
@@ -243,8 +247,8 @@ let resolve_recurrences options ~init p ~nest_var ~key parent enclosing ~alpha ~
 (* Window-constraint resolution                                        *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_window options ~init p ~nest_var ~key =
-  match evaluate options ~init p ~nest_var ~key with
+let resolve_window options ~source p ~nest_var ~key =
+  match evaluate options ~source p ~nest_var ~key with
   | None -> (p, [])
   | Some (_, located, graph, _, fest) -> (
       let lp = float_of_int options.machine.Machine_model.mshrs in
@@ -360,9 +364,9 @@ let analyze_pass =
        initial f of every innermost construct";
     enabled = always;
     rewrite =
-      (fun { Pass.options; init } p ->
+      (fun { Pass.options; source } p ->
         over_nest_keys p (fun p ~nest_var ~key ->
-            match evaluate options ~init p ~nest_var ~key with
+            match evaluate options ~source p ~nest_var ~key with
             | None -> (p, [])
             | Some (_, located, _, alpha, fest) ->
                 let nest_index =
@@ -431,10 +435,10 @@ let unroll_jam_pass =
        unroll-and-jam degree keeping f <= alpha*lp (paper §3.2)";
     enabled = (fun o -> o.do_unroll_jam);
     rewrite =
-      (fun { Pass.options; init } p ->
+      (fun { Pass.options; source } p ->
         let lp = float_of_int options.machine.Machine_model.mshrs in
         over_nest_keys p (fun p ~nest_var ~key ->
-            match evaluate options ~init p ~nest_var ~key with
+            match evaluate options ~source p ~nest_var ~key with
             | None -> (p, [])
             | Some (_, located, _, alpha, fest) ->
                 if
@@ -452,7 +456,7 @@ let unroll_jam_pass =
                     | [] -> ()
                     | target :: rest ->
                         let p', acts =
-                          resolve_recurrences options ~init !p ~nest_var ~key
+                          resolve_recurrences options ~source !p ~nest_var ~key
                             target located.Pass.enclosing ~alpha
                             ~f0:fest.Festimate.f
                         in
@@ -485,9 +489,9 @@ let window_pass =
        iterations cannot fill the MSHRs (paper §3.3)";
     enabled = (fun o -> o.do_window);
     rewrite =
-      (fun { Pass.options; init } p ->
+      (fun { Pass.options; source } p ->
         over_nest_keys p (fun p ~nest_var ~key ->
-            let p', acts = resolve_window options ~init p ~nest_var ~key in
+            let p', acts = resolve_window options ~source p ~nest_var ~key in
             ( p',
               List.map
                 (fun action ->
@@ -634,7 +638,18 @@ let select_passes only =
         passes
 
 let run ?(options = default_options) ?init ?only ?observe (p : program) =
-  let ctx = { Pass.options; init } in
+  (* one initialized source store per pipeline, built on first use; the
+     profiler and the semantic guard run over copies of it *)
+  let source =
+    Option.map
+      (fun init ->
+        lazy
+          (let d = Data.create p in
+           init d;
+           d))
+      init
+  in
+  let ctx = { Pass.options; source } in
   let p', trace = Pass.Pipeline.run ?observe ctx (select_passes only) p in
   (p', report_of_trace trace)
 

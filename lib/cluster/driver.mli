@@ -74,8 +74,8 @@ type options = Pass.options = {
   do_strip_mine : bool;  (** optional strip-mine pass (§2.2), default off *)
   do_prefetch : bool;  (** optional prefetch-insertion pass, default off *)
   failsafe : bool;
-      (** guard every pass, rolling back failures as degraded (default;
-          see {!Pass.Pipeline.run}) *)
+      (** guard the pipeline, rolling back failing passes as degraded
+          (default; see {!Pass.Pipeline.run}) *)
   chaos : chaos option;  (** sabotage injection (default [None]) *)
 }
 
@@ -95,11 +95,14 @@ val run :
   Ast.program * report
 (** Transform the program. [init] fills a fresh store with the workload's
     data (pointer chains, index arrays) so profiling sees real access
-    patterns; without it, irregular references are assumed to always miss
-    (P_m = 1). [only] restricts the pipeline to the named passes
+    patterns and the semantic guard can run; it is called at most once
+    per run, on the store every profile and guard execution copies.
+    Without it, profiling sees a zero-filled store and the guard checks
+    structure only. [only] restricts the pipeline to the named passes
     (overriding the option flags; [uniquify] always runs; unknown names
     raise [Invalid_argument]). [observe] is called with the pass name and
-    program after every pass that ran. The returned program is renumbered
-    and validated after every pass. *)
+    program of every pass of the shipped run that was accepted (see
+    {!Pass.Pipeline.run}). The returned program is renumbered and
+    validated after every pass. *)
 
 val pp_report : Format.formatter -> report -> unit

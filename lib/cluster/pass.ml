@@ -91,7 +91,7 @@ let chaos_of_env () =
       in
       Some { chaos_seed; chaos_rate; fail_pass }
 
-type ctx = { options : options; init : (Data.t -> unit) option }
+type ctx = { options : options; source : Data.t Lazy.t option }
 
 (* ------------------------------------------------------------------ *)
 (* Events: what a pass did, in terms the report can aggregate          *)
@@ -275,7 +275,12 @@ module Pipeline = struct
     events : event list;
   }
 
-  type trace = { program_name : string; entries : entry list; total_ms : float }
+  type trace = {
+    program_name : string;
+    entries : entry list;
+    total_ms : float;
+    check_ms : float;
+  }
 
   let degraded_passes trace =
     List.filter_map
@@ -369,41 +374,34 @@ module Pipeline = struct
   let run ?(summaries = true) ?observe ctx passes p =
     let t_start = now_ms () in
     let p0 = Program.renumber p in
-    let current = ref p0 in
-    let entries = ref [] in
     let failsafe = ctx.options.failsafe in
     let chaos =
       match ctx.options.chaos with Some c -> Some c | None -> chaos_of_env ()
     in
-    let chaos_rng =
-      Option.map
-        (fun c -> Memclust_util.Rng.create (c.chaos_seed lxor Hashtbl.hash p.p_name))
-        chaos
-    in
     (* The reference store — the source program's final data state —
        computed lazily once per pipeline run. The paper's own methodology
        (§4) defines correctness as semantic identity to the source, so
-       every pass is compared against the ORIGINAL program, not its
-       predecessor: rollback restores a last-good IR that is itself
-       equivalent to the source. *)
+       candidates are compared against the ORIGINAL program: rollback
+       restores a last-good IR that is itself equivalent to the source.
+       Every execution starts from a copy of the one initialized source
+       store, which is sound because no pass may change the declarations
+       [Data.create] lays out ([invalid_ir] enforces it). *)
     let reference =
       lazy
-        (match ctx.init with
+        (match ctx.source with
         | None -> None
-        | Some init -> (
+        | Some source -> (
             try
-              let d = Data.create p0 in
-              init d;
+              let d = Data.copy (Lazy.force source) in
               Exec.run ~max_ops:diff_ref_max_ops p0 d;
               Some d
             with Exec.Limit_exceeded -> None))
     in
     let divergence candidate =
-      match (Lazy.force reference, ctx.init) with
-      | Some ref_store, Some init -> (
+      match (Lazy.force reference, ctx.source) with
+      | Some ref_store, Some source -> (
           try
-            let d = Data.create candidate in
-            init d;
+            let d = Data.copy (Lazy.force source) in
             Exec.run ~max_ops:diff_cand_max_ops candidate d;
             if Data.equal ref_store d then None
             else Some "differential execution: final stores diverge from the source program"
@@ -411,142 +409,193 @@ module Pipeline = struct
             Some "differential execution: dynamic-operation budget exceeded (runaway rewrite?)")
       | _ -> None
     in
-    (* Chaos sabotage for this pass: [`Crash] raises mid-rewrite,
-       [`Corrupt] ships a semantically wrong result; the guard must
-       contain both. uniquify is never sabotaged — every later pass keys
-       nests by the globally-unique loop variables it establishes. *)
-    let sabotage name =
-      if String.equal name "uniquify" then `None
-      else
-        match (chaos, chaos_rng) with
-        | Some c, Some rng ->
-            let forced =
-              match c.fail_pass with
-              | Some f -> String.equal f name
-              | None -> false
-            in
-            (* fixed draw order keeps the stream deterministic per seed *)
-            let hit =
-              c.chaos_rate > 0.0
-              && Memclust_util.Rng.float rng 1.0 < c.chaos_rate
-            in
-            let crash = Memclust_util.Rng.bool rng in
-            if forced then `Corrupt
-            else if hit then if crash then `Crash else `Corrupt
-            else `None
-        | _ -> `None
+    let invalid_ir p' =
+      match Program.validate p' with
+      | Error msg -> Some msg
+      | Ok () ->
+          if p'.arrays = p0.arrays && p'.regions = p0.regions then None
+          else Some "array or region declarations differ from the source program's"
     in
-    let record entry = entries := entry :: !entries in
-    List.iter
-      (fun pass ->
-        if not (pass.enabled ctx.options) then begin
-          let size = measure !current in
-          record
-            {
-              pass_name = pass.name;
-              ran = false;
-              wall_ms = 0.0;
-              size_before = size;
-              size_after = size;
-              f_before = [];
-              f_after = [];
-              validated = true;
-              degraded = None;
-              events = [];
-            }
-        end
-        else begin
-          let size_before = measure !current in
-          let f_before =
-            if summaries then nest_summaries ctx.options !current else []
-          in
-          let t0 = now_ms () in
-          (* Roll back to the last-good IR: the program is untouched, the
-             failure is recorded in the trace, and the pipeline continues —
-             worst case the untransformed program ships. *)
-          let degrade ~validated ~events reason =
+    (* One pass over the pipeline from the source program. Crashes and
+       invalid IR are caught after every pass; with [per_pass] each
+       candidate is also differentially executed, so the first divergent
+       pass is rolled back (or named, with [failsafe = false]). Returns
+       the last-good program, the trace entries and the accepted
+       [(pass, program)] pairs for [observe]. *)
+    let run_passes ~per_pass =
+      let chaos_rng =
+        Option.map
+          (fun c -> Memclust_util.Rng.create (c.chaos_seed lxor Hashtbl.hash p.p_name))
+          chaos
+      in
+      (* Chaos sabotage for this pass: [`Crash] raises mid-rewrite,
+         [`Corrupt] ships a semantically wrong result; the guard must
+         contain both. uniquify is never sabotaged — every later pass keys
+         nests by the globally-unique loop variables it establishes. *)
+      let sabotage name =
+        if String.equal name "uniquify" then `None
+        else
+          match (chaos, chaos_rng) with
+          | Some c, Some rng ->
+              let forced =
+                match c.fail_pass with
+                | Some f -> String.equal f name
+                | None -> false
+              in
+              (* fixed draw order keeps the stream deterministic per seed *)
+              let hit =
+                c.chaos_rate > 0.0
+                && Memclust_util.Rng.float rng 1.0 < c.chaos_rate
+              in
+              let crash = Memclust_util.Rng.bool rng in
+              if forced then `Corrupt
+              else if hit then if crash then `Crash else `Corrupt
+              else `None
+          | _ -> `None
+      in
+      let current = ref p0 in
+      let entries = ref [] in
+      let accepted = ref [] in
+      let record entry = entries := entry :: !entries in
+      (* pass k's "after" is pass k+1's "before": summarize each program
+         once, keyed physically *)
+      let last_summary = ref None in
+      let summarize prog =
+        if not summaries then []
+        else
+          match !last_summary with
+          | Some (q, s) when q == prog -> s
+          | _ ->
+              let s = nest_summaries ctx.options prog in
+              last_summary := Some (prog, s);
+              s
+      in
+      List.iter
+        (fun pass ->
+          if not (pass.enabled ctx.options) then begin
+            let size = measure !current in
             record
               {
                 pass_name = pass.name;
-                ran = true;
-                wall_ms = now_ms () -. t0;
-                size_before;
-                size_after = size_before;
-                f_before;
+                ran = false;
+                wall_ms = 0.0;
+                size_before = size;
+                size_after = size;
+                f_before = [];
                 f_after = [];
-                validated;
-                degraded = Some reason;
-                events;
-              }
-          in
-          let accept p' events =
-            let size_after = measure p' in
-            let f_after =
-              if summaries then nest_summaries ctx.options p' else []
-            in
-            current := p';
-            (match observe with Some f -> f pass.name p' | None -> ());
-            record
-              {
-                pass_name = pass.name;
-                ran = true;
-                wall_ms = now_ms () -. t0;
-                size_before;
-                size_after;
-                f_before;
-                f_after;
                 validated = true;
                 degraded = None;
-                events;
+                events = [];
               }
-          in
-          let attempt () =
-            match sabotage pass.name with
-            | `None -> pass.rewrite ctx !current
-            | `Crash ->
-                failwith (Printf.sprintf "%s: chaos-injected crash" pass.name)
-            | `Corrupt ->
-                (* ship the real result minus one assignment: still
-                   structurally plausible, semantically wrong *)
-                let p', events = pass.rewrite ctx !current in
-                (corrupt_program p', events)
-          in
-          match attempt () with
-          | exception e ->
-              let reason =
-                Printf.sprintf "pass crashed: %s" (Printexc.to_string e)
-              in
-              if failsafe then degrade ~validated:true ~events:[] reason
+          end
+          else begin
+            let size_before = measure !current in
+            let f_before = summarize !current in
+            let t0 = now_ms () in
+            let attempt () =
+              match sabotage pass.name with
+              | `None -> pass.rewrite ctx !current
+              | `Crash ->
+                  failwith (Printf.sprintf "%s: chaos-injected crash" pass.name)
+              | `Corrupt ->
+                  (* ship the real result minus one assignment: still
+                     structurally plausible, semantically wrong *)
+                  let p', events = pass.rewrite ctx !current in
+                  (corrupt_program p', events)
+            in
+            let result =
+              match attempt () with
+              | exception e ->
+                  `Crashed (Printf.sprintf "pass crashed: %s" (Printexc.to_string e))
+              | p', events -> (
+                  let p' = Program.renumber p' in
+                  match invalid_ir p' with
+                  | Some msg -> `Invalid ("invalid IR: " ^ msg, events)
+                  | None -> `Valid (p', events))
+            in
+            let wall_ms = now_ms () -. t0 in
+            (* Roll back to the last-good IR: the program is untouched, the
+               failure is recorded in the trace, and the pipeline continues —
+               worst case the untransformed program ships. *)
+            let degrade ~validated ~events reason =
+              record
+                {
+                  pass_name = pass.name;
+                  ran = true;
+                  wall_ms;
+                  size_before;
+                  size_after = size_before;
+                  f_before;
+                  f_after = [];
+                  validated;
+                  degraded = Some reason;
+                  events;
+                }
+            in
+            let violation ~events detail =
+              if failsafe then degrade ~validated:false ~events detail
               else
                 Memclust_util.Error.raise_err
-                  (Memclust_util.Error.Pass_failed
-                     { pass = pass.name; reason })
-          | p', events -> (
-              let p' = Program.renumber p' in
-              match Program.validate p' with
-              | Error msg ->
-                  let detail = "invalid IR: " ^ msg in
-                  if failsafe then degrade ~validated:false ~events detail
-                  else
-                    Memclust_util.Error.raise_err
-                      (Memclust_util.Error.Legality_violation
-                         { pass = pass.name; detail })
-              | Ok () -> (
-                  match divergence p' with
-                  | Some detail ->
-                      if failsafe then degrade ~validated:false ~events detail
-                      else
-                        Memclust_util.Error.raise_err
-                          (Memclust_util.Error.Legality_violation
-                             { pass = pass.name; detail })
-                  | None -> accept p' events))
-        end)
-      passes;
-    ( !current,
+                  (Memclust_util.Error.Legality_violation
+                     { pass = pass.name; detail })
+            in
+            match result with
+            | `Crashed reason ->
+                if failsafe then degrade ~validated:true ~events:[] reason
+                else
+                  Memclust_util.Error.raise_err
+                    (Memclust_util.Error.Pass_failed { pass = pass.name; reason })
+            | `Invalid (detail, events) -> violation ~events detail
+            | `Valid (p', events) -> (
+                match if per_pass then divergence p' else None with
+                | Some detail -> violation ~events detail
+                | None ->
+                    current := p';
+                    accepted := (pass.name, p') :: !accepted;
+                    record
+                      {
+                        pass_name = pass.name;
+                        ran = true;
+                        wall_ms;
+                        size_before;
+                        size_after = measure p';
+                        f_before;
+                        f_after = summarize p';
+                        validated = true;
+                        degraded = None;
+                        events;
+                      })
+          end)
+        passes;
+      (!current, List.rev !entries, List.rev !accepted)
+    in
+    let check_ms = ref 0.0 in
+    let timed_check f =
+      let t = now_ms () in
+      let v = f () in
+      check_ms := !check_ms +. (now_ms () -. t);
+      v
+    in
+    (* Every candidate is compared with the source, so checking the final
+       program alone gives the same guarantee as checking every pass. Only
+       when it diverges (or runs away) is the pipeline replayed with the
+       per-pass check, which repeats the per-pass rollback decisions
+       exactly: same passes, same chaos draws. *)
+    let final, entries, accepted =
+      let ((final, _, _) as once) = run_passes ~per_pass:false in
+      if final != p0 && timed_check (fun () -> divergence final) <> None then
+        timed_check (fun () -> run_passes ~per_pass:true)
+      else once
+    in
+    Option.iter
+      (fun f -> List.iter (fun (name, p') -> f name p') accepted)
+      observe;
+    ( final,
       {
         program_name = p.p_name;
-        entries = List.rev !entries;
+        entries;
         total_ms = now_ms () -. t_start;
+        check_ms = !check_ms;
       } )
 
   let run_result ?summaries ?observe ctx passes p =
@@ -557,8 +606,8 @@ module Pipeline = struct
   (* ---------------------------- rendering --------------------------- *)
 
   let pp_trace ppf trace =
-    Format.fprintf ppf "@[<v>pipeline %s (%.2f ms total)@," trace.program_name
-      trace.total_ms;
+    Format.fprintf ppf "@[<v>pipeline %s (%.2f ms total, %.2f ms check)@,"
+      trace.program_name trace.total_ms trace.check_ms;
     List.iter
       (fun e ->
         if not e.ran then Format.fprintf ppf "  %-14s (disabled)@," e.pass_name
@@ -629,8 +678,9 @@ module Pipeline = struct
             e.events))
 
   let trace_to_json trace =
-    Printf.sprintf "{\"program\":\"%s\",\"total_ms\":%s,\"passes\":[%s]}"
+    Printf.sprintf
+      "{\"program\":\"%s\",\"total_ms\":%s,\"check_ms\":%s,\"passes\":[%s]}"
       (json_escape trace.program_name)
-      (json_float trace.total_ms)
+      (json_float trace.total_ms) (json_float trace.check_ms)
       (String.concat ",\n  " (List.map entry_to_json trace.entries))
 end

@@ -6,7 +6,8 @@
     gives each stage the shape of classic compiler infrastructure: a
     named {!t} with a rewrite function and an enabled-predicate, run by
     {!Pipeline.run}, which after {e every} pass renumbers and validates
-    the program (failing fast with the offending pass named) and records
+    the program (failing fast with the offending pass named), checks the
+    final program's semantics against the source once, and records
     wall-clock time, IR-size deltas and before/after f/α summaries into a
     structured {!Pipeline.trace}.
 
@@ -40,7 +41,7 @@ type chaos = {
 
 type options = {
   machine : Machine_model.t;
-  profile_pm : bool;  (** measure P_m by cache profiling (needs [init]) *)
+  profile_pm : bool;  (** measure P_m by cache profiling (needs [source]) *)
   do_unroll_jam : bool;
   do_window : bool;  (** inner unrolling for window constraints *)
   do_scalar_replace : bool;
@@ -68,9 +69,13 @@ val chaos_of_env : unit -> chaos option
     [None] when neither is set; raises [Invalid_argument] on malformed
     values. *)
 
-type ctx = { options : options; init : (Data.t -> unit) option }
-(** What every pass may consult: the machine/flag options and the
-    workload's data initializer (for miss-rate profiling). *)
+type ctx = { options : options; source : Data.t Lazy.t option }
+(** What every pass may consult: the machine/flag options and the source
+    program's store filled by the workload's initializer, built on first
+    use (for miss-rate profiling and the semantic guard). It is shared:
+    run programs over a {!Data.copy} of it, never over the store itself.
+    It serves every candidate because no pass may change the array and
+    region declarations {!Data.create} lays out. *)
 
 (** {1 Events} *)
 
@@ -155,6 +160,8 @@ module Pipeline : sig
     pass_name : string;
     ran : bool;  (** false: disabled by its predicate, program untouched *)
     wall_ms : float;
+        (** the rewrite plus renumbering and validation; the semantic check
+            is timed in {!trace.check_ms}, the f/α summaries not at all *)
     size_before : ir_size;
     size_after : ir_size;
     f_before : nest_summary list;
@@ -169,7 +176,15 @@ module Pipeline : sig
     events : event list;
   }
 
-  type trace = { program_name : string; entries : entry list; total_ms : float }
+  type trace = {
+    program_name : string;
+    entries : entry list;
+    total_ms : float;
+    check_ms : float;
+        (** the semantic check: the source's reference run, the final
+            program's run and, after a divergence, the whole per-pass
+            replay *)
+  }
 
   val degraded_passes : trace -> (string * string) list
   (** [(pass, reason)] for every degraded entry, in pipeline order. *)
@@ -188,22 +203,32 @@ module Pipeline : sig
     t list ->
     program ->
     program * trace
-  (** Run the enabled passes in order, each under the fail-safe guard:
-      the result is renumbered, re-validated and — when the context has a
-      workload initializer and the source program fits the interpreter
-      op budget — differentially executed against the {e original}
-      program's final store. With [options.failsafe] (the default) a
-      pass that crashes, produces invalid IR or diverges semantically is
-      rolled back: the trace entry records [degraded] with the reason and
-      the pipeline continues from the last-good IR, so the worst case
-      ships the untransformed program, never a crash or wrong code. With
-      [failsafe = false] the same detections raise
-      [Memclust_util.Error.Error] ([Pass_failed] or
-      [Legality_violation]) naming the pass.
+  (** Run the enabled passes in order under the fail-safe guard. After
+      every pass the result is renumbered and validated, and its array and
+      region declarations must equal the source's; a crash or invalid IR
+      is caught right there. When the context has a source store and the
+      source program fits the interpreter op budget, the final program is
+      then differentially executed once against the {e original}
+      program's final store. Since every candidate is compared with the
+      source, one final check gives the guarantee of a check per pass.
+      Only if the final program diverges or exceeds its op budget is the
+      pipeline replayed with a differential check after every pass, which
+      repeats the per-pass rollback decisions exactly (chaos draws
+      included); a divergence a later pass masks is not reported.
 
-      [observe] is called with the pass name and the accepted program
-      after each pass that ran and was not rolled back.
-      [summaries:false] skips the f/α trace summaries. *)
+      With [options.failsafe] (the default) a pass that crashes, produces
+      invalid IR or diverges semantically is rolled back: the trace entry
+      records [degraded] with the reason and the pipeline continues from
+      the last-good IR, so the worst case ships the untransformed program,
+      never a crash or wrong code. With [failsafe = false] the same
+      detections raise [Memclust_util.Error.Error] ([Pass_failed] or
+      [Legality_violation]) naming the pass — for a divergence, the first
+      divergent one.
+
+      [observe] is called, once the result is settled, with the pass name
+      and the accepted program of each pass of the shipped run that ran
+      and was not rolled back. [summaries:false] skips the f/α trace
+      summaries. *)
 
   val run_result :
     ?summaries:bool ->

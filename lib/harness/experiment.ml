@@ -103,12 +103,16 @@ let lowered_for (w : Workload.t) ~nprocs program =
 let sim_cache : (Machine.result * Sampling.estimate option) Analysis_cache.t =
   Analysis_cache.create ~cap:512 ~name:"harness-sim" ()
 
+(* configs are keyed on their contents: [Config.with_mshrs] and the other
+   [with_*] builders keep the name *)
+let config_digest (cfg : Config.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string cfg []))
+
 (* the resolved mode is part of the key because it can come from outside
    the config (the MEMCLUST_SIM_MODE environment variable) *)
 let simulate_estimated (w : Workload.t) (cfg : Config.t) ~nprocs program =
   let key =
-    Printf.sprintf "%s|%d|%s|%s|%s" w.Workload.name nprocs
-      (Digest.to_hex (Digest.string (Marshal.to_string cfg [])))
+    Printf.sprintf "%s|%d|%s|%s|%s" w.Workload.name nprocs (config_digest cfg)
       (program_digest program)
       (Machine.mode_to_string (Machine.resolve_mode cfg))
   in
@@ -154,8 +158,8 @@ let outcome_cache : outcome Analysis_cache.t =
   Analysis_cache.create ~cap:512 ~name:"harness-outcome" ()
 
 let spec_key spec =
-  Printf.sprintf "%s|%s|%d|%s|%s" spec.workload.Workload.name
-    spec.config.Config.name spec.nprocs
+  Printf.sprintf "%s|%s#%s|%d|%s|%s" spec.workload.Workload.name
+    spec.config.Config.name (config_digest spec.config) spec.nprocs
     (match spec.version with
     | Base -> "base"
     | Clustered -> "clust"

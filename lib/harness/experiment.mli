@@ -37,8 +37,9 @@ val machine_of_config : Config.t -> Machine_model.t
 (** The analysis-side machine parameters implied by a simulator config. *)
 
 val transform : Config.t -> Workload.t -> Ast.program * Driver.report
-(** Cluster the workload for the given machine (memoized per
-    workload-name/config-name pair — transformation is deterministic). *)
+(** Cluster the workload for the given machine (memoized per workload
+    name and analysis-side machine parameters — transformation is
+    deterministic). *)
 
 val simulate_cached :
   Workload.t -> Config.t -> nprocs:int -> Ast.program -> Machine.result
@@ -63,11 +64,14 @@ val execute : spec -> outcome
     unchanged. *)
 
 val spec_key : spec -> string
-(** The memo key: ["workload|config|nprocs|version"]. Useful for
-    deduplicating spec lists before fanning out over a domain pool. *)
+(** The memo key: ["workload|config#digest|nprocs|version|mode"], the
+    config keyed on a digest of its contents (its name alone would merge
+    configs that [Config.with_mshrs] and the other [with_*] builders
+    derive). Useful for deduplicating spec lists before fanning out over a
+    domain pool. *)
 
 val execute_cached : spec -> outcome
-(** Like {!execute}, memoized on (workload, config, nprocs, version); logs
+(** Like {!execute}, memoized on {!spec_key}; logs
     progress to stderr. Safe to call from multiple domains concurrently
     (the memo tables are mutex-guarded; racing domains may duplicate
     deterministic work, never corrupt state). *)

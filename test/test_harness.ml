@@ -87,6 +87,28 @@ let test_cached_is_stable () =
   let b = Experiment.execute_cached spec in
   Alcotest.(check bool) "same outcome object" true (a == b)
 
+(* [Config.with_mshrs] keeps the config's name: the outcome memo must key
+   on the contents, or the second spec would get the first one's result *)
+let test_cached_keys_on_config_contents () =
+  let w = tiny () in
+  let spec mshrs =
+    {
+      Experiment.workload = w;
+      config = Config.with_mshrs mshrs Config.base;
+      nprocs = 1;
+      version = Experiment.Clustered;
+    }
+  in
+  let one = spec 1 and sixteen = spec 16 in
+  Alcotest.(check string) "same config name" one.Experiment.config.Config.name
+    sixteen.Experiment.config.Config.name;
+  Alcotest.(check bool) "distinct memo keys" true
+    (Experiment.spec_key one <> Experiment.spec_key sixteen);
+  let a = Experiment.execute_cached one in
+  let b = Experiment.execute_cached sixteen in
+  Alcotest.(check bool) "distinct outcomes" true
+    (Experiment.exec_cycles a <> Experiment.exec_cycles b)
+
 let test_l2_scaling_applied () =
   let w = tiny () in
   (* scaled config: the workload's small L2 makes the kernel miss more than
@@ -197,6 +219,8 @@ let () =
           Alcotest.test_case "l2 scaling" `Quick test_l2_scaling_applied;
           Alcotest.test_case "prefetched versions" `Quick test_prefetched_versions;
           Alcotest.test_case "max_procs cap" `Quick test_transform_respects_max_procs;
+          Alcotest.test_case "memo keys on config contents" `Quick
+            test_cached_keys_on_config_contents;
         ] );
       ( "figures",
         [

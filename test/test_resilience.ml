@@ -125,77 +125,116 @@ let final_store (w : Workload.t) p =
   Exec.run p d;
   d
 
-(* Under unconditional sabotage (rate 1.0: every pass crashes or
-   corrupts), the fail-safe pipeline must still terminate, ship valid IR,
-   and preserve the source program's semantics — worst case by shipping
-   it untransformed. *)
+let sabotageable = [ "analyze"; "unroll-jam"; "window-unroll"; "scalar-replace"; "schedule" ]
+
+(* Under seeded sabotage the fail-safe pipeline must still terminate, ship
+   valid IR, and preserve the source program's semantics — worst case by
+   shipping it untransformed. The degraded pass lists are pinned: checking
+   the final program once and replaying per pass on a divergence must take
+   the same rollback decisions, chaos draws included, as checking every
+   pass. At rate 1.0 every sabotageable pass crashes or corrupts; at rate
+   0.5 crashes (caught per pass) and corruptions (caught by the replay)
+   mix. *)
+let pinned_chaos =
+  let all = String.concat "," sabotageable in
+  List.map (fun seed -> (seed, 1.0, all)) [ 1; 2; 3; 4; 5 ]
+  @ [
+      (1, 0.5, "");
+      (2, 0.5, "scalar-replace,schedule");
+      (3, 0.5, "unroll-jam,window-unroll,scalar-replace");
+      (4, 0.5, "analyze,scalar-replace");
+      (5, 0.5, "analyze,unroll-jam,scalar-replace");
+      (6, 0.5, "unroll-jam,schedule");
+      (7, 0.5, "unroll-jam,window-unroll,scalar-replace");
+      (8, 0.5, "analyze,unroll-jam,window-unroll,scalar-replace,schedule");
+    ]
+
 let test_chaos_pipeline_stays_correct () =
   let w = small_lu () in
-  let reference = lazy (final_store w (Program.renumber w.Workload.program)) in
+  let reference = final_store w (Program.renumber w.Workload.program) in
   List.iter
-    (fun chaos_seed ->
+    (fun (chaos_seed, chaos_rate, expected) ->
       let options =
         {
           Driver.default_options with
-          chaos = Some { Pass.chaos_seed; chaos_rate = 1.0; fail_pass = None };
+          chaos = Some { Pass.chaos_seed; chaos_rate; fail_pass = None };
         }
       in
       let p, report =
         Driver.run ~options ~init:w.Workload.init w.Workload.program
       in
+      let what = Printf.sprintf "seed %d rate %.1f" chaos_seed chaos_rate in
       (match Program.validate p with
       | Ok () -> ()
-      | Error m -> Alcotest.failf "seed %d: invalid IR shipped: %s" chaos_seed m);
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: semantics preserved" chaos_seed)
-        true
-        (Data.equal (Lazy.force reference) (final_store w p));
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: sabotage recorded as degraded" chaos_seed)
-        true
-        (Pass.Pipeline.degraded_passes report.Driver.trace <> []))
-    [ 1; 2; 3; 4; 5 ]
+      | Error m -> Alcotest.failf "%s: invalid IR shipped: %s" what m);
+      Alcotest.(check bool) (what ^ ": semantics preserved") true
+        (Data.equal reference (final_store w p));
+      Alcotest.(check string) (what ^ ": degraded passes") expected
+        (String.concat ","
+           (List.map fst (Pass.Pipeline.degraded_passes report.Driver.trace))))
+    pinned_chaos
 
+(* Forcing any one sabotageable pass to corrupt its result degrades
+   exactly that pass: the final check finds the divergence, the per-pass
+   replay rolls the pass back, and every later pass still runs over the
+   last-good IR. *)
 let test_forced_pass_failure_degrades () =
   let w = small_lu () in
-  let options =
-    {
-      Driver.default_options with
-      chaos =
-        Some
-          { Pass.chaos_seed = 0; chaos_rate = 0.0; fail_pass = Some "unroll-jam" };
-    }
-  in
-  let p, report =
-    Driver.run ~options ~init:w.Workload.init w.Workload.program
-  in
-  let degraded = Pass.Pipeline.degraded_passes report.Driver.trace in
-  Alcotest.(check bool) "unroll-jam rolled back" true
-    (List.mem_assoc "unroll-jam" degraded);
-  Alcotest.(check bool) "only the sabotaged pass degrades" true
-    (List.for_all (fun (pass, _) -> String.equal pass "unroll-jam") degraded);
-  Alcotest.(check bool) "semantics preserved" true
-    (Data.equal
-       (final_store w (Program.renumber w.Workload.program))
-       (final_store w p))
+  let reference = final_store w (Program.renumber w.Workload.program) in
+  List.iter
+    (fun forced ->
+      let options =
+        {
+          Driver.default_options with
+          chaos = Some { Pass.chaos_seed = 0; chaos_rate = 0.0; fail_pass = Some forced };
+        }
+      in
+      let p, report =
+        Driver.run ~options ~init:w.Workload.init w.Workload.program
+      in
+      Alcotest.(check (list string))
+        (forced ^ ": exactly it degrades")
+        [ forced ]
+        (List.map fst (Pass.Pipeline.degraded_passes report.Driver.trace));
+      let rec after = function
+        | [] -> []
+        | (e : Pass.Pipeline.entry) :: rest ->
+            if String.equal e.Pass.Pipeline.pass_name forced then rest else after rest
+      in
+      List.iter
+        (fun (e : Pass.Pipeline.entry) ->
+          if List.mem e.Pass.Pipeline.pass_name sabotageable then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: later pass %s still runs" forced
+                 e.Pass.Pipeline.pass_name)
+              true e.Pass.Pipeline.ran)
+        (after report.Driver.trace.Pass.Pipeline.entries);
+      Alcotest.(check bool)
+        (forced ^ ": semantics preserved")
+        true
+        (Data.equal reference (final_store w p)))
+    sabotageable
 
+(* A corrupting pass, the last or one in the middle, raises with
+   failsafe off, naming it: the per-pass replay finds the first divergent
+   pass. *)
 let test_failsafe_off_raises_structured_error () =
   let w = small_lu () in
-  let options =
-    {
-      Driver.default_options with
-      failsafe = false;
-      chaos =
-        Some
-          { Pass.chaos_seed = 0; chaos_rate = 0.0; fail_pass = Some "schedule" };
-    }
-  in
-  match Driver.run ~options ~init:w.Workload.init w.Workload.program with
-  | _ -> Alcotest.fail "sabotage with failsafe off must raise"
-  | exception Error.Error (Error.Legality_violation { pass; _ }) ->
-      Alcotest.(check string) "names the pass" "schedule" pass
-  | exception Error.Error (Error.Pass_failed { pass; _ }) ->
-      Alcotest.(check string) "names the pass" "schedule" pass
+  List.iter
+    (fun forced ->
+      let options =
+        {
+          Driver.default_options with
+          failsafe = false;
+          chaos =
+            Some { Pass.chaos_seed = 0; chaos_rate = 0.0; fail_pass = Some forced };
+        }
+      in
+      match Driver.run ~options ~init:w.Workload.init w.Workload.program with
+      | _ -> Alcotest.failf "sabotaged %s with failsafe off must raise" forced
+      | exception Error.Error (Error.Legality_violation { pass; _ }) ->
+          Alcotest.(check string) "names the pass" forced pass)
+    [ "schedule"; "window-unroll" ]
 
 let test_chaos_of_env_parses () =
   Unix.putenv "MEMCLUST_CHAOS_PASSES" "11:0.5";
