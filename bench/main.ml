@@ -7,20 +7,16 @@
       Figure 4(a)/(b), Section 5.2 1 GHz) — each regenerated from scratch
       by the experiment harness and printed next to the paper's numbers.
       Pass experiment ids as arguments to run a subset.
+      MEMCLUST_SIM_MODE selects the simulator core, cycle or event
+      (default event); both give identical numbers.
 
    2. Bechamel microbenchmarks of the pipeline stages those experiments
       are built from (analysis, transformation, lowering, simulation), so
       regressions in the machinery itself are visible. Pass "micro" to run
       only these.
 
-   3. Simulator-mode wall-clock comparison ("sim"): exact event-driven vs
-      sampled simulation on the registry workloads, recording speedups and
-      whether the exact results land inside the sampled confidence
-      intervals. "sim smoke" runs the tiny workload sizes and additionally
-      cross-checks cycle-vs-event bit-identity.
-
-   JSON trails (BENCH_micro.json, BENCH_sim.json) are written at the repo
-   root regardless of the working directory.  *)
+   The JSON trail (BENCH_micro.json) is written at the repo root
+   regardless of the working directory.  *)
 
 open Bechamel
 open Toolkit
@@ -228,201 +224,6 @@ let run_micro () =
   close_out oc;
   Printf.printf "(ns/run also written to BENCH_micro.json)\n%!"
 
-(* ------------------------------------------------------------------ *)
-(* Part 3: simulator-mode wall-clock comparison                        *)
-(* ------------------------------------------------------------------ *)
-
-type sim_row = {
-  sr_workload : string;
-  sr_version : string;
-  sr_mode : string;
-  sr_cycles : int;
-  sr_wall_s : float;
-  sr_speedup_vs_event : float option;
-  sr_exact_in_ci : bool option;
-      (* sampled rows: exact event cycle count inside the sampled CI *)
-}
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let write_sim_json rows ratio_checks =
-  let path = Filename.concat (repo_root ()) "BENCH_sim.json" in
-  let oc = open_out path in
-  let b = function true -> "true" | false -> "false" in
-  Printf.fprintf oc "{\n  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"workload\": %S, \"version\": %S, \"mode\": %S, \"cycles\": \
-         %d, \"wall_s\": %.4f, \"speedup_vs_event\": %s, \"exact_in_ci\": \
-         %s}%s\n"
-        r.sr_workload r.sr_version r.sr_mode r.sr_cycles r.sr_wall_s
-        (match r.sr_speedup_vs_event with
-        | Some s -> Printf.sprintf "%.2f" s
-        | None -> "null")
-        (match r.sr_exact_in_ci with Some v -> b v | None -> "null")
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n  \"ratio_checks\": [\n";
-  List.iteri
-    (fun i (w, exact, est, rel, ok) ->
-      Printf.fprintf oc
-        "    {\"workload\": %S, \"exact_ratio\": %.4f, \"sampled_ratio\": \
-         %.4f, \"rel_ci\": %.4f, \"within_ci\": %s}%s\n"
-        w exact est rel (b ok)
-        (if i = List.length ratio_checks - 1 then "" else ","))
-    ratio_checks;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "(written to %s)\n%!" path
-
-let run_sim args =
-  let smoke = List.mem "smoke" args in
-  let names = List.filter (fun a -> not (String.equal a "smoke")) args in
-  let ws =
-    if smoke then Registry.small ()
-    else if names = [] then Registry.latbench () :: Registry.applications ()
-    else
-      List.filter_map
-        (fun n ->
-          match Registry.by_name n with
-          | Some w -> Some w
-          | None ->
-              Printf.eprintf "unknown workload %s\n" n;
-              None)
-        names
-  in
-  let sampled_params =
-    if smoke then
-      (* tiny traces: shrink the period so several windows still fit *)
-      match Sampling.parse "sampled:2048:512:128" with
-      | Some p -> p
-      | None -> assert false
-    else Sampling.default
-  in
-  Printf.printf "==== simulator modes: event vs %s ====\n%!"
-    (Sampling.to_string sampled_params);
-  let rows = ref [] in
-  let ratio_checks = ref [] in
-  List.iter
-    (fun (w : Workload.t) ->
-      let nprocs = max 1 w.Workload.mp_procs in
-      let cfg = Config.with_l2 w.Workload.l2_bytes Config.base in
-      let versions =
-        [
-          ("base", Program.renumber w.Workload.program);
-          ("clustered", fst (Experiment.transform cfg w));
-        ]
-      in
-      let cis =
-        List.map
-          (fun (vname, program) ->
-            let data = Data.create program in
-            w.Workload.init data;
-            let lowered = Lower.build ~nprocs program data in
-            let home = Data.home_of_addr data ~nprocs in
-            let ev, ev_wall =
-              time (fun () ->
-                  Machine.run cfg ~mode:Machine.Event ~home lowered)
-            in
-            rows :=
-              {
-                sr_workload = w.Workload.name;
-                sr_version = vname;
-                sr_mode = "event";
-                sr_cycles = ev.Machine.cycles;
-                sr_wall_s = ev_wall;
-                sr_speedup_vs_event = None;
-                sr_exact_in_ci = None;
-              }
-              :: !rows;
-            if smoke then begin
-              let cy, cy_wall =
-                time (fun () ->
-                    Machine.run cfg ~mode:Machine.Cycle ~home lowered)
-              in
-              if cy.Machine.cycles <> ev.Machine.cycles then
-                failwith
-                  (Printf.sprintf "%s/%s: cycle mode %d <> event mode %d"
-                     w.Workload.name vname cy.Machine.cycles ev.Machine.cycles);
-              rows :=
-                {
-                  sr_workload = w.Workload.name;
-                  sr_version = vname;
-                  sr_mode = "cycle";
-                  sr_cycles = cy.Machine.cycles;
-                  sr_wall_s = cy_wall;
-                  sr_speedup_vs_event = None;
-                  sr_exact_in_ci = None;
-                }
-                :: !rows
-            end;
-            let (sres, est), s_wall =
-              time (fun () ->
-                  Machine.run_estimated cfg
-                    ~mode:(Machine.Sampled sampled_params) ~home lowered)
-            in
-            let est =
-              match est with Some e -> e | None -> assert false
-            in
-            let ci = est.Sampling.cycles_ci in
-            let in_ci =
-              Sampling.in_ci ci (float_of_int ev.Machine.cycles)
-            in
-            let speedup = ev_wall /. Float.max 1e-9 s_wall in
-            rows :=
-              {
-                sr_workload = w.Workload.name;
-                sr_version = vname;
-                sr_mode = "sampled";
-                sr_cycles = sres.Machine.cycles;
-                sr_wall_s = s_wall;
-                sr_speedup_vs_event = Some speedup;
-                sr_exact_in_ci = Some in_ci;
-              }
-              :: !rows;
-            Printf.printf
-              "  %-10s %-10s event %8d cyc %7.3fs | sampled %8d ± %.0f cyc \
-               %7.3fs | %5.1fx %s\n\
-               %!"
-              w.Workload.name vname ev.Machine.cycles ev_wall sres.Machine.cycles
-              ci.Sampling.half s_wall speedup
-              (if in_ci then "(exact in CI)" else "(exact OUTSIDE CI)");
-            (ev, est))
-          versions
-      in
-      (* does the sampled base-vs-clustered cycle ratio agree with the
-         exact one, to within the combined relative CI? *)
-      match cis with
-      | [ (ev_b, est_b); (ev_c, est_c) ] ->
-          let exact =
-            float_of_int ev_b.Machine.cycles /. float_of_int ev_c.Machine.cycles
-          in
-          let est =
-            est_b.Sampling.cycles_ci.Sampling.est
-            /. est_c.Sampling.cycles_ci.Sampling.est
-          in
-          let rel =
-            (est_b.Sampling.cycles_ci.Sampling.half
-            /. est_b.Sampling.cycles_ci.Sampling.est)
-            +. est_c.Sampling.cycles_ci.Sampling.half
-               /. est_c.Sampling.cycles_ci.Sampling.est
-          in
-          let ok = Float.abs (exact -. est) <= est *. rel in
-          Printf.printf
-            "  %-10s base/clustered ratio: exact %.3f, sampled %.3f ± %.1f%% \
-             %s\n\
-             %!"
-            w.Workload.name exact est (100.0 *. rel)
-            (if ok then "(agrees)" else "(DISAGREES)");
-          ratio_checks := (w.Workload.name, exact, est, rel, ok) :: !ratio_checks
-      | _ -> ())
-    ws;
-  write_sim_json (List.rev !rows) (List.rev !ratio_checks)
-
 let () =
   (* fail fast if a preset was edited into an inconsistent state *)
   List.iter Config.validate_exn
@@ -435,5 +236,4 @@ let () =
       run_micro ()
   | [ "micro" ] -> run_micro ()
   | [ "passes" ] -> run_pass_times ()
-  | "sim" :: rest -> run_sim rest
   | ids -> run_experiments ids

@@ -16,53 +16,24 @@ open Memclust_sim
 open Memclust_workloads
 open Memclust_harness
 
-(* --sim-mode / --sample-period: exported through MEMCLUST_SIM_MODE so the
-   choice reaches every Config the harness builds internally (Figures
-   constructs its own), via Machine.resolve_mode's env fallback. *)
+(* --sim-mode: exported through MEMCLUST_SIM_MODE so the choice reaches
+   every Config the harness builds internally (Figures constructs its
+   own), via Machine.resolve_mode's env fallback. *)
 
 let sim_mode_arg =
   let doc =
-    "Simulation mode: $(b,cycle), $(b,event) or \
-     $(b,sampled)[:PERIOD:WINDOW[:WARMUP]]. Defaults to the \
+    "Simulation mode: $(b,cycle) or $(b,event). Defaults to the \
      $(b,MEMCLUST_SIM_MODE) environment variable, else event."
   in
   Arg.(value & opt (some string) None & info [ "sim-mode" ] ~docv:"MODE" ~doc)
 
-let sample_period_arg =
-  let doc =
-    "Sampled mode with the given period (retired instructions per \
-     processor between detailed windows); window and warm-up scale \
-     proportionally. Shorthand for --sim-mode sampled:PERIOD:.."
-  in
-  Arg.(value & opt (some int) None & info [ "sample-period" ] ~docv:"N" ~doc)
-
-let apply_sim_flags mode period =
-  let s =
-    match (period, mode) with
-    | None, m -> m
-    | Some p, (None | Some "sampled") ->
-        let w =
-          max 2
-            (p * Sampling.default.Sampling.window
-            / Sampling.default.Sampling.period)
-        in
-        Some (Printf.sprintf "sampled:%d:%d:%d" p w (max 1 (w / 4)))
-    | Some _, Some m ->
-        Printf.eprintf
-          "--sample-period only combines with sampled mode (got --sim-mode %s)\n"
-          m;
-        exit 1
-  in
-  match s with
+let apply_sim_mode = function
   | None -> ()
   | Some s -> (
       match Machine.mode_of_string s with
       | Some _ -> Unix.putenv "MEMCLUST_SIM_MODE" s
       | None ->
-          Printf.eprintf
-            "bad simulation mode %s (cycle, event or \
-             sampled[:PERIOD:WINDOW[:WARMUP]])\n"
-            s;
+          Printf.eprintf "bad simulation mode %s (cycle or event)\n" s;
           exit 1)
 
 (* Resilience flags, exported the same way: environment variables are the
@@ -175,8 +146,8 @@ let experiment_cmd =
     in
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR" ~doc)
   in
-  let run () mode period ckpt ids =
-    apply_sim_flags mode period;
+  let run () mode ckpt ids =
+    apply_sim_mode mode;
     List.iter
       (fun id ->
         if not (List.mem id Figures.all_ids) then begin
@@ -217,7 +188,7 @@ let experiment_cmd =
   in
   Cmd.v (Cmd.info "experiment" ~doc)
     Term.(
-      const run $ resilience_term $ sim_mode_arg $ sample_period_arg
+      const run $ resilience_term $ sim_mode_arg
       $ checkpoint_arg $ ids)
 
 let workload_arg =
@@ -235,8 +206,8 @@ let lookup name =
 
 let run_cmd =
   let doc = "Simulate one workload, base vs clustered, and report." in
-  let run () name procs mode period =
-    apply_sim_flags mode period;
+  let run () name procs mode =
+    apply_sim_mode mode;
     let w = lookup name in
     let nprocs = Option.value ~default:w.Workload.mp_procs procs in
     let go version =
@@ -283,13 +254,6 @@ let run_cmd =
     | None -> ());
     Format.printf "base:@.  %a@.clustered:@.  %a@." Machine.pp_result
       b.Experiment.result Machine.pp_result c.Experiment.result;
-    let ci label (o : Experiment.outcome) =
-      match o.Experiment.estimate with
-      | Some est -> Format.printf "%s sampling estimate:@.  %a@." label Sampling.pp est
-      | None -> ()
-    in
-    ci "base" b;
-    ci "clustered" c;
     Format.printf "execution time reduction: %.1f%%@."
       (100.0
       *. (1.0
@@ -298,8 +262,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ resilience_term $ workload_arg $ procs_arg $ sim_mode_arg
-      $ sample_period_arg)
+      const run $ resilience_term $ workload_arg $ procs_arg $ sim_mode_arg)
 
 (* lp / line-size sensitivity sweep: re-cluster and re-simulate the
    workload for every (MSHR count, line size) point. The clustering
@@ -337,8 +300,8 @@ let sweep_cmd =
     Arg.(
       value & opt string "BENCH_sweep.json" & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
-  let run () names mshrs lines out mode period =
-    apply_sim_flags mode period;
+  let run () names mshrs lines out mode =
+    apply_sim_mode mode;
     let ws =
       match names with [] -> [ Registry.latbench () ] | ns -> List.map lookup ns
     in
@@ -409,7 +372,7 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
       const run $ resilience_term $ workloads_arg $ mshrs_arg $ line_arg
-      $ out_arg $ sim_mode_arg $ sample_period_arg)
+      $ out_arg $ sim_mode_arg)
 
 let analyze_cmd =
   let doc =

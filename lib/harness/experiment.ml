@@ -17,7 +17,6 @@ type spec = {
 type outcome = {
   spec : spec;
   result : Machine.result;
-  estimate : Sampling.estimate option;
   cluster_report : Driver.report option;
   trace : Pass.Pipeline.trace option;
   program : Ast.program;
@@ -100,7 +99,7 @@ let lowered_for (w : Workload.t) ~nprocs program =
    the ablation's "full pipeline" variant is exactly the Clustered
    version of the main tables — and [Machine.result] is only ever read
    by the reporting code. *)
-let sim_cache : (Machine.result * Sampling.estimate option) Analysis_cache.t =
+let sim_cache : Machine.result Analysis_cache.t =
   Analysis_cache.create ~cap:512 ~name:"harness-sim" ()
 
 (* configs are keyed on their contents: [Config.with_mshrs] and the other
@@ -110,7 +109,7 @@ let config_digest (cfg : Config.t) =
 
 (* the resolved mode is part of the key because it can come from outside
    the config (the MEMCLUST_SIM_MODE environment variable) *)
-let simulate_estimated (w : Workload.t) (cfg : Config.t) ~nprocs program =
+let simulate_cached (w : Workload.t) (cfg : Config.t) ~nprocs program =
   let key =
     Printf.sprintf "%s|%d|%s|%s|%s" w.Workload.name nprocs (config_digest cfg)
       (program_digest program)
@@ -118,10 +117,7 @@ let simulate_estimated (w : Workload.t) (cfg : Config.t) ~nprocs program =
   in
   Analysis_cache.find_or_compute sim_cache key (fun () ->
       let lowered, home = lowered_for w ~nprocs program in
-      Machine.run_estimated cfg ~home lowered)
-
-let simulate_cached w cfg ~nprocs program =
-  fst (simulate_estimated w cfg ~nprocs program)
+      Machine.run cfg ~home lowered)
 
 let execute spec =
   let cfg = scaled_config spec.config spec.workload in
@@ -148,11 +144,9 @@ let execute spec =
         in
         (p, Some r)
   in
-  let result, estimate =
-    simulate_estimated spec.workload cfg ~nprocs:spec.nprocs program
-  in
+  let result = simulate_cached spec.workload cfg ~nprocs:spec.nprocs program in
   let trace = Option.map (fun (r : Driver.report) -> r.Driver.trace) cluster_report in
-  { spec; result; estimate; cluster_report; trace; program }
+  { spec; result; cluster_report; trace; program }
 
 let outcome_cache : outcome Analysis_cache.t =
   Analysis_cache.create ~cap:512 ~name:"harness-outcome" ()

@@ -23,9 +23,6 @@ type spec = {
 type outcome = {
   spec : spec;
   result : Machine.result;
-  estimate : Sampling.estimate option;
-      (** confidence intervals when the resolved simulation mode is
-          sampled; [None] for the exact modes *)
   cluster_report : Driver.report option;  (** None for unclustered versions *)
   trace : Pass.Pipeline.trace option;
       (** the clustering pipeline's per-pass instrumentation (None for
@@ -48,15 +45,6 @@ val simulate_cached :
     workload, nprocs, config contents, program digest and resolved
     simulation mode). The returned result is shared: treat it as
     read-only. *)
-
-val simulate_estimated :
-  Workload.t ->
-  Config.t ->
-  nprocs:int ->
-  Ast.program ->
-  Machine.result * Sampling.estimate option
-(** {!simulate_cached} plus the sampling estimate when the config resolves
-    to sampled mode. *)
 
 val execute : spec -> outcome
 (** The workload's scaled L2 size is applied to the config when the config

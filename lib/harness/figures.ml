@@ -159,21 +159,10 @@ let breakdown_row name version base_cycles (o : Experiment.outcome) =
   let bd = r.Machine.breakdown in
   let pct v = 100.0 *. v /. float_of_int base_cycles in
   let cpu = Breakdown.cpu bd in
-  (* sampled runs carry a confidence interval on the cycle count: surface
-     it as an error bar on the normalized total *)
-  let total =
-    let t = Table.fmt_float ~decimals:1 (pct (Breakdown.total bd)) in
-    match o.Experiment.estimate with
-    | Some est ->
-        t ^ " ±"
-        ^ Table.fmt_float ~decimals:1
-            (pct est.Sampling.cycles_ci.Sampling.half)
-    | None -> t
-  in
   [
     name;
     version;
-    total;
+    Table.fmt_float ~decimals:1 (pct (Breakdown.total bd));
     Table.fmt_float ~decimals:1 (pct bd.Breakdown.sync_stall);
     Table.fmt_float ~decimals:1 (pct cpu);
     Table.fmt_float ~decimals:1 (pct bd.Breakdown.data_stall);

@@ -45,11 +45,10 @@ type t = {
   smp : bool;  (** true: one bus + one bank set shared by all processors
                    (Exemplar hypernode); false: CC-NUMA per-node memory *)
   sim_mode : string option;
-      (** simulation mode override for runs of this config, in
-          {!Machine.mode_of_string} syntax (["cycle"], ["event"],
-          ["sampled\[:period:window\[:warmup\]\]"]). [None] (the presets'
+      (** simulation mode override for runs of this config: ["cycle"] or
+          ["event"] ({!Machine.mode_of_string}). [None] (the presets'
           value) defers to the [MEMCLUST_SIM_MODE] environment variable,
-          then the exact event-driven mode. *)
+          then the event-driven mode. *)
   faults : Faults.plan option;
       (** fault-injection plan for the memory system of runs of this
           config. [None] (the presets' value) defers to the
@@ -97,9 +96,9 @@ val with_line : int -> t -> t
 (** Set every level's line size. *)
 
 val with_sim_mode : string -> t -> t
-(** Pin the simulation mode for runs of this config (parsed by
-    {!Machine.resolve_mode} at run time; an unparsable string fails
-    there). *)
+(** Pin the simulation mode, ["cycle"] or ["event"], for runs of this
+    config (parsed by {!Machine.resolve_mode} at run time; any other
+    string raises [Invalid_argument] there). *)
 
 val with_faults : Faults.plan -> t -> t
 (** Pin a fault-injection plan for runs of this config. *)

@@ -552,63 +552,5 @@ let level_stats t = Hierarchy.level_stats t.h
 let hierarchy_depth t = Hierarchy.depth t.h
 let mshr_occupancy_by_level t = Hierarchy.mshr_occupancy_by_level t.h
 
-(* ------------------------------------------------------------------ *)
-(* Functional warming (sampled mode).
-
-   The warm path applies only the architectural side effects of a memory
-   reference — cache contents and coherence versions, via the hierarchy's
-   warm entry points — with no timing, no MSHR allocation, no memory-
-   system requests and no statistics, so the fast-forward legs between
-   detailed windows keep the locality state the next window samples
-   against. The detailed path fills caches at request time (completion
-   only matters for timing), so warming an address the detailed window
-   already touched is a hit and changes nothing. *)
-
 let trace t = t.trace
 let position t = t.head
-let shared t = t.sh
-
-let warm_read t addr = Hierarchy.warm_read t.h addr
-let warm_write t addr = Hierarchy.warm_write t.h addr
-let warm_prefetch t addr = Hierarchy.warm_read t.h addr
-
-(* A fast-forwarded store: apply the coherence effect now, but keep the
-   address queued (bounded by the buffer capacity) so the next detailed
-   window opens under realistic write-buffer pressure instead of an empty
-   buffer — store-bound codes are limited by the one-per-bus/bank drain
-   rate, and a window that starts empty under-measures that bound.
-   Re-draining an already-applied same-processor write is idempotent on
-   versions, so the timed drain in the next window only adds the timing. *)
-let warm_store t addr =
-  warm_write t addr;
-  Queue.push addr t.wpending;
-  if Queue.length t.wpending > (cfg_of t).Config.write_buffer then
-    ignore (Queue.pop t.wpending)
-
-let warm_barrier t b =
-  if t.sh.reached.(t.proc) < b then t.sh.reached.(t.proc) <- b
-
-(* Functionally complete the reads the core has in flight; buffered
-   stores update caches/versions as if they had drained but stay queued
-   (their timed drain overlaps the next window, as it would have
-   overlapped the fast-forwarded region). *)
-let drain_functional t =
-  Queue.iter (fun addr -> warm_write t addr) t.wpending;
-  Pqueue.clear t.winflight;
-  Hierarchy.reset_inflight t.h
-
-(* Restart the core's pipeline state at trace index [at] with an empty
-   window, as if everything before [at] had retired. Requires
-   {!drain_functional} first (the in-flight heaps reference old slots);
-   the statistics counters are left alone — in sampled mode they only
-   ever feed window deltas. *)
-let reposition t ~at =
-  t.head <- at;
-  t.tail <- at;
-  t.pend_head <- -1;
-  t.pend_last <- -1;
-  t.branches <- 0;
-  Pqueue.clear t.done_heap;
-  Pqueue.clear t.wake_heap;
-  Array.fill t.wstalled 0 (Array.length t.wstalled) false;
-  t.progressed <- false

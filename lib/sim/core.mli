@@ -105,41 +105,8 @@ val mshr_occupancy_by_level : t -> (int * int) array
 (** This processor's per-level MSHR [(occupancy, capacity)] pairs (see
     {!Hierarchy.mshr_occupancy_by_level}); for deadlock state dumps. *)
 
-(** {2 Functional warming (sampled mode)}
-
-    Architectural side effects only — cache contents, coherence versions,
-    barrier progress — with no timing, no MSHR allocation and no
-    statistics. Used by {!Fastfwd} to keep locality state warm between
-    detailed windows. *)
-
 val trace : t -> Trace.t
+(** The instruction trace this core executes. *)
+
 val position : t -> int
 (** Index of the oldest unretired instruction (the window head). *)
-
-val shared : t -> shared
-
-val warm_read : t -> int -> unit
-val warm_write : t -> int -> unit
-val warm_prefetch : t -> int -> unit
-
-val warm_store : t -> int -> unit
-(** {!warm_write} plus write-buffer occupancy: the address stays queued
-    (bounded by the buffer capacity, oldest dropped) so the next detailed
-    window opens under realistic write-buffer pressure — store-bound codes
-    are limited by the drain rate, which an empty buffer under-measures. *)
-
-val warm_barrier : t -> int -> unit
-(** Advance this processor's barrier progress to at least the given
-    sequence number. Monotone, so passing barriers during fast-forward can
-    only release detailed-mode waiters, never deadlock them. *)
-
-val drain_functional : t -> unit
-(** Functionally complete the in-flight reads: apply buffered stores'
-    coherence effects (the store queue itself persists, see
-    {!warm_store}), empty every level's MSHR file. Must be followed by
-    {!reposition} before detailed stepping resumes. *)
-
-val reposition : t -> at:int -> unit
-(** Restart the pipeline at trace index [at] with an empty window, as if
-    everything before [at] had retired. Statistics counters are not
-    touched. *)

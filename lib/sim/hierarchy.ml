@@ -132,9 +132,6 @@ let find_inflight t addr =
   in
   go 0
 
-let inflight_mem t addr =
-  Array.exists (fun lvl -> Mshr.mem lvl.mshr (level_line lvl addr)) t.levels
-
 (* A memory-bound miss needs an entry in every file. *)
 let any_full t = Array.exists (fun lvl -> Mshr.full lvl.mshr) t.levels
 
@@ -330,44 +327,3 @@ let replay_retry t ~miss_deltas ~mshr_full ~times =
     t.level_misses.(i) <- t.level_misses.(i) + (miss_deltas.(i) * times)
   done;
   t.mshr_full_count <- t.mshr_full_count + (mshr_full * times)
-
-(* ------------------------------------------------------------------ *)
-(* Functional warming (sampled mode): architectural side effects only —
-   cache contents and coherence versions — with no timing, no MSHR
-   allocation, no memory-system requests and no statistics. *)
-
-let warm_read t addr =
-  (* the MSHR files are almost always empty here (fast-forward runs after
-     a functional drain), and the last level's file holds every in-flight
-     miss; [Mshr.is_empty] is a field read, so this skips the per-level
-     hash probes per warmed reference *)
-  if Mshr.is_empty (bottom t).mshr || not (inflight_mem t addr) then begin
-    (* uniprocessor coherence versions never move (a line's version only
-       bumps when a different processor writes it), so the versions table
-       probe is pure overhead there *)
-    let v = if t.sh.nprocs = 1 then 0 else fst (version t (coh_line t addr)) in
-    let n = Array.length t.levels in
-    let rec probe k =
-      if k >= n then n
-      else if Cache.lookup t.levels.(k).cache ~version:v ~addr then k
-      else probe (k + 1)
-    in
-    let k = probe 0 in
-    (* fill the levels the access missed (all of them on a full miss) *)
-    if k > 0 then fill_above t (min k n) ~version:v ~addr
-  end
-
-let warm_write t addr =
-  let v' =
-    if t.sh.nprocs = 1 then 0
-    else begin
-      let line = coh_line t addr in
-      let v, w = version t line in
-      let v' = if w <> t.proc && w >= 0 then v + 1 else v in
-      Hashtbl.replace t.sh.versions line (v', t.proc);
-      v'
-    end
-  in
-  fill_all t ~version:v' ~addr
-
-let reset_inflight t = Array.iter (fun lvl -> Mshr.reset lvl.mshr) t.levels

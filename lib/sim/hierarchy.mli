@@ -94,14 +94,3 @@ val level_miss_counts : t -> int array
 val replay_retry : t -> miss_deltas:int array -> mshr_full:int -> times:int -> unit
 (** Re-apply the per-cycle retry statistics of a no-progress step [times]
     more times (event-mode idle replay, see {!Core.replay_idle}). *)
-
-(** {2 Functional warming (sampled mode)}
-
-    Architectural side effects only — cache contents, coherence
-    versions — with no timing, MSHR traffic or statistics. *)
-
-val warm_read : t -> int -> unit
-val warm_write : t -> int -> unit
-
-val reset_inflight : t -> unit
-(** Drop all in-flight misses from every level (functional drain). *)

@@ -24,28 +24,19 @@ type result = {
 
 let ns_per_cycle (cfg : Config.t) = 1000.0 /. float_of_int cfg.Config.clock_mhz
 
-type mode = Cycle | Event | Sampled of Sampling.params
+type mode = Cycle | Event
 
 let mode_of_string s =
   match String.lowercase_ascii s with
   | "cycle" -> Some Cycle
   | "event" -> Some Event
-  | ls ->
-      if String.length ls >= 7 && String.equal (String.sub ls 0 7) "sampled"
-      then Option.map (fun p -> Sampled p) (Sampling.parse ls)
-      else None
+  | _ -> None
 
-let mode_to_string = function
-  | Cycle -> "cycle"
-  | Event -> "event"
-  | Sampled p -> Sampling.to_string p
+let mode_to_string = function Cycle -> "cycle" | Event -> "event"
 
 let bad_mode where s =
   invalid_arg
-    (Printf.sprintf
-       "%s: expected \"cycle\", \"event\" or \
-        \"sampled[:period:window[:warmup]]\", got %S"
-       where s)
+    (Printf.sprintf "%s: expected \"cycle\" or \"event\", got %S" where s)
 
 let default_mode () =
   match Sys.getenv_opt "MEMCLUST_SIM_MODE" with
@@ -67,10 +58,7 @@ let resolve_mode ?mode (cfg : Config.t) =
       | None -> default_mode ())
 
 (* ------------------------------------------------------------------ *)
-(* The lockstep engine, factored so sampled mode can run it in bounded
-   bursts. [advance ~stop:(fun () -> false)] is the pre-existing loop,
-   statement for statement — Cycle and Event results stay bit-identical
-   to the unfactored driver. *)
+(* The lockstep engine. *)
 
 type engine = {
   sh : Core.shared;
@@ -86,10 +74,8 @@ type engine = {
   start_wall : float;
   mutable last_progress : int;  (* cycle of the last core state change *)
   mutable wd_iters : int;  (* loop iterations, for cheap periodic checks *)
-  mutable mode_name : string;
+  mode : mode;
 }
-
-type stepping = Step_cycle | Step_event
 
 let default_watchdog_cycles () =
   match
@@ -106,7 +92,7 @@ let default_time_budget () =
   | _ -> 0.0
 
 let make_engine ?(max_cycles = 400_000_000) ?watchdog_cycles ?time_budget
-    (cfg : Config.t) ~home (lower : Lower.t) =
+    ~mode (cfg : Config.t) ~home (lower : Lower.t) =
   let nprocs = Array.length lower.Lower.traces in
   let sh = Core.make_shared cfg ~nprocs ~home in
   let procs =
@@ -130,7 +116,7 @@ let make_engine ?(max_cycles = 400_000_000) ?watchdog_cycles ?time_budget
     start_wall = Unix.gettimeofday ();
     last_progress = 0;
     wd_iters = 0;
-    mode_name = "event";
+    mode;
   }
 
 (* The watchdog's state dump: per-proc PC, barrier progress, per-level
@@ -166,22 +152,15 @@ let deadlock e ~reason =
     (Error.Sim_deadlock
        {
          cycle = e.cycle;
-         mode = e.mode_name;
+         mode = mode_to_string e.mode;
          reason;
          state_dump = state_dump e;
        })
 
-(* Run the lockstep loop until the machine quiesces (returns [false]) or
-   [stop] fires right after a cycle advance (returns [true]); a stopped
-   engine resumes mid-run with the next [advance] call, continuing
-   exactly where it left off. *)
-let advance e stepping ~stop =
+(* Run the lockstep loop until every core has finished. *)
+let advance e =
   let nprocs = Array.length e.procs in
-  let live = ref true in
   let go = ref true in
-  (* the legs between [advance] calls (sampled-mode fast-forwards) are
-     not the engine's to police: forgive them, watch within this call *)
-  e.last_progress <- e.cycle;
   while !go do
     if e.cycle > e.max_cycles then
       deadlock e
@@ -222,10 +201,10 @@ let advance e stepping ~stop =
                "no core issued, retired or completed an event for %d cycles \
                 (watchdog budget %d)"
                (e.cycle - e.last_progress) e.watchdog_cycles);
-      (match stepping with
-      | Step_cycle -> e.cycle <- e.cycle + 1
-      | Step_event when !any_progress -> e.cycle <- e.cycle + 1
-      | Step_event -> (
+      match e.mode with
+      | Cycle -> e.cycle <- e.cycle + 1
+      | Event when !any_progress -> e.cycle <- e.cycle + 1
+      | Event -> (
           (* No core changed state this cycle: every cycle up to the next
              completion event repeats the exact same stalled step. Jump
              there, replaying the per-cycle statistics (stall attribution,
@@ -265,15 +244,10 @@ let advance e stepping ~stop =
                     w
                 done
               end;
-              e.cycle <- n));
-      if stop () then go := false
+              e.cycle <- n)
     end
-    else begin
-      go := false;
-      live := false
-    end
-  done;
-  !live
+    else go := false
+  done
 
 let fold_procs e f = Array.fold_left (fun acc p -> acc + f p) 0 e.procs
 
@@ -289,9 +263,7 @@ let sum_level_stats e =
     e.procs;
   acc
 
-(* The result record of an exact (unsampled) run: identical to the
-   pre-refactor assembly. *)
-let assemble_exact e =
+let assemble e =
   let cycles = e.cycle + 1 in
   let per_proc = Array.map Core.breakdown e.procs in
   (* each processor was attributed for the cycles before its own finish
@@ -333,322 +305,14 @@ let assemble_exact e =
     instructions = fold_procs e Core.retired_instructions;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Sampled mode: systematic sampling with functional fast-forward. *)
-
-(* counter snapshot, for window deltas *)
-type snap = {
-  n_cycle : int;
-  n_instr : int;
-  n_l2 : int;
-  n_rm : int;
-  n_rlat : float;
-  n_l1 : int;
-  n_mf : int;
-  n_wf : int;
-  n_pf : int;
-  n_pfm : int;
-  n_lpf : int;
-  n_lvl_h : int array;
-  n_lvl_m : int array;
-}
-
-let snapshot e =
-  let lvl = sum_level_stats e in
-  {
-    n_cycle = e.cycle;
-    n_instr = fold_procs e Core.retired_instructions;
-    n_l2 = fold_procs e Core.l2_misses;
-    n_rm = fold_procs e Core.read_misses;
-    n_rlat =
-      Array.fold_left (fun a p -> a +. Core.read_miss_latency_sum p) 0.0 e.procs;
-    n_l1 = fold_procs e Core.l1_misses;
-    n_mf = fold_procs e Core.mshr_full_events;
-    n_wf = fold_procs e Core.wbuf_full_events;
-    n_pf = fold_procs e Core.prefetches;
-    n_pfm = fold_procs e Core.prefetch_misses;
-    n_lpf = fold_procs e Core.late_prefetches;
-    n_lvl_h = Array.map (fun l -> l.Breakdown.lv_hits) lvl;
-    n_lvl_m = Array.map (fun l -> l.Breakdown.lv_misses) lvl;
-  }
-
-let sample_of_deltas (a : snap) (b : snap) : Sampling.sample =
-  {
-    Sampling.s_cycles = b.n_cycle - a.n_cycle;
-    s_instructions = b.n_instr - a.n_instr;
-    s_l2_misses = b.n_l2 - a.n_l2;
-    s_read_misses = b.n_rm - a.n_rm;
-    s_read_miss_lat = b.n_rlat -. a.n_rlat;
-    s_l1_misses = b.n_l1 - a.n_l1;
-    s_mshr_full = b.n_mf - a.n_mf;
-    s_wbuf_full = b.n_wf - a.n_wf;
-    s_prefetches = b.n_pf - a.n_pf;
-    s_prefetch_misses = b.n_pfm - a.n_pfm;
-    s_late_prefetches = b.n_lpf - a.n_lpf;
-    s_level_hits = Array.map2 ( - ) b.n_lvl_h a.n_lvl_h;
-    s_level_misses = Array.map2 ( - ) b.n_lvl_m a.n_lvl_m;
-  }
-
-(* Short traces: the requested period would land too few windows for a
-   meaningful estimate — a rare expensive phase (e.g. a serial reduction
-   tail) can hold a quarter of the cycles yet be missed by every window.
-   Refit period/window to the trace, preserving the requested detail
-   fraction, so at least this many windows land. Long traces use the
-   requested parameters unchanged. *)
-let min_windows = 16
-
-let fit_params (cfg : Config.t) (sp : Sampling.params) ~per_proc =
-  if per_proc >= min_windows * sp.Sampling.period then sp
-  else begin
-    let period = max 64 (per_proc / min_windows) in
-    let window =
-      max (2 * cfg.Config.window)
-        (period * sp.Sampling.window / max 1 sp.Sampling.period)
-    in
-    let window = min window (max 2 (period * 3 / 4)) in
-    (* warm-up must outlast the reorder window: dependences severed at the
-       reposition make up to one window-full of instructions artificially
-       parallel *)
-    let warmup =
-      min (window / 2)
-        (max cfg.Config.window
-           (window * sp.Sampling.warmup / max 1 sp.Sampling.window))
-    in
-    { Sampling.period; window; warmup }
-  end
-
-let run_sampled e (sp : Sampling.params) =
-  let nprocs = Array.length e.procs in
-  let total_instructions =
-    fold_procs e (fun p -> Trace.length (Core.trace p))
-  in
-  let per_proc =
-    Array.fold_left (fun a p -> max a (Trace.length (Core.trace p))) 0 e.procs
-  in
-  let sp = fit_params e.sh.Core.h.Hierarchy.cfg sp ~per_proc in
-  let samples = ref [] in
-  let detailed_cycles = ref 0 in
-  (* Jitter each fast-forward leg uniformly within ±half its length:
-     strictly periodic window starts alias with periodic program phases
-     (e.g. a loop nest whose body length divides the sampling period
-     measures the same phase in every window). Deterministically seeded,
-     so runs stay reproducible. *)
-  let rng =
-    Rng.create
-      (0x5a3317ed + (31 * sp.Sampling.period) + (7 * sp.Sampling.window)
-     + total_instructions)
-  in
-  let all_finished () = Array.for_all Core.finished e.procs in
-  (* every processor has either retired [quota] instructions since its
-     [base] count or has nothing left to fetch — windows stretch past
-     barrier waits instead of cutting a lagging processor's window short,
-     but a processor that is only draining its tail (write buffer, last
-     window entries) cannot hold the others in detailed mode forever *)
-  let quota_met quota base () =
-    let ok = ref true in
-    for p = 0 to nprocs - 1 do
-      let c = e.procs.(p) in
-      if
-        (not (Core.finished c))
-        && Core.position c < Trace.length (Core.trace c)
-        && Core.retired_instructions c - base.(p) < quota
-        (* [next_event = None] on an unfinished processor means it is
-           only waiting on another processor's barrier arrival: in
-           phase-pipelined programs (LU) some processor is always in
-           that state, and letting it hold the window open degenerates
-           the whole run to detailed mode. Probed at [e.cycle - 1]: right
-           after an event jump a completion scheduled exactly at the
-           jump target is not strictly after [e.cycle], and the processor
-           would spuriously look barrier-blocked. *)
-        && Core.next_event c ~now:(e.cycle - 1) <> None
-      then ok := false
-    done;
-    !ok
-  in
-  let retired_now () =
-    Array.map Core.retired_instructions e.procs
-  in
-  while not (all_finished ()) do
-    let win_start_cycle = e.cycle in
-    let win_start_retired = retired_now () in
-    (* warm-up prefix: detailed, but excluded from the sample *)
-    if sp.Sampling.warmup > 0 then
-      ignore
-        (advance e Step_event
-           ~stop:(quota_met sp.Sampling.warmup win_start_retired));
-    (* measured part of the window *)
-    let m0 = snapshot e in
-    let m0_retired = retired_now () in
-    let live =
-      advance e Step_event
-        ~stop:
-          (quota_met (sp.Sampling.window - sp.Sampling.warmup) m0_retired)
-    in
-    let m1 = snapshot e in
-    if m1.n_instr > m0.n_instr then
-      samples := sample_of_deltas m0 m1 :: !samples;
-    detailed_cycles := !detailed_cycles + (e.cycle - win_start_cycle);
-    (* fast-forward to the next window start *)
-    if live && not (all_finished ()) then begin
-      let span = e.cycle - win_start_cycle in
-      let ret_d =
-        Array.mapi
-          (fun i p -> Core.retired_instructions p - win_start_retired.(i))
-          e.procs
-      in
-      let sum_ret = Array.fold_left ( + ) 0 ret_d in
-      let max_ret = Array.fold_left max 0 ret_d in
-      if sum_ret = 0 then begin
-        (* a window that retired nothing measured a pure wait state
-           (write-buffer drain tails, a barrier everyone but a straggler
-           has reached): there is no rate to extrapolate from, so run
-           detailed until some instruction retires rather than spinning
-           two-cycle windows with full per-window setup cost *)
-        let base = retired_now () in
-        ignore
-          (advance e Step_event
-             ~stop:(fun () ->
-               Array.exists2
-                 (fun p b -> Core.retired_instructions p > b)
-                 e.procs base))
-      end
-      else begin
-        let base_gap = sp.Sampling.period - sp.Sampling.window in
-        let gap = (base_gap / 2) + Rng.int rng (max 1 (base_gap + 1)) in
-        (* Bound the barrier-progress skew of the leg: with imbalanced
-           traces, skipping every processor the same instruction count
-           pushes barrier-dense processors many epochs ahead, and the
-           next detailed window would then burn its whole span
-           re-synchronising. No processor may cross more barriers than
-           the fewest any live processor has in its own slice. *)
-        let max_barriers = ref max_int in
-        Array.iter
-          (fun p ->
-            if not (Core.finished p) then begin
-              let tr = Core.trace p in
-              let pos = Core.position p in
-              let stop = min (Trace.length tr) (pos + gap) in
-              let b = ref 0 in
-              for i = pos to stop - 1 do
-                if Trace.kind tr i = Trace.Barrier_op then incr b
-              done;
-              if !b < !max_barriers then max_barriers := !b
-            end)
-          e.procs;
-        (* Each processor skips ahead in proportion to its share of the
-           window's retirement: a processor that sat barrier-blocked all
-           window stays put — its instructions execute in a later phase
-           and will be sampled there — instead of being dragged forward
-           at a rate measured while it was not running. The leg is then
-           charged at the machine's aggregate throughput over the
-           window: IPC = Σ retired / span, cost = Σ skipped / IPC. The
-           machine-level rate prices in barrier waits, serial phases and
-           overlap at their measured density, and is far less noisy than
-           any per-processor CPI (a max over per-processor charges lets
-           one briefly-blocked processor's inflated CPI set every leg). *)
-        let rate = float_of_int span /. float_of_int sum_ret in
-        let sum_ff = ref 0 in
-        Array.iteri
-          (fun i p ->
-            if not (Core.finished p) then begin
-              let gap_p = gap * ret_d.(i) / max_ret in
-              if gap_p > 0 then begin
-                let c =
-                  Fastfwd.run p ~max_barriers:!max_barriers
-                    ~upto:(Core.position p + gap_p) ~cpi:rate ()
-                in
-                sum_ff := !sum_ff + c.Fastfwd.ff_instructions
-              end
-            end)
-          e.procs;
-        let charge = int_of_float (ceil (float_of_int !sum_ff *. rate)) in
-        (* the memory system's queueing backlog rides along, so the next
-           window opens under steady-state contention rather than on an
-           idle memory system *)
-        Memsys.shift e.sh.Core.h.Hierarchy.mem ~from:e.cycle ~by:charge;
-        e.cycle <- e.cycle + charge
-      end
-    end
-  done;
-  let estimated_cycles = e.cycle + 1 in
-  let samples = List.rev !samples in
-  let est =
-    Sampling.estimate sp ~total_instructions ~estimated_cycles samples
-  in
-  (* breakdowns were only attributed during detailed cycles; scale each
-     processor's to span the estimated run (the fast-forward legs are
-     assumed to split like the windows they were extrapolated from) *)
-  let per_proc =
-    Array.map
-      (fun p ->
-        let bd = Core.breakdown p in
-        let total = Breakdown.total bd in
-        if total <= 0.0 then Breakdown.create ()
-        else Breakdown.scale bd (float_of_int estimated_cycles /. total))
-      e.procs
-  in
-  let breakdown = Breakdown.create () in
-  Array.iter (fun bd -> Breakdown.add breakdown bd) per_proc;
-  let breakdown = Breakdown.scale breakdown (1.0 /. float_of_int nprocs) in
-  let count f = Sampling.extrapolate_count samples ~total:total_instructions f in
-  (* bus/bank occupancy only accumulates while the detailed windows run *)
-  let util_span = max 1 !detailed_cycles in
-  let result =
-    {
-      cycles = estimated_cycles;
-      breakdown;
-      per_proc;
-      read_mshr_hist = e.read_hist;
-      total_mshr_hist = e.total_hist;
-      level_stats =
-        (let d = Core.hierarchy_depth e.procs.(0) in
-         Array.init d (fun i ->
-             {
-               Breakdown.lv_name = Printf.sprintf "L%d" (i + 1);
-               lv_hits = count (fun s -> s.Sampling.s_level_hits.(i));
-               lv_misses = count (fun s -> s.Sampling.s_level_misses.(i));
-             }));
-      l2_misses = int_of_float (Float.round est.Sampling.l2_misses_ci.Sampling.est);
-      read_misses =
-        int_of_float (Float.round est.Sampling.read_misses_ci.Sampling.est);
-      l1_misses = count (fun s -> s.Sampling.s_l1_misses);
-      mshr_full_events = count (fun s -> s.Sampling.s_mshr_full);
-      wbuf_full_events = count (fun s -> s.Sampling.s_wbuf_full);
-      prefetches = count (fun s -> s.Sampling.s_prefetches);
-      prefetch_misses = count (fun s -> s.Sampling.s_prefetch_misses);
-      late_prefetches = count (fun s -> s.Sampling.s_late_prefetches);
-      avg_read_miss_latency = est.Sampling.read_miss_latency_ci.Sampling.est;
-      bus_utilization =
-        Memsys.bus_utilization e.sh.Core.h.Hierarchy.mem ~upto:util_span;
-      bank_utilization =
-        Memsys.bank_utilization e.sh.Core.h.Hierarchy.mem ~upto:util_span;
-      instructions = total_instructions;
-    }
-  in
-  (result, est)
-
-(* ------------------------------------------------------------------ *)
-
-let run_estimated ?max_cycles ?watchdog_cycles ?time_budget ?mode
-    (cfg : Config.t) ~home (lower : Lower.t) =
+let run ?max_cycles ?watchdog_cycles ?time_budget ?mode (cfg : Config.t) ~home
+    (lower : Lower.t) =
   let mode = resolve_mode ?mode cfg in
-  let e = make_engine ?max_cycles ?watchdog_cycles ?time_budget cfg ~home lower in
-  e.mode_name <- mode_to_string mode;
-  match mode with
-  | Cycle ->
-      ignore (advance e Step_cycle ~stop:(fun () -> false));
-      (assemble_exact e, None)
-  | Event ->
-      ignore (advance e Step_event ~stop:(fun () -> false));
-      (assemble_exact e, None)
-  | Sampled sp ->
-      let result, est = run_sampled e sp in
-      (result, Some est)
-
-let run ?max_cycles ?watchdog_cycles ?time_budget ?mode cfg ~home lower =
-  fst
-    (run_estimated ?max_cycles ?watchdog_cycles ?time_budget ?mode cfg ~home
-       lower)
+  let e =
+    make_engine ?max_cycles ?watchdog_cycles ?time_budget ~mode cfg ~home lower
+  in
+  advance e;
+  assemble e
 
 let pp_result ppf r =
   Format.fprintf ppf

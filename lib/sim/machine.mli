@@ -40,30 +40,21 @@ type mode =
           jump [now] to the earliest pending completion event across all
           processors, replaying per-cycle statistics for the skipped
           cycles. Produces bit-identical {!result} values to {!Cycle}. *)
-  | Sampled of Sampling.params
-      (** systematic sampling: periodic detailed windows (run in event
-          mode, with a warm-up prefix excluded from statistics) separated
-          by functional fast-forward legs ({!Fastfwd}) charged at the
-          preceding window's CPI. Results are statistical estimates with
-          confidence intervals ({!run_estimated}); not bit-comparable to
-          the exact modes. *)
 
 val mode_of_string : string -> mode option
-(** Accepts ["cycle"], ["event"] and
-    ["sampled\[:period:window\[:warmup\]\]"] (case-insensitive; see
-    {!Sampling.parse}). *)
+(** Accepts ["cycle"] and ["event"] (case-insensitive). *)
 
 val mode_to_string : mode -> string
 
 val default_mode : unit -> mode
 (** [Event], unless overridden by the [MEMCLUST_SIM_MODE] environment
-    variable (any {!mode_of_string} syntax). Raises [Invalid_argument] on
-    any other value of the variable. *)
+    variable (["cycle"] or ["event"]). Raises [Invalid_argument] on any
+    other value of the variable. *)
 
 val resolve_mode : ?mode:mode -> Config.t -> mode
 (** The mode a run of [cfg] will use: an explicit [?mode] wins, then the
-    config's [sim_mode] string (parsed; raises [Invalid_argument] if
-    unparsable), then {!default_mode} (). *)
+    config's [sim_mode] string (["cycle"] or ["event"]; raises
+    [Invalid_argument] on anything else), then {!default_mode} (). *)
 
 val run :
   ?max_cycles:int ->
@@ -87,24 +78,7 @@ val run :
     completion anywhere, or (d) the optional wall-clock budget
     [time_budget] seconds (or [MEMCLUST_TIME_BUDGET_S]; 0 = disabled,
     the default) runs out. The watchdog only reads simulator state, so
-    results on non-wedged runs are bit-identical with it enabled.
-
-    In [Sampled] mode the result's counters are extrapolated estimates;
-    MSHR histograms cover only the detailed windows, and bus/bank
-    utilizations are measured over the detailed cycles. *)
-
-val run_estimated :
-  ?max_cycles:int ->
-  ?watchdog_cycles:int ->
-  ?time_budget:float ->
-  ?mode:mode ->
-  Config.t ->
-  home:(int -> int) ->
-  Lower.t ->
-  result * Sampling.estimate option
-(** Like {!run}, additionally returning the sampling estimate (confidence
-    intervals, window counts) when the resolved mode is [Sampled]; [None]
-    for the exact modes. *)
+    results on non-wedged runs are bit-identical with it enabled. *)
 
 val ns_per_cycle : Config.t -> float
 

@@ -87,22 +87,6 @@ let request t ~proc ~home ~kind ~line ~now =
   in
   t3 + max 0 (total_uncontended - occupancies) + fault.Faults.fill_delay
 
-(* Carry the queueing backlog across a sampled-mode fast-forward leg:
-   busy-until times still in the future when the clock jumps keep their
-   distance to it (the skipped traffic is assumed to sustain the same
-   pressure), while already-idle resources stay idle. Without this, every
-   detailed window would open on an uncontended memory system and
-   under-measure steady-state latency. *)
-let shift t ~from ~by =
-  for n = 0 to t.nodes - 1 do
-    if t.abus_free.(n) > from then t.abus_free.(n) <- t.abus_free.(n) + by;
-    if t.dbus_free.(n) > from then t.dbus_free.(n) <- t.dbus_free.(n) + by;
-    let banks = t.bank_free.(n) in
-    for b = 0 to Array.length banks - 1 do
-      if banks.(b) > from then banks.(b) <- banks.(b) + by
-    done
-  done
-
 let bus_busy t = t.bus_busy_total
 let bank_busy t = t.bank_busy_total
 let fault_stats t = Option.map Faults.stats t.inj

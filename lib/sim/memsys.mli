@@ -17,12 +17,6 @@ val request : t -> proc:int -> home:int -> kind:kind -> line:int -> now:int -> i
 (** Completion cycle of a miss issued at [now]. Mutates bus and bank
     reservations (contention). *)
 
-val shift : t -> from:int -> by:int -> unit
-(** Carry the queueing backlog across a sampled-mode clock jump: every
-    bus/bank busy-until time later than [from] moves [by] cycles later,
-    keeping its distance to the jumped clock; already-idle resources are
-    untouched. Exact modes never call this. *)
-
 val bus_busy : t -> int
 (** Total cycles of bus occupancy accumulated (all nodes). *)
 

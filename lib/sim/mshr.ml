@@ -55,8 +55,3 @@ let cleanup t ~now =
   !any
 
 let next_ready t = Pqueue.min_prio t.expiry
-
-let reset t =
-  Hashtbl.reset t.table;
-  Pqueue.clear t.expiry;
-  t.read_occ <- 0

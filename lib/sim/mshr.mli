@@ -55,6 +55,3 @@ val cleanup : t -> now:int -> bool
 
 val next_ready : t -> int
 (** Earliest pending completion; [max_int] when the file is empty. *)
-
-val reset : t -> unit
-(** Drop all in-flight entries (sampled-mode functional drain). *)

@@ -8,7 +8,6 @@ type t =
       reason : string;
       state_dump : string;
     }
-  | Sim_divergence of { subject : string; detail : string }
   | Worker_crashed of { task : string; attempts : int; reason : string }
 
 exception Error of t
@@ -18,7 +17,6 @@ let kind = function
   | Pass_failed _ -> "pass-failed"
   | Legality_violation _ -> "legality-violation"
   | Sim_deadlock _ -> "sim-deadlock"
-  | Sim_divergence _ -> "sim-divergence"
   | Worker_crashed _ -> "worker-crashed"
 
 let pp ppf = function
@@ -32,8 +30,6 @@ let pp ppf = function
       Format.fprintf ppf "simulator deadlock at cycle %d (%s mode): %s" cycle
         mode reason;
       if state_dump <> "" then Format.fprintf ppf "@\n%s" state_dump
-  | Sim_divergence { subject; detail } ->
-      Format.fprintf ppf "simulation divergence on %s: %s" subject detail
   | Worker_crashed { task; attempts; reason } ->
       Format.fprintf ppf "worker crashed on task %S after %d attempt%s: %s"
         task attempts

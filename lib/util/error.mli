@@ -26,9 +26,6 @@ type t =
       (** The simulator stopped making forward progress. [state_dump] is
           a multi-line snapshot: per-proc PCs, per-level MSHR occupancy,
           pending-event summary. *)
-  | Sim_divergence of { subject : string; detail : string }
-      (** Two simulation modes (or a sampled estimate and its reference)
-          disagree where they must agree. *)
   | Worker_crashed of { task : string; attempts : int; reason : string }
       (** A domain-pool task died even after retry; only that task is
           lost. *)

@@ -36,31 +36,6 @@ let percentile xs p =
 let minimum xs = Array.fold_left min infinity xs
 let maximum xs = Array.fold_left max neg_infinity xs
 
-(* Two-sided 95% Student-t critical values for df = 1..30; beyond that the
-   normal approximation (1.96) is within 1%. *)
-let t95 =
-  [|
-    12.706; 4.303; 3.182; 2.776; 2.571; 2.447; 2.365; 2.306; 2.262; 2.228;
-    2.201; 2.179; 2.160; 2.145; 2.131; 2.120; 2.110; 2.101; 2.093; 2.086;
-    2.080; 2.074; 2.069; 2.064; 2.060; 2.056; 2.052; 2.048; 2.045; 2.042;
-  |]
-
-let mean_ci xs =
-  let n = Array.length xs in
-  let m = mean xs in
-  if n < 2 then (m, 0.0)
-  else begin
-    (* sample (n-1) variance: each xs element is one independent sample *)
-    let var =
-      Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs
-      /. float_of_int (n - 1)
-    in
-    let stderr = sqrt (var /. float_of_int n) in
-    let df = n - 1 in
-    let t = if df <= 30 then t95.(df - 1) else 1.96 in
-    (m, t *. stderr)
-  end
-
 module Acc = struct
   type t = {
     mutable count : int;

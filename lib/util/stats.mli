@@ -16,13 +16,6 @@ val percentile : float array -> float -> float
 val minimum : float array -> float
 val maximum : float array -> float
 
-val mean_ci : float array -> float * float
-(** [mean_ci xs] is [(mean, half_width)] of a two-sided 95% confidence
-    interval for the population mean, treating the elements as independent
-    samples: half-width = t · s/√n with the Student-t critical value for
-    n-1 degrees of freedom (exact table up to df 30, 1.96 beyond). The
-    half-width is 0 for fewer than two samples. *)
-
 (** Streaming accumulator for counts, sums and extremes, O(1) memory. *)
 module Acc : sig
   type t

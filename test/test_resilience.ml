@@ -18,9 +18,9 @@ let lowered (w : Workload.t) ~nprocs =
 
 (* ------------------------------- watchdog ------------------------------- *)
 
-(* Every small workload, every mode, with a watchdog budget far below the
-   run length: a healthy simulation must never trip it, and the exact
-   modes must stay bit-identical with it armed. *)
+(* Every small workload, both modes, with a watchdog budget far below the
+   run length: a healthy simulation must never trip it, and the two modes
+   must stay bit-identical with it armed. *)
 let test_watchdog_silent_on_healthy_runs () =
   List.iter
     (fun (w : Workload.t) ->
@@ -34,12 +34,7 @@ let test_watchdog_silent_on_healthy_runs () =
       let re = run Machine.Event in
       Alcotest.(check int)
         (w.Workload.name ^ " cycle/event identical under watchdog")
-        rc.Machine.cycles re.Machine.cycles;
-      let rs = run (Machine.Sampled Sampling.default) in
-      Alcotest.(check bool)
-        (w.Workload.name ^ " sampled completes under watchdog")
-        true
-        (rs.Machine.cycles > 0))
+        rc.Machine.cycles re.Machine.cycles)
     (Registry.small ())
 
 let test_watchdog_reports_deadlock () =

@@ -491,83 +491,29 @@ let test_deadlock_guard_event () =
      with Memclust_util.Error.Error (Memclust_util.Error.Sim_deadlock _) ->
        true)
 
-(* --------------------------- sampled mode --------------------------- *)
+(* ----------------------------- sim mode ----------------------------- *)
 
 let test_mode_of_string () =
   let ts s = Option.map Machine.mode_to_string (Machine.mode_of_string s) in
   let chk = Alcotest.(check (option string)) in
   chk "cycle" (Some "cycle") (ts "cycle");
   chk "event, case-insensitive" (Some "event") (ts "EVENT");
-  chk "sampled defaults"
-    (Some (Sampling.to_string Sampling.default))
-    (ts "sampled");
-  chk "sampled full triple" (Some "sampled:1000:100:25") (ts "sampled:1000:100:25");
-  chk "warmup defaults to window/4" (Some "sampled:1000:100:25")
-    (ts "sampled:1000:100");
   chk "unknown mode" None (ts "fast");
-  chk "window must be below period" None (ts "sampled:100:200");
-  chk "junk params" None (ts "sampled:a:b")
+  chk "sampled mode is gone" None (ts "sampled")
 
-(* every tiny registry workload: the sampled estimate's 95% intervals
-   must cover the exact event-mode run for the headline metrics *)
-let test_sampled_within_ci () =
-  let open Memclust_workloads in
-  let params =
-    match Sampling.parse "sampled:2048:512:128" with
-    | Some p -> p
-    | None -> assert false
-  in
-  List.iter
-    (fun (w : Workload.t) ->
-      let program = Memclust_ir.Program.renumber w.Workload.program in
-      let nprocs = max 1 w.Workload.mp_procs in
-      let cfg = Config.with_l2 w.Workload.l2_bytes Config.base in
-      let data = Memclust_ir.Data.create program in
-      w.Workload.init data;
-      let lowered = Lower.build ~nprocs program data in
-      let home = Memclust_ir.Data.home_of_addr data ~nprocs in
-      let exact = Machine.run cfg ~mode:Machine.Event ~home lowered in
-      let _, est =
-        Machine.run_estimated cfg ~mode:(Machine.Sampled params) ~home lowered
-      in
-      match est with
-      | None -> Alcotest.fail (w.Workload.name ^ ": no sampling estimate")
-      | Some est ->
-          let name m = w.Workload.name ^ ": exact " ^ m ^ " within CI" in
-          Alcotest.(check bool) (name "cycles") true
-            (Sampling.in_ci est.Sampling.cycles_ci
-               (float_of_int exact.Machine.cycles));
-          Alcotest.(check bool) (name "l2 misses") true
-            (Sampling.in_ci est.Sampling.l2_misses_ci
-               (float_of_int exact.Machine.l2_misses));
-          Alcotest.(check bool) (name "read-miss latency") true
-            (Sampling.in_ci est.Sampling.read_miss_latency_ci
-               exact.Machine.avg_read_miss_latency))
-    (Registry.small ())
-
-(* exact modes must return no estimate, and sampled totals must stay
-   exact where extrapolation plays no part *)
-let test_sampled_estimate_presence () =
-  let loads =
-    List.init 64 (fun i -> (Trace.Load, 0x40000 + (i * 64), -1, -1))
-  in
+(* a config still carrying a sampled-mode setting must fail fast, naming
+   the modes that exist, instead of silently running something else *)
+let test_stale_mode_fails_fast () =
+  let loads = List.init 4 (fun i -> (Trace.Load, 0x40000 + (i * 64), -1, -1)) in
   let lowered = { Lower.traces = [| mk_trace loads |]; barriers = 0 } in
-  let _, none =
-    Machine.run_estimated Config.base ~mode:Machine.Event ~home:(fun _ -> 0)
-      lowered
-  in
-  Alcotest.(check bool) "event: no estimate" true (none = None);
-  let params =
-    match Sampling.parse "sampled:48:16:4" with
-    | Some p -> p
-    | None -> assert false
-  in
-  let r, some =
-    Machine.run_estimated Config.base ~mode:(Machine.Sampled params)
-      ~home:(fun _ -> 0) lowered
-  in
-  Alcotest.(check bool) "sampled: estimate present" true (some <> None);
-  Alcotest.(check int) "instruction total stays exact" 64 r.Machine.instructions
+  let cfg = Config.with_sim_mode "sampled:2048:512:128" Config.base in
+  match Machine.run cfg ~home:(fun _ -> 0) lowered with
+  | _ -> Alcotest.fail "a sampled-mode setting must be rejected"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "names cycle and event"
+        "Config.sim_mode: expected \"cycle\" or \"event\", got \
+         \"sampled:2048:512:128\""
+        msg
 
 (* --------------------------- golden counts --------------------------- *)
 
@@ -705,13 +651,11 @@ let () =
           Alcotest.test_case "late prefetch" `Quick test_prefetch_late;
           Alcotest.test_case "never stalls" `Quick test_prefetch_never_stalls_retire;
         ] );
-      ( "sampled-mode",
+      ( "machine-mode",
         [
           Alcotest.test_case "mode_of_string" `Quick test_mode_of_string;
-          Alcotest.test_case "estimate presence" `Quick
-            test_sampled_estimate_presence;
-          Alcotest.test_case "small workloads within CI" `Quick
-            test_sampled_within_ci;
+          Alcotest.test_case "stale sampled setting fails fast" `Quick
+            test_stale_mode_fails_fast;
         ] );
       ( "golden",
         [

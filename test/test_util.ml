@@ -320,21 +320,6 @@ let test_pqueue_clear () =
   Pqueue.push q 2 42;
   Alcotest.(check (option (pair int int))) "reusable" (Some (2, 42)) (Pqueue.pop q)
 
-(* ----------------------------- mean_ci ----------------------------- *)
-
-let test_mean_ci () =
-  let m, h = Stats.mean_ci [| 4.0; 4.0; 4.0 |] in
-  Alcotest.(check (float 1e-9)) "constant mean" 4.0 m;
-  Alcotest.(check (float 1e-9)) "constant half-width" 0.0 h;
-  let m, h = Stats.mean_ci [| 1.0; 2.0; 3.0 |] in
-  Alcotest.(check (float 1e-9)) "mean" 2.0 m;
-  (* s = 1, n = 3, t(df=2) = 4.303 -> half = 4.303/sqrt 3 *)
-  Alcotest.(check (float 1e-3)) "half-width" (4.303 /. sqrt 3.0) h;
-  let _, h1 = Stats.mean_ci [| 1.0 |] in
-  Alcotest.(check (float 1e-9)) "single sample" 0.0 h1;
-  let _, h0 = Stats.mean_ci [||] in
-  Alcotest.(check (float 1e-9)) "no samples" 0.0 h0
-
 let () =
   Alcotest.run "util"
     [
@@ -387,5 +372,4 @@ let () =
           qtest prop_pqueue_min_accessors;
           qtest prop_pqueue_fifo_ties;
         ] );
-      ("stats-ci", [ Alcotest.test_case "mean_ci" `Quick test_mean_ci ]);
     ]
