@@ -4,18 +4,12 @@ open Memclust_codegen
 type shared = {
   h : Hierarchy.shared;
   reached : int array;
+  mutable barrier_epoch : int;
 }
 
-(* Per-cycle statistic deltas of the last step, replayed when the machine
-   skips over provably-identical stall cycles. Kept in their own all-float
-   record: float fields of a mixed record are boxed, and these four are
-   written on every executed cycle. *)
-type deltas = {
-  mutable d_busy : float;
-  mutable d_cpu_stall : float;
-  mutable d_data_stall : float;
-  mutable d_sync_stall : float;
-}
+(* Where a cycle's unused retire slots are charged: [Uncharged] when the
+   whole trace has retired and only the write buffer is draining. *)
+type stall = Uncharged | Cpu_stall | Data_stall | Sync_stall
 
 type t = {
   proc : int;
@@ -73,15 +67,10 @@ type t = {
   (* event-driven support: did the last [step] change simulation state
      (as opposed to only accumulating per-cycle statistics)? *)
   mutable progressed : bool;
-  fd : deltas;
-  (* retry-cycle statistic deltas of the last step, replayed alongside
-     [fd]: per-level demand-miss counts and MSHR-full rejections (a load
-     rejected on full MSHRs re-walks — and re-misses — every level each
-     retry cycle). [lvl_snap] is the scratch snapshot of the hierarchy's
-     live counters at step entry. *)
-  d_level_miss : int array;
-  lvl_snap : int array;
-  mutable d_mshr_full : int;
+  (* what [replay_idle] repeats of the last step: where its retire slots
+     were charged, and how many loads it retried on full MSHRs *)
+  mutable stall : stall;
+  mutable retries : int;
   (* statistics (pipeline-owned; memory-side counters live in [h]) *)
   bd : Breakdown.t;
   mutable retired_count : int;
@@ -92,6 +81,7 @@ let make_shared cfg ~nprocs ~home =
   {
     h = Hierarchy.make_shared cfg ~nprocs ~home;
     reached = Array.make nprocs 0;
+    barrier_epoch = 0;
   }
 
 let cfg_of t = t.sh.h.Hierarchy.cfg
@@ -103,7 +93,6 @@ let create (sh : shared) ~proc trace =
     up 1
   in
   let h = Hierarchy.create sh.h ~proc in
-  let nlevels = Hierarchy.depth h in
   {
     proc;
     trace;
@@ -135,10 +124,8 @@ let create (sh : shared) ~proc trace =
        in
        scan 0);
     progressed = false;
-    fd = { d_busy = 0.0; d_cpu_stall = 0.0; d_data_stall = 0.0; d_sync_stall = 0.0 };
-    d_level_miss = Array.make nlevels 0;
-    lvl_snap = Array.make nlevels 0;
-    d_mshr_full = 0;
+    stall = Uncharged;
+    retries = 0;
     bd = Breakdown.create ();
     retired_count = 0;
     wbuf_full_events = 0;
@@ -181,11 +168,19 @@ let barrier_satisfied t aux =
   Array.iter (fun r -> if r < aux then ok := false) t.sh.reached;
   !ok
 
+let charge t stall w =
+  let bd = t.bd in
+  match stall with
+  | Uncharged -> ()
+  | Cpu_stall -> bd.Breakdown.cpu_stall <- bd.Breakdown.cpu_stall +. w
+  | Data_stall -> bd.Breakdown.data_stall <- bd.Breakdown.data_stall +. w
+  | Sync_stall -> bd.Breakdown.sync_stall <- bd.Breakdown.sync_stall +. w
+
 let retire t ~now =
   let cfg = cfg_of t in
   let width = cfg.Config.retire_width in
   let r = ref 0 in
-  let stall_category = ref None in
+  let stall = ref Cpu_stall in
   let continue_ = ref true in
   while !continue_ && !r < width && t.head < t.tail do
     let i = t.head in
@@ -196,7 +191,9 @@ let retire t ~now =
         if t.sh.reached.(t.proc) < b then begin
           t.sh.reached.(t.proc) <- b;
           (* shared state changed: other processors may now pass the
-             barrier, so this cycle cannot be skipped over *)
+             barrier, so this cycle cannot be skipped over, and cores
+             sleeping on a barrier must look again *)
+          t.sh.barrier_epoch <- t.sh.barrier_epoch + 1;
           t.progressed <- true
         end;
         if barrier_satisfied t b then begin
@@ -206,7 +203,7 @@ let retire t ~now =
           incr r
         end
         else begin
-          stall_category := Some `Sync;
+          stall := Sync_stall;
           continue_ := false
         end
     | kind ->
@@ -217,26 +214,20 @@ let retire t ~now =
           incr r
         end
         else begin
-          stall_category :=
-            Some
-              (match kind with
-              | Trace.Load | Trace.Store -> `Data
-              | Trace.Int_op | Trace.Fp_op | Trace.Branch | Trace.Prefetch_op ->
-                  `Cpu
-              | Trace.Barrier_op -> `Sync);
+          stall :=
+            (match kind with
+            | Trace.Load | Trace.Store -> Data_stall
+            | Trace.Int_op | Trace.Fp_op | Trace.Branch | Trace.Prefetch_op ->
+                Cpu_stall
+            | Trace.Barrier_op -> Sync_stall);
           continue_ := false
         end
   done;
+  t.stall <- !stall;
   let busy_frac = float_of_int !r /. float_of_int width in
   t.bd.Breakdown.busy <- t.bd.Breakdown.busy +. busy_frac;
   let stall_frac = 1.0 -. busy_frac in
-  if stall_frac > 0.0 then begin
-    match !stall_category with
-    | Some `Data -> t.bd.Breakdown.data_stall <- t.bd.Breakdown.data_stall +. stall_frac
-    | Some `Sync -> t.bd.Breakdown.sync_stall <- t.bd.Breakdown.sync_stall +. stall_frac
-    | Some `Cpu | None ->
-        t.bd.Breakdown.cpu_stall <- t.bd.Breakdown.cpu_stall +. stall_frac
-  end
+  if stall_frac > 0.0 then charge t !stall stall_frac
 
 let dep_done t ~now d =
   d < 0 || d < t.head
@@ -395,7 +386,9 @@ let issue t ~now =
                      incr mem_u;
                      t.done_at.(s) <- ready;
                      mark_issued s
-                 | None -> () (* MSHRs full: retry next cycle *))
+                 | None ->
+                     (* MSHRs full: retry next cycle *)
+                     t.retries <- t.retries + 1)
              | Trace.Store ->
                  if wbuf_occupancy t >= cfg.Config.write_buffer then begin
                    (* count each store that stalls on a full write buffer
@@ -470,56 +463,38 @@ let finished t =
 
 let step t ~now =
   t.progressed <- false;
-  let busy0 = t.bd.Breakdown.busy
-  and cpu0 = t.bd.Breakdown.cpu_stall
-  and data0 = t.bd.Breakdown.data_stall
-  and sync0 = t.bd.Breakdown.sync_stall
-  and mf0 = Hierarchy.mshr_full_events t.h in
-  let live_misses = Hierarchy.level_miss_counts t.h in
-  Array.blit live_misses 0 t.lvl_snap 0 (Array.length t.lvl_snap);
+  t.stall <- Uncharged;
+  t.retries <- 0;
   cleanup_mshrs t ~now;
   drain_done t ~now;
   drain_wbuf t ~now;
   if t.head < Trace.length t.trace then retire t ~now;
   issue t ~now;
-  fetch t;
-  t.fd.d_busy <- t.bd.Breakdown.busy -. busy0;
-  t.fd.d_cpu_stall <- t.bd.Breakdown.cpu_stall -. cpu0;
-  t.fd.d_data_stall <- t.bd.Breakdown.data_stall -. data0;
-  t.fd.d_sync_stall <- t.bd.Breakdown.sync_stall -. sync0;
-  for i = 0 to Array.length t.lvl_snap - 1 do
-    t.d_level_miss.(i) <- live_misses.(i) - t.lvl_snap.(i)
-  done;
-  t.d_mshr_full <- Hierarchy.mshr_full_events t.h - mf0
+  fetch t
 
 let progressed t = t.progressed
 
 (* A step with no progress leaves the core in a fixed point: every
-   subsequent cycle up to (but excluding) the next completion event
-   re-runs the identical step, whose only effects are the per-cycle
-   statistic deltas recorded above. In a no-progress step those deltas
-   are exact small-integer-valued floats (a stall category gets +1.0,
-   busy +0.0), so multiplying instead of re-adding is bit-identical. *)
+   subsequent cycle up to (but excluding) its next completion event, or
+   until the shared barrier state changes, re-runs the identical step.
+   Its only effects are statistics: it retired nothing, so its whole
+   retire width (1.0) went to one stall category, and every level miss
+   it counted came from a load retried on full MSHRs, which missed every
+   level (a hit at any level, or a coalesced in-flight miss, would have
+   issued). Re-adding 1.0 per cycle and adding [times] at once give the
+   same float: the stall fields hold small multiples of 1/retire_width. *)
 let replay_idle t ~times =
   if times > 0 then begin
-    let k = float_of_int times in
-    t.bd.Breakdown.busy <- t.bd.Breakdown.busy +. (t.fd.d_busy *. k);
-    t.bd.Breakdown.cpu_stall <-
-      t.bd.Breakdown.cpu_stall +. (t.fd.d_cpu_stall *. k);
-    t.bd.Breakdown.data_stall <-
-      t.bd.Breakdown.data_stall +. (t.fd.d_data_stall *. k);
-    t.bd.Breakdown.sync_stall <-
-      t.bd.Breakdown.sync_stall +. (t.fd.d_sync_stall *. k);
-    Hierarchy.replay_retry t.h ~miss_deltas:t.d_level_miss
-      ~mshr_full:t.d_mshr_full ~times
+    charge t t.stall (float_of_int times);
+    Hierarchy.replay_retry t.h ~retries:t.retries ~times
   end
 
 (* Earliest future time any [<= now] comparison inside [step] can flip:
    an in-flight miss completing, a buffered write draining, or an issued
    instruction's result becoming available (which can unblock retire and
    dependent issues). Barrier release is not a timed event — it is
-   triggered by another core's progress, which the machine loop observes
-   directly. *)
+   triggered by another core's arrival, which bumps
+   [shared.barrier_epoch] for the machine loop to observe. *)
 let next_event t ~now =
   let ne = ref max_int in
   let consider at = if at > now && at < !ne then ne := at in

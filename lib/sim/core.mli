@@ -18,6 +18,10 @@ type shared = {
       (** memory-side shared state (config, memory system, coherence
           versions, home map) *)
   reached : int array;  (** per-processor barrier progress *)
+  mutable barrier_epoch : int;
+      (** bumped whenever any entry of [reached] changes: a core sleeping
+          on a barrier wakes as soon as it differs from the value seen
+          when it went to sleep *)
 }
 
 type t
@@ -28,31 +32,43 @@ val create : shared -> proc:int -> Trace.t -> t
 val step : t -> now:int -> unit
 (** One cycle: MSHR cleanup, write-buffer drain, retire (with stall
     attribution), issue, fetch. Also records whether the cycle made
-    progress (see {!progressed}) and the per-cycle statistic deltas
-    needed by {!replay_idle}. *)
+    progress (see {!progressed}) and what {!replay_idle} repeats: the
+    stall category its retire slots were charged to and the number of
+    loads it retried on full MSHRs. *)
 
 val progressed : t -> bool
 (** Whether the last {!step} changed simulation state — retired, issued
     or fetched an instruction, drained or launched a memory operation,
-    or advanced the shared barrier state — as opposed to only
-    accumulating per-cycle statistics (stall attribution, retry
-    counters). A no-progress step is a fixed point: re-running it at any
-    cycle before {!next_event} produces identical effects. *)
+    or advanced the shared barrier state (which bumps
+    [shared.barrier_epoch]) — as opposed to only accumulating per-cycle
+    statistics (stall attribution, retry counters). A no-progress step
+    is a fixed point: re-running it at any cycle before {!next_event},
+    while [shared.barrier_epoch] is unchanged, produces identical
+    effects. Other processors cannot disturb it in between: the only
+    other shared state it reads is coherence versions, on a load or a
+    buffered write rejected on full MSHRs, and another core's write
+    cannot turn such a miss into a hit (it only makes lines staler and
+    takes ownership away). *)
 
 val next_event : t -> now:int -> int option
 (** Earliest cycle strictly after [now] at which this core's behaviour
     can change on its own: the minimum over pending miss completions,
     draining write completions, and in-window issued instructions'
     completion times. [None] when nothing is pending (the core is either
-    finished or waiting on another processor's barrier arrival). *)
+    finished or waiting on another processor's barrier arrival). The
+    other wake condition of a stalled core — a change of
+    [shared.barrier_epoch] — is not timed and is not included. *)
 
 val replay_idle : t -> times:int -> unit
 (** Repeat the per-cycle statistic side effects of the last (no-progress)
-    {!step} [times] more times: stall-category attribution and the
-    per-cycle per-level-miss / MSHR-full retry counters. Used by the
-    event-driven machine loop to account for skipped stall cycles;
-    bit-identical to stepping cycle by cycle. Only meaningful when the
-    last step made no progress. *)
+    {!step} [times] more times: a full cycle of the step's stall
+    category, plus, for each of its MSHR-full retries, one miss per
+    level and one MSHR-full event (a retry misses every level: a hit or
+    a coalesced in-flight miss would have issued). Used by the
+    event-driven machine loop when a sleeping core wakes, for the cycles
+    it slept through; bit-identical to stepping cycle by cycle as long
+    as it slept only until {!next_event} or a barrier-epoch change. Only
+    meaningful when the last step made no progress. *)
 
 val finished : t -> bool
 val breakdown : t -> Breakdown.t

@@ -317,13 +317,14 @@ let level_stats t =
       })
     t.levels
 
-let level_miss_counts t = t.level_misses
-
 (* Re-apply the per-cycle retry statistics of a no-progress step [times]
-   more times (event-mode idle replay): a load rejected on full MSHRs
-   walks — and misses — every level again each retry cycle. *)
-let replay_retry t ~miss_deltas ~mshr_full ~times =
-  for i = 0 to Array.length t.level_misses - 1 do
-    t.level_misses.(i) <- t.level_misses.(i) + (miss_deltas.(i) * times)
-  done;
-  t.mshr_full_count <- t.mshr_full_count + (mshr_full * times)
+   more times (event-mode idle replay): each of its [retries] loads was
+   rejected on full MSHRs after missing every level. *)
+let replay_retry t ~retries ~times =
+  let n = retries * times in
+  if n > 0 then begin
+    for i = 0 to Array.length t.level_misses - 1 do
+      t.level_misses.(i) <- t.level_misses.(i) + n
+    done;
+    t.mshr_full_count <- t.mshr_full_count + n
+  end

@@ -87,10 +87,8 @@ val late_prefetches : t -> int
 val level_stats : t -> Breakdown.level_stat array
 (** Fresh per-level demand-load hit/miss rows, processor side first. *)
 
-val level_miss_counts : t -> int array
-(** The live per-level demand-load miss counters (do not mutate): for
-    delta snapshots in {!Core.step}. *)
-
-val replay_retry : t -> miss_deltas:int array -> mshr_full:int -> times:int -> unit
+val replay_retry : t -> retries:int -> times:int -> unit
 (** Re-apply the per-cycle retry statistics of a no-progress step [times]
-    more times (event-mode idle replay, see {!Core.replay_idle}). *)
+    more times (event-mode idle replay, see {!Core.replay_idle}): each of
+    its [retries] loads was rejected on full MSHRs after missing every
+    level, so each adds one miss per level and one MSHR-full event. *)

@@ -66,6 +66,16 @@ type engine = {
   read_hist : Stats.Histogram.t;
   total_hist : Stats.Histogram.t;
   mutable cycle : int;
+  (* per-core sleep state (event mode): after a no-progress step at cycle
+     [slept.(p)] (-1 = awake), core [p] is not stepped again until cycle
+     [wake_at.(p)] (its next completion event, [max_int] if none) or
+     until the barrier epoch differs from [epoch_at.(p)] *)
+  slept : int array;
+  wake_at : int array;
+  epoch_at : int array;
+  (* cycle of the step that finished each core (-1 for an empty trace,
+     [max_int] while it runs) *)
+  finished_at : int array;
   max_cycles : int;
   (* forward-progress watchdog (reads state only: the happy path stays
      bit-identical with it enabled) *)
@@ -104,6 +114,11 @@ let make_engine ?(max_cycles = 400_000_000) ?watchdog_cycles ?time_budget
     read_hist = Stats.Histogram.create (Config.lp cfg + 1);
     total_hist = Stats.Histogram.create (Config.lp cfg + 1);
     cycle = 0;
+    slept = Array.make nprocs (-1);
+    wake_at = Array.make nprocs max_int;
+    epoch_at = Array.make nprocs 0;
+    finished_at =
+      Array.map (fun c -> if Core.finished c then -1 else max_int) procs;
     max_cycles;
     watchdog_cycles =
       (match watchdog_cycles with
@@ -157,9 +172,35 @@ let deadlock e ~reason =
          state_dump = state_dump e;
        })
 
-(* Run the lockstep loop until every core has finished. *)
+(* Account [w] cycles of core [c]'s current MSHR occupancy in the
+   per-cycle occupancy histograms. *)
+let sample e c w =
+  Stats.Histogram.add_weighted e.read_hist (Core.mshr_read_occupancy c) w;
+  Stats.Histogram.add_weighted e.total_hist (Core.mshr_total_occupancy c) w
+
+(* Wake a sleeping core at [e.cycle]: replay the cycles it slept through
+   (its occupancy is frozen while it sleeps). *)
+let wake e p =
+  let c = e.procs.(p) in
+  let skipped = e.cycle - e.slept.(p) - 1 in
+  if skipped > 0 then begin
+    Core.replay_idle c ~times:skipped;
+    sample e c (float_of_int skipped)
+  end;
+  e.slept.(p) <- -1
+
+(* Run the lockstep loop until every core has finished. Each cycle steps
+   the awake unfinished cores in processor order. In event mode a core
+   whose step made no progress sleeps until its own next completion
+   event or a barrier-epoch change, whichever comes first; checking the
+   epoch in processor order wakes it exactly when the lockstep loop
+   would first see the change (an arrival by core q at cycle c is seen
+   at c by cores after q and at c + 1 by cores before it). When no core
+   is awake the clock jumps to the earliest wake time. Cycle mode is the
+   same loop with sleeping turned off. *)
 let advance e =
   let nprocs = Array.length e.procs in
+  let sleeping = e.mode = Event in
   let go = ref true in
   while !go do
     if e.cycle > e.max_cycles then
@@ -179,18 +220,28 @@ let advance e =
     let running = ref false in
     let any_progress = ref false in
     for p = 0 to nprocs - 1 do
-      if not (Core.finished e.procs.(p)) then begin
-        Core.step e.procs.(p) ~now:e.cycle;
-        if Core.progressed e.procs.(p) then any_progress := true;
-        if not (Core.finished e.procs.(p)) then running := true
+      if e.finished_at.(p) = max_int then begin
+        let c = e.procs.(p) in
+        if
+          e.slept.(p) >= 0
+          && (e.wake_at.(p) <= e.cycle
+             || e.epoch_at.(p) <> e.sh.Core.barrier_epoch)
+        then wake e p;
+        if e.slept.(p) < 0 then begin
+          Core.step c ~now:e.cycle;
+          sample e c 1.0;
+          let progressed = Core.progressed c in
+          if progressed then any_progress := true;
+          if Core.finished c then e.finished_at.(p) <- e.cycle
+          else if sleeping && not progressed then begin
+            e.slept.(p) <- e.cycle;
+            e.wake_at.(p) <-
+              Option.value (Core.next_event c ~now:e.cycle) ~default:max_int;
+            e.epoch_at.(p) <- e.sh.Core.barrier_epoch
+          end
+        end;
+        if e.finished_at.(p) = max_int then running := true
       end
-      else begin
-        (* finished early: waiting for the others *)
-        let bd = Core.breakdown e.procs.(p) in
-        bd.Breakdown.sync_stall <- bd.Breakdown.sync_stall +. 1.0
-      end;
-      Stats.Histogram.add e.read_hist (Core.mshr_read_occupancy e.procs.(p));
-      Stats.Histogram.add e.total_hist (Core.mshr_total_occupancy e.procs.(p))
     done;
     if !running then begin
       if !any_progress then e.last_progress <- e.cycle
@@ -201,53 +252,39 @@ let advance e =
                "no core issued, retired or completed an event for %d cycles \
                 (watchdog budget %d)"
                (e.cycle - e.last_progress) e.watchdog_cycles);
-      match e.mode with
-      | Cycle -> e.cycle <- e.cycle + 1
-      | Event when !any_progress -> e.cycle <- e.cycle + 1
-      | Event -> (
-          (* No core changed state this cycle: every cycle up to the next
-             completion event repeats the exact same stalled step. Jump
-             there, replaying the per-cycle statistics (stall attribution,
-             retry counters, MSHR-occupancy samples) for the skipped
-             cycles so results stay bit-identical to the cycle loop. *)
-          let next = ref max_int in
-          for p = 0 to nprocs - 1 do
-            if not (Core.finished e.procs.(p)) then
-              match Core.next_event e.procs.(p) ~now:e.cycle with
-              | Some ev when ev < !next -> next := ev
-              | _ -> ()
-          done;
-          match !next with
-          | n when n = max_int ->
-              (* nothing pending anywhere yet cores are unfinished: a
-                 genuine deadlock — report it now with the machine state
-                 instead of spinning to the cycle budget *)
-              deadlock e
-                ~reason:
-                  "no completion pending on any processor and no core can \
-                   make progress"
-          | n ->
-              let skip = n - e.cycle - 1 in
-              if skip > 0 then begin
-                let w = float_of_int skip in
-                for p = 0 to nprocs - 1 do
-                  if Core.finished e.procs.(p) then begin
-                    let bd = Core.breakdown e.procs.(p) in
-                    bd.Breakdown.sync_stall <- bd.Breakdown.sync_stall +. w
-                  end
-                  else Core.replay_idle e.procs.(p) ~times:skip;
-                  Stats.Histogram.add_weighted e.read_hist
-                    (Core.mshr_read_occupancy e.procs.(p))
-                    w;
-                  Stats.Histogram.add_weighted e.total_hist
-                    (Core.mshr_total_occupancy e.procs.(p))
-                    w
-                done
-              end;
-              e.cycle <- n)
+      if !any_progress || not sleeping then e.cycle <- e.cycle + 1
+      else begin
+        (* every unfinished core is asleep, and none saw an epoch change
+           (that is progress); jump to the earliest wake time *)
+        let next = ref max_int in
+        for p = 0 to nprocs - 1 do
+          if e.finished_at.(p) = max_int && e.wake_at.(p) < !next then
+            next := e.wake_at.(p)
+        done;
+        if !next = max_int then
+          (* nothing pending anywhere yet cores are unfinished: a
+             genuine deadlock — report it now with the machine state
+             instead of spinning to the cycle budget *)
+          deadlock e
+            ~reason:
+              "no completion pending on any processor and no core can make \
+               progress";
+        e.cycle <- !next
+      end
     end
     else go := false
-  done
+  done;
+  (* a finished core waits for the others: charge it sync stall and its
+     frozen occupancy for every cycle after the step that finished it *)
+  Array.iteri
+    (fun p c ->
+      let w = float_of_int (e.cycle - e.finished_at.(p)) in
+      if w > 0.0 then begin
+        let bd = Core.breakdown c in
+        bd.Breakdown.sync_stall <- bd.Breakdown.sync_stall +. w;
+        sample e c w
+      end)
+    e.procs
 
 let fold_procs e f = Array.fold_left (fun acc p -> acc + f p) 0 e.procs
 

@@ -36,10 +36,12 @@ type result = {
 type mode =
   | Cycle  (** strict cycle-by-cycle loop (the reference semantics) *)
   | Event
-      (** event-driven: when no core can retire, issue, fetch or drain,
-          jump [now] to the earliest pending completion event across all
-          processors, replaying per-cycle statistics for the skipped
-          cycles. Produces bit-identical {!result} values to {!Cycle}. *)
+      (** event-driven: a core whose step changed nothing sleeps until
+          its next completion event or the next barrier arrival, and is
+          not stepped meanwhile; when no core is awake, [now] jumps to
+          the earliest wake time. A waking core replays the per-cycle
+          statistics of the cycles it slept through. Produces
+          bit-identical {!result} values to {!Cycle}. *)
 
 val mode_of_string : string -> mode option
 (** Accepts ["cycle"] and ["event"] (case-insensitive). *)

@@ -491,6 +491,200 @@ let test_deadlock_guard_event () =
      with Memclust_util.Error.Error (Memclust_util.Error.Sim_deadlock _) ->
        true)
 
+(* ------------------- multi-core event ≡ cycle mode ------------------- *)
+
+(* Random per-core traces: every core passes the same barriers in the
+   same order, and loads and stores pick from a pool of six shared lines,
+   so cross-core writes bump coherence versions (dirty-remote misses)
+   while other cores sleep. Dependences are offsets back into the core's
+   own trace. *)
+type mp_spec = {
+  barriers : int;
+  mp_traces : (Trace.kind * int * int * int) list list;
+}
+
+let gen_mp_spec =
+  let open QCheck.Gen in
+  let off = frequency [ (1, return 0); (1, int_range 1 8) ] in
+  let addr =
+    map2 (fun l w -> 0x40000 + (l * 64) + (w * 8)) (int_bound 5) (int_bound 7)
+  in
+  let instr =
+    frequency
+      [
+        (6, map2 (fun a d -> (Trace.Load, a, d, 0)) addr off);
+        (4, map2 (fun a d -> (Trace.Store, a, d, 0)) addr off);
+        (3, map2 (fun d1 d2 -> (Trace.Int_op, 1, d1, d2)) off off);
+        (2, map2 (fun l d -> (Trace.Fp_op, l, d, 0)) (int_range 1 6) off);
+        (1, map (fun d -> (Trace.Branch, 1, d, 0)) off);
+        (1, map (fun a -> (Trace.Prefetch_op, a, 0, 0)) addr);
+      ]
+  in
+  let number instrs =
+    List.mapi
+      (fun i (k, aux, o1, o2) ->
+        let dep o = if o = 0 || i - o < 0 then -1 else i - o in
+        (k, aux, dep o1, dep o2))
+      instrs
+  in
+  let core barriers =
+    let* segs = list_repeat (barriers + 1) (list_size (int_bound 12) instr) in
+    return
+      (number
+         (List.concat
+            (List.mapi
+               (fun b seg ->
+                 if b = 0 then seg else (Trace.Barrier_op, b, 0, 0) :: seg)
+               segs)))
+  in
+  let* nprocs = int_range 2 8 in
+  let* barriers = int_range 0 3 in
+  let* mp_traces = list_repeat nprocs (core barriers) in
+  return { barriers; mp_traces }
+
+let print_mp_spec s =
+  let kind = function
+    | Trace.Int_op -> "I" | Trace.Fp_op -> "F" | Trace.Load -> "L"
+    | Trace.Store -> "S" | Trace.Branch -> "B" | Trace.Barrier_op -> "|"
+    | Trace.Prefetch_op -> "P"
+  in
+  String.concat "\n"
+    (List.mapi
+       (fun p t ->
+         Printf.sprintf "proc %d: %s" p
+           (String.concat " "
+              (List.map
+                 (fun (k, aux, d1, d2) ->
+                   Printf.sprintf "%s%x/%d/%d" (kind k) aux d1 d2)
+                 t)))
+       s.mp_traces)
+
+let arbitrary_mp_spec = QCheck.make ~print:print_mp_spec gen_mp_spec
+
+(* the three configurations: plain, one MSHR (every second outstanding
+   miss is retried on full MSHRs), and a seeded fault plan *)
+let mp_configs seed =
+  [
+    Config.base;
+    Config.with_mshrs 1 Config.base;
+    Config.with_faults (Faults.scaled ~seed 0.3) Config.base;
+  ]
+
+let run_mp ~cfg mode s =
+  let nprocs = List.length s.mp_traces in
+  let lowered =
+    {
+      Lower.traces = Array.of_list (List.map mk_trace s.mp_traces);
+      barriers = s.barriers;
+    }
+  in
+  Machine.run ~mode cfg ~home:(fun a -> (a lsr 6) mod nprocs) lowered
+
+(* every processor is sampled once per cycle, including the cycles after
+   it finished *)
+let check_sampled_every_cycle (r : Machine.result) =
+  let open Memclust_util in
+  let expect = float_of_int (r.Machine.cycles * Array.length r.Machine.per_proc) in
+  Alcotest.(check (float 0.0)) "read samples" expect
+    (Stats.Histogram.total r.Machine.read_mshr_hist);
+  Alcotest.(check (float 0.0)) "total samples" expect
+    (Stats.Histogram.total r.Machine.total_mshr_hist)
+
+let prop_mp_event_equals_cycle =
+  QCheck.Test.make ~count:200 ~name:"event ≡ cycle, random 2-8 procs"
+    (QCheck.pair arbitrary_mp_spec QCheck.small_nat) (fun (s, seed) ->
+      List.iter
+        (fun cfg ->
+          let rc = run_mp ~cfg Machine.Cycle s in
+          check_sampled_every_cycle rc;
+          check_results_equal rc (run_mp ~cfg Machine.Event s))
+        (mp_configs seed);
+      true)
+
+(* the generator reaches what the property is about: MSHR-full retries,
+   barrier waits, dirty-remote misses (a slower cache-to-cache transfer
+   changes the timing) and memory faults *)
+let test_mp_generator_coverage () =
+  let rand = Random.State.make [| 10 |] in
+  let specs = List.init 30 (fun _ -> gen_mp_spec rand) in
+  let total f cfg =
+    List.fold_left (fun acc s -> acc +. f (run_mp ~cfg Machine.Event s)) 0.0 specs
+  in
+  let mshr_full r = float_of_int r.Machine.mshr_full_events in
+  let sync r = r.Machine.breakdown.Breakdown.sync_stall in
+  Alcotest.(check bool) "MSHR-full retries" true
+    (total mshr_full (Config.with_mshrs 1 Config.base) > 0.0);
+  Alcotest.(check bool) "barrier waits" true (total sync Config.base > 0.0);
+  let cycles r = float_of_int r.Machine.cycles in
+  Alcotest.(check bool) "dirty-remote misses" true
+    (total cycles { Config.base with Config.c2c_lat = 1000 }
+    > total cycles Config.base);
+  Alcotest.(check bool) "faults change timing" true
+    (total cycles (Config.with_faults (Faults.scaled ~seed:3 0.3) Config.base)
+    <> total cycles Config.base)
+
+(* Barrier wake-ups of sleeping cores. Core [waiter] reaches barrier 1 at
+   once and sleeps with nothing pending; core [arriver] gets there only
+   after a memory miss. The lockstep loop steps cores in processor order,
+   so a waiter after the arriver sees the arrival in the same cycle and a
+   waiter before it one cycle later. The waiter's integer chain has
+   issued by then and retires behind the barrier, so a wake-up one cycle
+   early or late moves the finish time. *)
+let barrier_pair ~waiter =
+  let arriver = [ (Trace.Load, 0x40000, -1, -1); (Trace.Barrier_op, 1, 0, -1) ] in
+  let waiter_trace =
+    (Trace.Barrier_op, 1, -1, -1)
+    :: List.init 12 (fun i -> (Trace.Int_op, 1, i, -1))
+  in
+  if waiter = 1 then [ arriver; waiter_trace ] else [ waiter_trace; arriver ]
+
+let check_barrier_wake ~waiter () =
+  let traces = barrier_pair ~waiter in
+  let rc = run_mode Machine.Cycle traces 1 in
+  let re = run_mode Machine.Event traces 1 in
+  check_sampled_every_cycle rc;
+  check_results_equal rc re;
+  (* the waiter slept through the whole miss *)
+  Alcotest.(check bool) "waiter waited on the barrier" true
+    (re.Machine.per_proc.(waiter).Breakdown.sync_stall
+    >= float_of_int Config.base.Config.mem_lat)
+
+let test_barrier_wake_same_cycle () = check_barrier_wake ~waiter:1 ()
+let test_barrier_wake_next_cycle () = check_barrier_wake ~waiter:0 ()
+
+(* one core waits at a second barrier the others never reach: every live
+   core asleep with nothing pending is reported at once, with a state
+   dump naming every processor *)
+let test_barrier_mismatch_deadlock () =
+  let traces =
+    [
+      [ (Trace.Barrier_op, 1, -1, -1) ];
+      [ (Trace.Barrier_op, 1, -1, -1); (Trace.Barrier_op, 2, -1, -1) ];
+      [ (Trace.Load, 0x40000, -1, -1); (Trace.Barrier_op, 1, 0, -1) ];
+    ]
+  in
+  match run_mode Machine.Event traces 2 with
+  | _ -> Alcotest.fail "mismatched barriers must deadlock"
+  | exception
+      Memclust_util.Error.Error
+        (Memclust_util.Error.Sim_deadlock { reason; state_dump; _ }) ->
+      let contains sub s =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) "no completion pending" true
+        (contains "no completion pending" reason);
+      List.iter
+        (fun p ->
+          Alcotest.(check bool)
+            (Printf.sprintf "dump lists proc %d" p)
+            true
+            (contains (Printf.sprintf "proc %d:" p) state_dump))
+        [ 0; 1; 2 ]
+
 (* ----------------------------- sim mode ----------------------------- *)
 
 let test_mode_of_string () =
@@ -580,14 +774,16 @@ let test_golden_cycles () =
       w.Workload.init data;
       let lowered = Lower.build ~nprocs program data in
       let home = Memclust_ir.Data.home_of_addr data ~nprocs in
-      List.iter
-        (fun mode ->
-          let r = Machine.run cfg ~mode ~home lowered in
-          Alcotest.(check int)
-            (Printf.sprintf "%s/%s/%s/%s" wname cname vname
-               (Machine.mode_to_string mode))
-            expect r.Machine.cycles)
-        [ Machine.Cycle; Machine.Event ])
+      let run mode =
+        let r = Machine.run cfg ~mode ~home lowered in
+        Alcotest.(check int)
+          (Printf.sprintf "%s/%s/%s/%s" wname cname vname
+             (Machine.mode_to_string mode))
+          expect r.Machine.cycles;
+        r
+      in
+      let rc = run Machine.Cycle in
+      check_results_equal rc (run Machine.Event))
     golden_cycles
 
 let test_simulation_deterministic () =
@@ -644,6 +840,18 @@ let () =
             test_deadlock_guard_event;
           QCheck_alcotest.to_alcotest prop_event_equals_cycle;
           QCheck_alcotest.to_alcotest prop_event_deterministic;
+        ] );
+      ( "multi-core",
+        [
+          Alcotest.test_case "generator coverage" `Quick
+            test_mp_generator_coverage;
+          Alcotest.test_case "barrier wakes later core same cycle" `Quick
+            test_barrier_wake_same_cycle;
+          Alcotest.test_case "barrier wakes earlier core next cycle" `Quick
+            test_barrier_wake_next_cycle;
+          Alcotest.test_case "mismatched barriers deadlock" `Quick
+            test_barrier_mismatch_deadlock;
+          QCheck_alcotest.to_alcotest prop_mp_event_equals_cycle;
         ] );
       ( "prefetch",
         [
