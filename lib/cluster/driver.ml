@@ -100,12 +100,15 @@ let uniquify_loops (p : program) =
 (* Analysis wrappers                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Profiling interprets the whole program, and the same candidate program
-   is profiled repeatedly — across binary-search steps, and across
-   machine configurations that differ only in parameters the profile
-   doesn't depend on (window, MSHR count). Memoize on a structural digest
-   of the program plus the line size; [p_name] is part of the digest, so
-   workloads with distinct initializers never collide. The returned
+(* Profiling interprets the whole program, so [evaluate] profiles only
+   for an inner construct whose scope holds a leading irregular
+   reference: everywhere else Eq. 3 never reads P_m. The same candidate
+   program is still profiled repeatedly — across binary-search steps, and
+   across machine configurations that differ only in parameters the
+   profile doesn't depend on (window, MSHR count). Memoize on the line
+   size, a digest of the initialized source store and a structural digest
+   of the program, so caches key on content: one program clustered over
+   two differently initialized stores gets two profiles. The returned
    closure reads an immutable profile, so sharing across domains is safe.
    Candidates keep the source's declarations (the pipeline enforces it),
    so the shared initialized source store is their store too:
@@ -114,27 +117,27 @@ let pm_cache : (int -> float) Memclust_util.Analysis_cache.t =
   Memclust_util.Analysis_cache.create ~cap:512 ~name:"driver-profile-pm" ()
 
 let make_pm options ~source p =
-  if not options.profile_pm then fun _ -> 1.0
-  else begin
-    let line_size = options.machine.Machine_model.line_size in
-    let key =
-      Printf.sprintf "%d|%s|%s" line_size
-        (match source with None -> "-" | Some _ -> "i")
-        (Digest.to_hex (Digest.string (Marshal.to_string p [])))
-    in
-    Memclust_util.Analysis_cache.find_or_compute pm_cache key (fun () ->
-        let data =
-          match source with Some s -> Lazy.force s | None -> Data.create p
-        in
-        let prof = Profile.run ~line_size p data in
-        fun id -> Profile.miss_rate prof id)
-  end
+  let line_size = options.machine.Machine_model.line_size in
+  let key =
+    Printf.sprintf "%d|%s|%s" line_size
+      (match source with
+      | None -> "-" (* the zero-filled store of [p]'s declarations *)
+      | Some s -> Lazy.force s.Pass.digest)
+      (Digest.to_hex (Digest.string (Marshal.to_string p [])))
+  in
+  Memclust_util.Analysis_cache.find_or_compute pm_cache key (fun () ->
+      let data =
+        match source with
+        | Some s -> Lazy.force s.Pass.store
+        | None -> Data.create p
+      in
+      let prof = Profile.run ~line_size p data in
+      fun id -> Profile.miss_rate prof id)
 
 (* Evaluate f for the innermost construct identified by [key] inside the
    top-level nest whose loop variable is [nest_var]. *)
 let evaluate options ~source p ~nest_var ~key =
   let loc = Locality.analyze ~line_size:options.machine.Machine_model.line_size p in
-  let pm = make_pm options ~source p in
   match Pass.find_nest p nest_var with
   | None -> None
   | Some (_, nest) -> (
@@ -145,11 +148,15 @@ let evaluate options ~source p ~nest_var ~key =
       with
       | None -> None
       | Some located ->
-          let graph = Depgraph.analyze loc located.Pass.inner in
+          let inner = located.Pass.inner in
+          let graph = Depgraph.analyze loc inner in
           let alpha = Depgraph.alpha graph in
-          let fest =
-            Festimate.compute options.machine loc ~pm ~graph located.Pass.inner
+          let pm =
+            if options.profile_pm && Festimate.reads_pm loc inner then
+              make_pm options ~source p
+            else fun _ -> 1.0
           in
+          let fest = Festimate.compute options.machine loc ~pm ~graph inner in
           Some (loc, located, graph, alpha, fest))
 
 (* ------------------------------------------------------------------ *)
@@ -643,10 +650,19 @@ let run ?(options = default_options) ?init ?only ?observe (p : program) =
   let source =
     Option.map
       (fun init ->
-        lazy
-          (let d = Data.create p in
-           init d;
-           d))
+        let store =
+          lazy
+            (let d = Data.create p in
+             init d;
+             d)
+        in
+        (* without sharing, the bytes depend only on the contents *)
+        let digest =
+          lazy
+            (Digest.to_hex
+               (Digest.string (Marshal.to_string (Lazy.force store) [ Marshal.No_sharing ])))
+        in
+        { Pass.store; digest })
       init
   in
   let ctx = { Pass.options; source } in

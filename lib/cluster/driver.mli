@@ -64,7 +64,11 @@ type chaos = Pass.chaos = {
 
 type options = Pass.options = {
   machine : Machine_model.t;
-  profile_pm : bool;  (** measure P_m by cache profiling (needs [init]) *)
+  profile_pm : bool;
+      (** measure P_m by cache profiling (needs [init]). The profiler
+          runs only for an inner construct with a leading irregular
+          reference ({!Festimate.reads_pm}), the only place Eq. 3 reads
+          P_m; elsewhere f does not depend on P_m. *)
   do_unroll_jam : bool;
   do_window : bool;  (** inner unrolling for window constraints *)
   do_scalar_replace : bool;

@@ -35,8 +35,22 @@ let body_size inner =
   | Depgraph.Counted l -> Measure.body_ops l.body
   | Depgraph.Chased c -> Measure.body_ops c.cbody + 1
 
+(* The kinds of the references in this construct's scope — the only
+   references Eq. 1–3 read. *)
+let scope_kinds loc inner =
+  List.filter_map
+    (fun id ->
+      match Locality.info loc id with
+      | exception Not_found -> None
+      | info -> Some (id, info.Locality.kind))
+    (scope_ids inner)
+
+let reads_pm loc inner =
+  List.exists
+    (function _, Locality.Leading_irregular -> true | _ -> false)
+    (scope_kinds loc inner)
+
 let compute (m : Machine_model.t) loc ~pm ~graph inner =
-  let ids = scope_ids inner in
   let i = max 1 (body_size inner) in
   let w = m.Machine_model.window in
   let has_addr = graph.Depgraph.has_address_recurrence in
@@ -50,22 +64,19 @@ let compute (m : Machine_model.t) loc ~pm ~graph inner =
   let n_irreg = ref 0 in
   let density = ref 0.0 in
   List.iter
-    (fun id ->
-      match Locality.info loc id with
-      | exception Not_found -> ()
-      | info -> (
-          match info.Locality.kind with
-          | Locality.Leading_regular { lm; _ } ->
-              incr n_reg;
-              f_reg := !f_reg +. float_of_int (cm lm);
-              density := !density +. (1.0 /. float_of_int lm)
-          | Locality.Leading_irregular ->
-              incr n_irreg;
-              let p = pm id in
-              f_irreg_sum := !f_irreg_sum +. (p *. float_of_int (cm 1));
-              density := !density +. p
-          | Locality.Follower _ | Locality.Inner_invariant -> ()))
-    ids;
+    (fun (id, kind) ->
+      match kind with
+      | Locality.Leading_regular { lm; _ } ->
+          incr n_reg;
+          f_reg := !f_reg +. float_of_int (cm lm);
+          density := !density +. (1.0 /. float_of_int lm)
+      | Locality.Leading_irregular ->
+          incr n_irreg;
+          let p = pm id in
+          f_irreg_sum := !f_irreg_sum +. (p *. float_of_int (cm 1));
+          density := !density +. p
+      | Locality.Follower _ | Locality.Inner_invariant -> ())
+    (scope_kinds loc inner);
   let f_irreg = if !n_irreg = 0 then 0.0 else Float.ceil !f_irreg_sum in
   {
     f = !f_reg +. f_irreg;

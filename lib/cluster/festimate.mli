@@ -35,4 +35,9 @@ val compute :
 (** [pm] maps a reference id to its profiled miss rate (use
     [Profile.miss_rate], or [fun _ -> 1.0] without profiling). *)
 
+val reads_pm : Locality.t -> Depgraph.inner -> bool
+(** Whether {!compute} calls its [pm] on this construct: exactly when a
+    reference in its scope is a leading irregular one. Elsewhere f does
+    not depend on [pm], so a caller can skip profiling. *)
+
 val pp : Format.formatter -> t -> unit

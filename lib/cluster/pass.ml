@@ -91,7 +91,8 @@ let chaos_of_env () =
       in
       Some { chaos_seed; chaos_rate; fail_pass }
 
-type ctx = { options : options; source : Data.t Lazy.t option }
+type source = { store : Data.t Lazy.t; digest : string Lazy.t }
+type ctx = { options : options; source : source option }
 
 (* ------------------------------------------------------------------ *)
 (* Events: what a pass did, in terms the report can aggregate          *)
@@ -392,7 +393,7 @@ module Pipeline = struct
         | None -> None
         | Some source -> (
             try
-              let d = Data.copy (Lazy.force source) in
+              let d = Data.copy (Lazy.force source.store) in
               Exec.run ~max_ops:diff_ref_max_ops p0 d;
               Some d
             with Exec.Limit_exceeded -> None))
@@ -401,7 +402,7 @@ module Pipeline = struct
       match (Lazy.force reference, ctx.source) with
       | Some ref_store, Some source -> (
           try
-            let d = Data.copy (Lazy.force source) in
+            let d = Data.copy (Lazy.force source.store) in
             Exec.run ~max_ops:diff_cand_max_ops candidate d;
             if Data.equal ref_store d then None
             else Some "differential execution: final stores diverge from the source program"

@@ -69,13 +69,23 @@ val chaos_of_env : unit -> chaos option
     [None] when neither is set; raises [Invalid_argument] on malformed
     values. *)
 
-type ctx = { options : options; source : Data.t Lazy.t option }
-(** What every pass may consult: the machine/flag options and the source
-    program's store filled by the workload's initializer, built on first
-    use (for miss-rate profiling and the semantic guard). It is shared:
-    run programs over a {!Data.copy} of it, never over the store itself.
-    It serves every candidate because no pass may change the array and
-    region declarations {!Data.create} lays out. *)
+type source = {
+  store : Data.t Lazy.t;
+      (** the source program's store filled by the workload's
+          initializer, built on first use *)
+  digest : string Lazy.t;
+      (** a digest of [store]'s contents, computed on first use: the
+          miss-rate memo's key for the store *)
+}
+(** The initialized source store of one pipeline run (for miss-rate
+    profiling and the semantic guard). It is shared: run programs over a
+    {!Data.copy} of [store], never over the store itself. It serves every
+    candidate because no pass may change the array and region
+    declarations {!Data.create} lays out. *)
+
+type ctx = { options : options; source : source option }
+(** What every pass may consult: the machine/flag options and the
+    initialized source store, when the caller supplied an initializer. *)
 
 (** {1 Events} *)
 

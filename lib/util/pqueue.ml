@@ -89,5 +89,3 @@ let drop_min t =
       sift_down t
     end
   end
-
-let clear t = t.size <- 0

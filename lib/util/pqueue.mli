@@ -28,8 +28,3 @@ val min_value : 'a t -> 'a
 
 val drop_min : 'a t -> unit
 (** Remove the minimum element; no-op when empty. *)
-
-val clear : 'a t -> unit
-(** Remove every element, keeping the backing storage. The FIFO tie-break
-    counter is not reset, so entries pushed after a [clear] still pop
-    after earlier same-priority entries would have. *)

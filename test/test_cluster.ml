@@ -300,6 +300,96 @@ let test_nested_jam_rename_stamps () =
           Alcotest.(check bool) "no renamed-scalar collisions" true
             (Data.equal d1 d2))
 
+(* ------------------------- P_m profiling --------------------------- *)
+
+(* [Festimate.reads_pm] decides whether the driver profiles a construct,
+   so it must hold exactly when [compute] calls its [pm]: when false, a
+   [pm] that raises changes nothing; when true, [pm] is called. *)
+let reads_pm_matches_compute loc inner =
+  let graph = Depgraph.analyze loc inner in
+  let compute pm = Festimate.compute Machine_model.base loc ~pm ~graph inner in
+  if Festimate.reads_pm loc inner then begin
+    let called = ref false in
+    ignore
+      (compute (fun _ ->
+           called := true;
+           1.0));
+    !called
+  end
+  else
+    match compute (fun _ -> failwith "pm read") with
+    | f -> f = compute (fun _ -> 1.0)
+    | exception Failure _ -> false
+
+(* every inner construct of every top-level nest *)
+let inner_constructs p =
+  List.concat_map
+    (fun var ->
+      match Pass.find_nest p var with
+      | None -> []
+      | Some (_, nest) -> List.map (fun (l : Pass.located) -> l.Pass.inner) (Pass.locate_all nest))
+    (Pass.source_nest_vars p)
+
+let test_reads_pm_registry () =
+  let open Memclust_workloads in
+  let seen = ref (0, 0) in
+  List.iter
+    (fun (w : Workload.t) ->
+      let p = w.Workload.program in
+      let loc = Locality.analyze ~line_size:64 p in
+      List.iter
+        (fun inner ->
+          let reads, skips = !seen in
+          seen :=
+            if Festimate.reads_pm loc inner then (reads + 1, skips) else (reads, skips + 1);
+          if not (reads_pm_matches_compute loc inner) then
+            Alcotest.failf "%s, inner %s: reads_pm disagrees with compute"
+              w.Workload.name (Pass.inner_desc inner))
+        (inner_constructs p))
+    (Registry.small ());
+  (* both answers occur, so neither constant predicate passes *)
+  let reads, skips = !seen in
+  Alcotest.(check bool) "some constructs read P_m" true (reads > 0);
+  Alcotest.(check bool) "some constructs skip P_m" true (skips > 0)
+
+let prop_reads_pm =
+  QCheck.Test.make ~name:"reads_pm iff compute calls pm" ~count:200
+    Gen_program.arbitrary
+    (fun cfg ->
+      let p = Gen_program.build cfg in
+      let loc = Locality.analyze ~line_size:64 p in
+      List.for_all (reads_pm_matches_compute loc) (inner_constructs p))
+
+(* The P_m memo keys on the contents of the initialized store: one
+   program over two stores whose index arrays give its irregular load
+   opposite miss rates must report two different f values, each the same
+   whichever run came first. *)
+let test_pm_keys_on_store () =
+  let n = 256 and v_len = 65536 in
+  let p =
+    let open Builder in
+    program "gather"
+      ~arrays:[ array_decl "v" v_len; array_decl "idx" n; array_decl "o" n ]
+      [ loop "i" (cst 0) (cst n) [ store (aref "o" (ix "i")) (ld (iref "v" (arr "idx" (ix "i")))) ] ]
+  in
+  (* every load of v hits one line, or each touches a new line *)
+  let init stride d =
+    for i = 0 to n - 1 do
+      Data.set d "idx" i (Ast.Vint (i * stride mod v_len))
+    done
+  in
+  let f_initial init =
+    let _, report = Driver.run ~only:[ "analyze" ] ~init p in
+    match report.Driver.nests with
+    | [ nest ] -> nest.Driver.f_initial
+    | _ -> Alcotest.fail "expected one nest"
+  in
+  let same = f_initial (init 0) in
+  let spread = f_initial (init (8 * 1031)) in
+  Alcotest.(check bool) "distinct miss rates give distinct f" true (spread > same);
+  Alcotest.(check (float 0.0)) "first store's f again" same (f_initial (init 0));
+  Alcotest.(check (float 0.0)) "second store's f again" spread (f_initial (init (8 * 1031)))
+
 (* ------------------------ pipeline fuzzing ------------------------- *)
 
 let exec_equal p1 p2 init =
@@ -355,6 +445,12 @@ let () =
           Alcotest.test_case "window resolution" `Quick test_driver_window_resolution;
           Alcotest.test_case "option flags" `Quick test_driver_respects_flags;
           Alcotest.test_case "machine models" `Quick test_machine_models;
+        ] );
+      ( "profile-pm",
+        [
+          Alcotest.test_case "reads_pm on Registry.small" `Quick test_reads_pm_registry;
+          QCheck_alcotest.to_alcotest prop_reads_pm;
+          Alcotest.test_case "memo keys on store contents" `Quick test_pm_keys_on_store;
         ] );
       ( "regressions",
         [

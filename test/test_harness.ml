@@ -207,6 +207,27 @@ let test_transform_respects_max_procs () =
         nest.Memclust_cluster.Driver.actions)
     report.Memclust_cluster.Driver.nests
 
+(* The P_m profiler runs only for an inner construct whose scope holds a
+   leading irregular reference (Eq. 3): workloads without one never
+   profile, and the others profile only the candidates of such nests. The
+   counts are distinct [driver-profile-pm] entries after clustering one
+   workload from empty caches. *)
+let test_profiles_only_irregular () =
+  let profiles (w : Workload.t) =
+    Experiment.clear_caches ();
+    ignore (Experiment.transform Config.base w);
+    List.assoc "driver-profile-pm" (Memclust_util.Analysis_cache.registered ())
+  in
+  let pinned =
+    [
+      ("Latbench", 3); ("Em3d", 5); ("Erlebacher", 0); ("FFT", 0); ("LU", 0);
+      ("Mp3d", 1); ("MST", 5); ("Ocean", 0);
+    ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "profiles per workload" pinned
+    (List.map (fun (w : Workload.t) -> (w.Workload.name, profiles w)) (Registry.small ()))
+
 let () =
   Alcotest.run "harness"
     [
@@ -227,5 +248,10 @@ let () =
           Alcotest.test_case "registry" `Quick test_figures_registry;
           Alcotest.test_case "table1" `Quick test_table1_contents;
           Alcotest.test_case "table2" `Quick test_table2_contents;
+        ] );
+      ( "profile-pm",
+        [
+          Alcotest.test_case "regular programs never profile" `Quick
+            test_profiles_only_irregular;
         ] );
     ]

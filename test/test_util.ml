@@ -274,6 +274,8 @@ let prop_pqueue_min_accessors =
       let rec drain () =
         match Pqueue.pop q with
         | None ->
+            (* drop_min on an empty heap is a no-op *)
+            Pqueue.drop_min q';
             if Pqueue.min_prio q' <> max_int || not (Pqueue.is_empty q') then
               ok := false
         | Some (p, v) ->
@@ -306,19 +308,6 @@ let prop_pqueue_fifo_ties =
             drain (ok && fifo)
       in
       drain true)
-
-let test_pqueue_clear () =
-  let q = Pqueue.create () in
-  List.iter (fun p -> Pqueue.push q p p) [ 5; 1; 3 ];
-  Pqueue.clear q;
-  Alcotest.(check bool) "empty after clear" true (Pqueue.is_empty q);
-  Alcotest.(check int) "length 0" 0 (Pqueue.length q);
-  Alcotest.(check int) "min_prio sentinel" max_int (Pqueue.min_prio q);
-  Alcotest.(check (option (pair int int))) "pop none" None (Pqueue.pop q);
-  (* still usable after clear, and drop_min on empty stays a no-op *)
-  Pqueue.drop_min q;
-  Pqueue.push q 2 42;
-  Alcotest.(check (option (pair int int))) "reusable" (Some (2, 42)) (Pqueue.pop q)
 
 let () =
   Alcotest.run "util"
@@ -367,7 +356,6 @@ let () =
         [
           Alcotest.test_case "order" `Quick test_pqueue_order;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
-          Alcotest.test_case "clear" `Quick test_pqueue_clear;
           qtest prop_pqueue_sorted;
           qtest prop_pqueue_min_accessors;
           qtest prop_pqueue_fifo_ties;
