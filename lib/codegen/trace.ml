@@ -60,9 +60,20 @@ let grow t =
     t.refs <- extend t.refs 0
   end
 
+let bad_dep i d =
+  invalid_arg
+    (Printf.sprintf
+       "Trace.push: instruction %d depends on %d (must be -1 or an earlier \
+        index)"
+       i d)
+
 let push t ~kind ~aux ~dep1 ~dep2 ~ref_ =
-  grow t;
   let i = t.n in
+  (* the simulator's consumer lists rely on every dependence pointing
+     backwards: a forward or self edge would never be released *)
+  if dep1 < -1 || dep1 >= i then bad_dep i dep1;
+  if dep2 < -1 || dep2 >= i then bad_dep i dep2;
+  grow t;
   Bytes.unsafe_set t.kinds i (Char.chr (kind_code kind));
   t.auxs.(i) <- aux;
   t.dep1s.(i) <- dep1;

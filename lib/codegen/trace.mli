@@ -20,7 +20,8 @@ val push :
 (** Append an instruction; returns its index. [aux] holds the FP latency
     for [Fp_op], the byte address for [Load]/[Store], and the barrier
     sequence number for [Barrier_op]. [dep1]/[dep2] are producer indices in
-    the same trace, or -1. *)
+    the same trace, or -1. Raises [Invalid_argument], naming the index,
+    unless each is -1 or an earlier instruction's index. *)
 
 val kind : t -> int -> kind
 val aux : t -> int -> int

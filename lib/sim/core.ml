@@ -26,10 +26,25 @@ type t = {
   done_at : int array;
   mutable head : int;
   mutable tail : int;
-  (* the unissued in-window instructions as a singly-linked list in trace
-     order ([pend_next] is indexed by slot): the issue scan visits only
-     instructions that can still issue instead of walking the whole
-     window past already-issued entries *)
+  (* dataflow, per slot: how many of the instruction's in-window producers
+     have not issued yet, and the latest result time of those that have
+     (an instruction can issue once [npend = 0] and [ready_at <= now]) *)
+  npend : int array;
+  ready_at : int array;
+  (* consumer lists: edge [2c + k] is consumer [c]'s dependence [k]
+     (0 = dep1, 1 = dep2). [cons] holds, per producer slot, the first edge
+     waiting on that producer (-1 = none) and [enext], indexed by
+     [edge land emask] (which is the consumer's slot, twice, plus [k]),
+     the next one. An instruction has at most two edges, so registering
+     never allocates. Every instruction releases its list (and resets
+     [cons]) before it retires, so a reused slot starts with none. *)
+  cons : int array;
+  enext : int array;
+  emask : int;
+  (* the ready list: the unissued in-window instructions with no
+     unresolved producer and a result time at most [horizon] cycles away
+     when they were released, as a singly-linked list in trace order
+     ([pend_next] is indexed by slot) *)
   mutable pend_head : int;  (* trace index, -1 = none *)
   mutable pend_last : int;
   pend_next : int array;
@@ -39,27 +54,17 @@ type t = {
      popped lazily — the heap minimum beyond [now] is exactly what the
      old per-window scan in [next_event] computed *)
   done_heap : unit Pqueue.t;
-  (* sleeping entries: blocked instructions whose earliest possible issue
-     cycle is known (their blocking dependence is issued with a future
-     [done_at], or is itself asleep until a known time). They are removed
-     from the pending list and re-merged when their wake time arrives, so
-     the per-cycle scan never revisits them. [sleep_until] is the per-slot
-     wake time (stale, <= now, when not sleeping). Wake times are always
-     [done_at] values of issued-unretired instructions, so [next_event]'s
-     completion heap already bounds every wake — sleeping never lets the
-     event loop skip past a cycle where an instruction could issue. *)
-  wake_heap : int Pqueue.t;
-  sleep_until : int array;
+  (* released instructions due later than [horizon] cycles out, keyed by
+     [ready_at]; they join the ready list in the cycle they become due.
+     Every [ready_at] is [now] or an issued-unretired instruction's
+     [done_at], so [next_event]'s completion heap already bounds every
+     entry: the event loop never skips a cycle where one could issue. *)
+  wait_heap : int Pqueue.t;
   mutable branches : int;
   (* write buffer *)
   wpending : int Queue.t;
   winflight : unit Pqueue.t;  (* completion times of draining writes *)
   wstalled : bool array;  (* per-slot: store already counted a wbuf-full stall *)
-  blocker : int array;
-      (* per-slot: a dependence token that failed [dep_done] the last time
-         the issue scan considered the slot, or -1. [dep_done] is monotone
-         in [now] and [head], so while the cached token is still pending
-         the whole (side-effect-free) issue check can be skipped. *)
   has_barriers : bool;
       (* every instruction kind except Barrier_op needs a functional unit
          to issue, so barrier-free traces can stop the issue scan as soon
@@ -103,17 +108,20 @@ let create (sh : shared) ~proc trace =
     done_at = Array.make cap 0;
     head = 0;
     tail = 0;
+    npend = Array.make cap 0;
+    ready_at = Array.make cap 0;
+    cons = Array.make cap (-1);
+    enext = Array.make (2 * cap) (-1);
+    emask = (2 * cap) - 1;
     pend_head = -1;
     pend_last = -1;
     pend_next = Array.make cap (-1);
     done_heap = Pqueue.create ();
-    wake_heap = Pqueue.create ();
-    sleep_until = Array.make cap (-1);
+    wait_heap = Pqueue.create ();
     branches = 0;
     wpending = Queue.create ();
     winflight = Pqueue.create ();
     wstalled = Array.make cap false;
-    blocker = Array.make cap (-1);
     has_barriers =
       (let n = Trace.length trace in
        let rec scan i =
@@ -176,6 +184,46 @@ let charge t stall w =
   | Data_stall -> bd.Breakdown.data_stall <- bd.Breakdown.data_stall +. w
   | Sync_stall -> bd.Breakdown.sync_stall <- bd.Breakdown.sync_stall +. w
 
+(* Consumers released more than [horizon] cycles before they are due wait
+   in [wait_heap]; nearer ones go straight into the ready list, where the
+   issue scan re-tests them in place, which is cheaper than a heap round
+   trip for a wait of a few cycles on an ALU or FPU result. *)
+let horizon = 32
+
+(* Make [c], which has no unresolved producer left, visible to the issue
+   scan from cycle [ready_at] on: into the ready list, searched forward
+   from entry [after] (a listed instruction older than [c], or -1 for the
+   head), or into [wait_heap] when it is due after [now + horizon]. *)
+let enqueue t ~now ~after c =
+  let at = t.ready_at.(slot t c) in
+  if at > now + horizon then Pqueue.push t.wait_heap at c
+  else begin
+    let prev = ref after in
+    let cur = ref (if after < 0 then t.pend_head else t.pend_next.(slot t after)) in
+    while !cur >= 0 && !cur < c do
+      prev := !cur;
+      cur := t.pend_next.(slot t !cur)
+    done;
+    t.pend_next.(slot t c) <- !cur;
+    if !prev < 0 then t.pend_head <- c else t.pend_next.(slot t !prev) <- c;
+    if !cur < 0 then t.pend_last <- c
+  end
+
+(* The producer in slot [s] has its result at [at]: resolve every edge
+   waiting on it, and enqueue each consumer left with no unresolved
+   producer (searching the ready list from [after]). *)
+let release t ~now ~after s at =
+  let e = ref t.cons.(s) in
+  t.cons.(s) <- -1;
+  while !e >= 0 do
+    let c = !e lsr 1 in
+    let sc = slot t c in
+    if at > t.ready_at.(sc) then t.ready_at.(sc) <- at;
+    t.npend.(sc) <- t.npend.(sc) - 1;
+    if t.npend.(sc) = 0 then enqueue t ~now ~after c;
+    e := t.enext.(!e land t.emask)
+  done
+
 let retire t ~now =
   let cfg = cfg_of t in
   let width = cfg.Config.retire_width in
@@ -200,6 +248,9 @@ let retire t ~now =
           t.head <- i + 1;
           t.retired_count <- t.retired_count + 1;
           t.progressed <- true;
+          (* a barrier that retires without issuing resolves its
+             consumers now (one that issued already has) *)
+          release t ~now ~after:(-1) s now;
           incr r
         end
         else begin
@@ -229,83 +280,48 @@ let retire t ~now =
   let stall_frac = 1.0 -. busy_frac in
   if stall_frac > 0.0 then charge t !stall stall_frac
 
-let dep_done t ~now d =
-  d < 0 || d < t.head
-  ||
-  let s = slot t d in
-  t.state.(s) = 1 && t.done_at.(s) <= now
-
-(* Move every sleeper whose wake time has arrived back into the pending
-   list, preserving trace order (popped indices are sorted, then merged
-   into the — also sorted — list in one pass). From its wake cycle on, an
-   entry is re-examined every executed cycle exactly as if it had never
-   left the list. *)
-let wake_sleepers t ~now =
+(* Move every waiting instruction that is now due into the ready list.
+   Each instruction is enqueued once, so the popped indices are distinct;
+   sorted, they merge into the (also sorted) list in one forward pass.
+   Barriers that retired without issuing are dropped. *)
+let wake t ~now =
   let batch = ref [] in
-  while Pqueue.min_prio t.wake_heap <= now do
-    let i = Pqueue.min_value t.wake_heap in
-    Pqueue.drop_min t.wake_heap;
+  while Pqueue.min_prio t.wait_heap <= now do
+    let i = Pqueue.min_value t.wait_heap in
+    Pqueue.drop_min t.wait_heap;
     if i >= t.head then batch := i :: !batch
   done;
   match !batch with
   | [] -> ()
   | b ->
-      let sorted = match b with [ _ ] -> b | _ -> List.sort_uniq compare b in
-      let prev = ref (-1) in
-      let cur = ref t.pend_head in
-      List.iter
-        (fun i ->
-          while !cur >= 0 && !cur < i do
-            prev := !cur;
-            cur := t.pend_next.(slot t !cur)
-          done;
-          if !cur <> i then begin
-            t.pend_next.(slot t i) <- !cur;
-            if !prev < 0 then t.pend_head <- i
-            else t.pend_next.(slot t !prev) <- i;
-            if !cur < 0 then t.pend_last <- i;
-            prev := i
-          end)
-        sorted
+      ignore
+        (List.fold_left
+           (fun after c ->
+             enqueue t ~now ~after c;
+             c)
+           (-1) (List.sort Int.compare b))
 
-(* [i] (slot [s]) is blocked on dependence [d], which just failed
-   [dep_done]. If [d] has a known earliest-completion time in the future
-   ([d] is issued, or itself asleep until then), [i] cannot issue before
-   that cycle either — [d]'s [done_at] is only assigned when it issues —
-   so park [i] until then. Returns true when [i] went to sleep. *)
-(* Sleeping is only worth its heap-and-merge overhead when the wait is
-   long (a memory-latency block); an instruction blocked a few cycles on
-   an ALU/FPU result is cheaper to re-check in place, so it stays in the
-   list. *)
-let sleep_horizon = 32
-
-let try_sleep t ~now i s d =
-  let sd = slot t d in
-  let w =
-    if t.state.(sd) = 1 then t.done_at.(sd) else t.sleep_until.(sd)
-  in
-  if w > now + sleep_horizon then begin
-    t.sleep_until.(s) <- w;
-    Pqueue.push t.wake_heap w i;
-    true
-  end
-  else false
-
-(* The scan walks the pending list — exactly the [state = 0] entries of
-   the old whole-window scan, in the same (trace) order; already-issued
-   entries were side-effect-free no-ops there, so skipping them changes
-   nothing, and skipped sleepers provably fail their dependence check
-   until they return. An instruction that issues is unlinked; an entry
-   whose trace index dropped below [head] is a barrier that retired
-   without issuing (the only kind that can); retirement is in-order, so
-   such entries form a prefix of the list and are dropped before the scan
-   — which also keeps [fetch]'s slot reuse from clobbering a live link. *)
+(* The scan walks the ready list in trace order. An instruction can issue
+   exactly when every producer has issued (or, for a barrier, retired)
+   with a result time at or before [now], and then it is on the list: it
+   was enqueued when its last producer resolved, either straight into the
+   list or into [wait_heap], which [wake] has emptied up to [now]. Entries
+   not yet due are skipped without side effects, so the scan makes the
+   same issue attempts in the same order as a scan over every unissued
+   instruction. An instruction that issues releases its consumers, which
+   are younger: those due this cycle (behind a store, prefetch or
+   barrier) are linked in behind the cursor and issue in the same pass.
+   An issued entry is unlinked; an entry below [head] is a barrier that
+   retired without issuing (the only kind that can); retirement is in
+   order, so such entries form a prefix of the list and are dropped
+   first, which also keeps [fetch]'s slot reuse from clobbering a live
+   link. *)
 let issue t ~now =
   while t.pend_head >= 0 && t.pend_head < t.head do
     t.pend_head <- t.pend_next.(slot t t.pend_head)
   done;
   if t.pend_head < 0 then t.pend_last <- -1;
-  wake_sleepers t ~now;
+  wake t ~now;
   let cfg = cfg_of t in
   let issue_width = cfg.Config.issue_width in
   let alus = cfg.Config.alus
@@ -314,12 +330,13 @@ let issue t ~now =
   let no_barriers = not t.has_barriers in
   let issued = ref 0 in
   let alu = ref 0 and fpu = ref 0 and mem_u = ref 0 in
-  let mark_issued s =
+  let mark_issued i s =
     t.state.(s) <- 1;
     t.progressed <- true;
     (* completion feeds [next_event]; stale entries are drained in [step] *)
     Pqueue.push t.done_heap t.done_at.(s) ();
-    incr issued
+    incr issued;
+    release t ~now ~after:i s t.done_at.(s)
   in
   let prev = ref (-1) in
   let cur = ref t.pend_head in
@@ -330,93 +347,72 @@ let issue t ~now =
   do
     let i = !cur in
     let s = slot t i in
-    let next = t.pend_next.(s) in
     let before = !issued in
     let remove = ref false in
-    (* [dep_done] is monotone, so an instruction whose cached blocking
-       dependence is still pending cannot issue; skip it with a single
-       check (everything skipped is side-effect-free) *)
-    let b = t.blocker.(s) in
-    (if b >= 0 && not (dep_done t ~now b) then
-       (if try_sleep t ~now i s b then remove := true)
-     else begin
-       if b >= 0 then t.blocker.(s) <- -1;
-       (* check the (cheap) functional-unit constraint before the
-          dependence lookups: a unit-starved kind can never issue,
-          whatever its dependences, and none of these checks has side
-          effects *)
-       let kind = Trace.kind t.trace i in
-       let unit_free =
-         match kind with
-         | Trace.Int_op | Trace.Branch -> !alu < alus
-         | Trace.Fp_op -> !fpu < fpus
-         | Trace.Load | Trace.Store | Trace.Prefetch_op -> !mem_u < addr_units
-         | Trace.Barrier_op -> true
-       in
-       if unit_free then begin
-         let d1 = Trace.dep1 t.trace i in
-         if not (dep_done t ~now d1) then begin
-           t.blocker.(s) <- d1;
-           if try_sleep t ~now i s d1 then remove := true
-         end
-         else
-           let d2 = Trace.dep2 t.trace i in
-           if not (dep_done t ~now d2) then begin
-             t.blocker.(s) <- d2;
-             if try_sleep t ~now i s d2 then remove := true
-           end
-           else
-             match kind with
-             | Trace.Int_op ->
-                 incr alu;
-                 t.done_at.(s) <- now + 1;
-                 mark_issued s
-             | Trace.Branch ->
-                 incr alu;
-                 t.done_at.(s) <- now + 1;
-                 t.branches <- max 0 (t.branches - 1);
-                 mark_issued s
-             | Trace.Fp_op ->
-                 incr fpu;
-                 t.done_at.(s) <- now + Trace.aux t.trace i;
-                 mark_issued s
-             | Trace.Load -> (
-                 match Hierarchy.read t.h ~now (Trace.aux t.trace i) with
-                 | Some ready ->
-                     incr mem_u;
-                     t.done_at.(s) <- ready;
-                     mark_issued s
-                 | None ->
-                     (* MSHRs full: retry next cycle *)
-                     t.retries <- t.retries + 1)
-             | Trace.Store ->
-                 if wbuf_occupancy t >= cfg.Config.write_buffer then begin
-                   (* count each store that stalls on a full write buffer
-                      once, not once per retry cycle *)
-                   if not t.wstalled.(s) then begin
-                     t.wstalled.(s) <- true;
-                     t.wbuf_full_events <- t.wbuf_full_events + 1
-                   end
-                 end
-                 else begin
-                   incr mem_u;
-                   Queue.push (Trace.aux t.trace i) t.wpending;
-                   t.done_at.(s) <- now;
-                   mark_issued s
-                 end
-             | Trace.Prefetch_op ->
-                 incr mem_u;
-                 Hierarchy.prefetch t.h ~now (Trace.aux t.trace i);
-                 t.done_at.(s) <- now;
-                 mark_issued s
-             | Trace.Barrier_op ->
-                 t.done_at.(s) <- now;
-                 t.state.(s) <- 1;
-                 t.progressed <- true;
-                 remove := true
-       end
-     end);
+    if t.ready_at.(s) <= now then begin
+      let kind = Trace.kind t.trace i in
+      let unit_free =
+        match kind with
+        | Trace.Int_op | Trace.Branch -> !alu < alus
+        | Trace.Fp_op -> !fpu < fpus
+        | Trace.Load | Trace.Store | Trace.Prefetch_op -> !mem_u < addr_units
+        | Trace.Barrier_op -> true
+      in
+      if unit_free then
+        match kind with
+        | Trace.Int_op ->
+            incr alu;
+            t.done_at.(s) <- now + 1;
+            mark_issued i s
+        | Trace.Branch ->
+            incr alu;
+            t.done_at.(s) <- now + 1;
+            t.branches <- max 0 (t.branches - 1);
+            mark_issued i s
+        | Trace.Fp_op ->
+            incr fpu;
+            t.done_at.(s) <- now + Trace.aux t.trace i;
+            mark_issued i s
+        | Trace.Load -> (
+            match Hierarchy.read t.h ~now (Trace.aux t.trace i) with
+            | Some ready ->
+                incr mem_u;
+                t.done_at.(s) <- ready;
+                mark_issued i s
+            | None ->
+                (* MSHRs full: retry next cycle *)
+                t.retries <- t.retries + 1)
+        | Trace.Store ->
+            if wbuf_occupancy t >= cfg.Config.write_buffer then begin
+              (* count each store that stalls on a full write buffer
+                 once, not once per retry cycle *)
+              if not t.wstalled.(s) then begin
+                t.wstalled.(s) <- true;
+                t.wbuf_full_events <- t.wbuf_full_events + 1
+              end
+            end
+            else begin
+              incr mem_u;
+              Queue.push (Trace.aux t.trace i) t.wpending;
+              t.done_at.(s) <- now;
+              mark_issued i s
+            end
+        | Trace.Prefetch_op ->
+            incr mem_u;
+            Hierarchy.prefetch t.h ~now (Trace.aux t.trace i);
+            t.done_at.(s) <- now;
+            mark_issued i s
+        | Trace.Barrier_op ->
+            t.done_at.(s) <- now;
+            t.state.(s) <- 1;
+            t.progressed <- true;
+            release t ~now ~after:i s now;
+            remove := true
+    end;
     if !issued > before then remove := true;
+    (* read after the releases above, which may have linked consumers in
+       right behind [i] *)
+    let next = t.pend_next.(s) in
     if !remove then begin
       if !prev < 0 then t.pend_head <- next
       else t.pend_next.(slot t !prev) <- next;
@@ -426,7 +422,25 @@ let issue t ~now =
     cur := next
   done
 
-let fetch t =
+(* Register instruction [i] (slot [s]) on its dependence [k], producer
+   [d]: nothing when [d] is -1 or retired, its result time when it has
+   issued, otherwise an edge on its consumer list. Trace.push guarantees
+   [d < i], so an in-window [d] is a live older slot. *)
+let depend t i s k d =
+  if d >= t.head then begin
+    let sd = slot t d in
+    if t.state.(sd) = 1 then begin
+      if t.done_at.(sd) > t.ready_at.(s) then t.ready_at.(s) <- t.done_at.(sd)
+    end
+    else begin
+      let e = (2 * i) + k in
+      t.enext.(e land t.emask) <- t.cons.(sd);
+      t.cons.(sd) <- e;
+      t.npend.(s) <- t.npend.(s) + 1
+    end
+  end
+
+let fetch t ~now =
   let cfg = cfg_of t in
   let len = Trace.length t.trace in
   let fetched = ref 0 in
@@ -436,22 +450,24 @@ let fetch t =
     && !fetched < cfg.Config.fetch_width
     && t.branches < cfg.Config.max_branches
   do
-    let s = slot t t.tail in
+    let i = t.tail in
+    let s = slot t i in
     t.state.(s) <- 0;
     t.done_at.(s) <- 0;
     t.wstalled.(s) <- false;
-    t.blocker.(s) <- -1;
-    t.sleep_until.(s) <- -1;
-    (* append to the pending list; [issue] ran earlier this cycle and
-       dropped every retired entry, so no live link uses this slot *)
-    t.pend_next.(s) <- -1;
-    if t.pend_last < 0 then t.pend_head <- t.tail
-    else t.pend_next.(slot t t.pend_last) <- t.tail;
-    t.pend_last <- t.tail;
-    (match Trace.kind t.trace t.tail with
+    t.npend.(s) <- 0;
+    t.ready_at.(s) <- 0;
+    let d1 = Trace.dep1 t.trace i in
+    depend t i s 0 d1;
+    let d2 = Trace.dep2 t.trace i in
+    if d2 <> d1 then depend t i s 1 d2;
+    (* [issue] ran earlier this cycle and dropped every retired entry, so
+       appending reuses no live link *)
+    if t.npend.(s) = 0 then enqueue t ~now ~after:t.pend_last i;
+    (match Trace.kind t.trace i with
     | Trace.Branch -> t.branches <- t.branches + 1
     | _ -> ());
-    t.tail <- t.tail + 1;
+    t.tail <- i + 1;
     t.progressed <- true;
     incr fetched
   done
@@ -470,7 +486,7 @@ let step t ~now =
   drain_wbuf t ~now;
   if t.head < Trace.length t.trace then retire t ~now;
   issue t ~now;
-  fetch t
+  fetch t ~now
 
 let progressed t = t.progressed
 

@@ -40,6 +40,28 @@ let test_count_kind () =
   Alcotest.(check int) "stores" 1 (Trace.count_kind t Trace.Store);
   Alcotest.(check int) "branches" 0 (Trace.count_kind t Trace.Branch)
 
+(* a dependence must name an earlier instruction: a forward or self
+   edge is a malformed trace, rejected when it is pushed *)
+let test_trace_rejects_bad_deps () =
+  let t = Trace.create () in
+  ignore (Trace.push t ~kind:Trace.Int_op ~aux:1 ~dep1:(-1) ~dep2:(-1) ~ref_:0);
+  let rejects name ~dep1 ~dep2 msg =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Trace.push t ~kind:Trace.Int_op ~aux:1 ~dep1 ~dep2 ~ref_:0))
+  in
+  let msg d =
+    Printf.sprintf
+      "Trace.push: instruction 1 depends on %d (must be -1 or an earlier \
+       index)"
+      d
+  in
+  rejects "forward" ~dep1:2 ~dep2:(-1) (msg 2);
+  rejects "self" ~dep1:(-1) ~dep2:1 (msg 1);
+  rejects "below -1" ~dep1:(-2) ~dep2:(-1) (msg (-2));
+  Alcotest.(check int) "rejected pushes append nothing" 1 (Trace.length t);
+  Alcotest.(check int) "earlier index accepted" 1
+    (Trace.push t ~kind:Trace.Int_op ~aux:1 ~dep1:0 ~dep2:0 ~ref_:0)
+
 (* ------------------------------ Lower ------------------------------- *)
 
 let stream_program n =
@@ -199,6 +221,8 @@ let () =
           qtest prop_kind_roundtrip;
           qtest prop_trace_growth;
           Alcotest.test_case "count kind" `Quick test_count_kind;
+          Alcotest.test_case "rejects forward and self dependences" `Quick
+            test_trace_rejects_bad_deps;
         ] );
       ( "lower",
         [

@@ -685,6 +685,96 @@ let test_barrier_mismatch_deadlock () =
             (contains (Printf.sprintf "proc %d:" p) state_dump))
         [ 0; 1; 2 ]
 
+(* ------------------------- dependence release ------------------------ *)
+
+(* One hand trace per way an instruction's producers resolve: a
+   zero-latency result, a barrier that retires without issuing, the same
+   producer twice, a dependent chain longer than the window, and a load
+   retried on full MSHRs. The pinned cycle counts come from the earlier
+   issue scan, which re-tested every waiting instruction's dependences
+   each cycle; both modes must land on them. *)
+let run_both ?cfg traces barriers =
+  let rc = run_mode ?cfg Machine.Cycle traces barriers in
+  check_results_equal rc (run_mode ?cfg Machine.Event traces barriers);
+  rc.Machine.cycles
+
+(* a load behind a store or prefetch it depends on issues in that
+   producer's cycle (their results are ready at issue), as if it were
+   independent; behind an integer op it issues one cycle later *)
+let test_release_zero_latency () =
+  let cycles producer dep =
+    run_both [ [ (producer, 0x50000, -1, -1); (Trace.Load, 0x40000, dep, -1) ] ] 0
+  in
+  List.iter
+    (fun (name, producer, expect) ->
+      Alcotest.(check int) (name ^ ": pinned") expect (cycles producer 0);
+      Alcotest.(check int) (name ^ ": same cycle") (cycles producer (-1))
+        (cycles producer 0))
+    [ ("store", Trace.Store, 112); ("prefetch", Trace.Prefetch_op, 112) ];
+  Alcotest.(check int) "int op: one cycle later"
+    (cycles Trace.Int_op (-1) + 1)
+    (cycles Trace.Int_op 0)
+
+(* A barrier that waits behind a miss retires, never issued, in the
+   miss's completion cycle, and the integer chain hanging off it is
+   released then: alone, and with a second core already waiting at the
+   barrier (whose own barrier issues before it retires). A barrier at
+   the head of a fresh trace retires before its first issue attempt. *)
+let test_release_retired_barrier () =
+  let waiter =
+    [ (Trace.Load, 0x40000, -1, -1); (Trace.Barrier_op, 1, 0, -1) ]
+    @ List.init 8 (fun i -> (Trace.Int_op, 1, i + 1, -1))
+  in
+  let first = [ (Trace.Barrier_op, 1, -1, -1); (Trace.Int_op, 1, 0, -1) ] in
+  Alcotest.(check int) "barrier first" 3 (run_both [ first ] 1);
+  Alcotest.(check int) "one core" 95 (run_both [ waiter ] 1);
+  Alcotest.(check int) "two cores" 95 (run_both [ waiter; first ] 1)
+
+(* an instruction naming the same producer twice waits for it once *)
+let test_release_same_producer () =
+  let trace d2 =
+    [
+      (Trace.Load, 0x40000, -1, -1);
+      (Trace.Int_op, 1, 0, d2);
+      (Trace.Load, 0x50000, 1, d2);
+    ]
+  in
+  Alcotest.(check int) "pinned" 173 (run_both [ trace 0 ] 0);
+  Alcotest.(check int) "as with one dependence" (run_both [ trace (-1) ] 0)
+    (run_both [ trace 0 ] 0)
+
+(* 100 loads, each on the previous one: the chain outgrows the 64-entry
+   window, and its misses serialize whatever the MSHR count *)
+let test_release_long_chain () =
+  let chain =
+    List.init 100 (fun i -> (Trace.Load, 0x40000 + (i * 64), i - 1, -1))
+  in
+  List.iter
+    (fun lp ->
+      Alcotest.(check int)
+        (Printf.sprintf "lp %d" lp)
+        8502
+        (run_both ~cfg:(Config.with_mshrs lp Config.base) [ chain ] 0))
+    [ 1; 16 ]
+
+(* With one MSHR, loads B and C are both rejected while A's miss is in
+   flight. B becomes ready a cycle after C (it waits on an integer op),
+   but it is older, so it takes the MSHR first when A completes, and the
+   integer chain on B runs while C's miss is outstanding; C first would
+   delay the chain by a whole miss. *)
+let test_release_retry_order () =
+  let trace =
+    [
+      (Trace.Load, 0x40000, -1, -1);
+      (Trace.Int_op, 1, -1, -1);
+      (Trace.Load, 0x50000, 1, -1);
+      (Trace.Load, 0x60000, -1, -1);
+    ]
+    @ List.init 40 (fun i -> (Trace.Int_op, 1, (if i = 0 then 2 else i + 3), -1))
+  in
+  Alcotest.(check int) "pinned" 267
+    (run_both ~cfg:(Config.with_mshrs 1 Config.base) [ trace ] 0)
+
 (* ----------------------------- sim mode ----------------------------- *)
 
 let test_mode_of_string () =
@@ -852,6 +942,18 @@ let () =
           Alcotest.test_case "mismatched barriers deadlock" `Quick
             test_barrier_mismatch_deadlock;
           QCheck_alcotest.to_alcotest prop_mp_event_equals_cycle;
+        ] );
+      ( "release",
+        [
+          Alcotest.test_case "zero-latency producer" `Quick
+            test_release_zero_latency;
+          Alcotest.test_case "barrier retired without issuing" `Quick
+            test_release_retired_barrier;
+          Alcotest.test_case "dep1 = dep2" `Quick test_release_same_producer;
+          Alcotest.test_case "chain longer than the window" `Quick
+            test_release_long_chain;
+          Alcotest.test_case "MSHR-full retry keeps trace order" `Quick
+            test_release_retry_order;
         ] );
       ( "prefetch",
         [
