@@ -19,46 +19,38 @@ let kind_of_code = function
   | 6 -> Prefetch_op
   | c -> invalid_arg (Printf.sprintf "Trace.kind_of_code %d" c)
 
-type t = {
-  mutable n : int;
-  mutable kinds : Bytes.t;
-  mutable auxs : int array;
-  mutable dep1s : int array;
-  mutable dep2s : int array;
-  mutable refs : int array;
-}
+(* One record per instruction, [record] bytes at offset [record * i], in
+   native byte order:
+
+     0  aux   int64
+     8  dep1  int32, distance back to the producer (0 = none)
+    12  dep2  int32, likewise
+    16  ref   int32
+    20  kind  one byte (3 bytes of padding follow)
+
+   The compiler primitives below read and write the fields in place
+   without boxing, whichever module the accessor is inlined into. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let record = 24
+let max_length = 0x7fff_ffff
+
+type t = { mutable n : int; mutable buf : Bytes.t }
 
 let initial = 4096
 
-let create () =
-  {
-    n = 0;
-    kinds = Bytes.create initial;
-    auxs = Array.make initial 0;
-    dep1s = Array.make initial (-1);
-    dep2s = Array.make initial (-1);
-    refs = Array.make initial 0;
-  }
+let create () = { n = 0; buf = Bytes.create (initial * record) }
 
 let length t = t.n
 
+(* [Bytes.extend] leaves the new tail uninitialized; every record below
+   [n] has been written by [push] *)
 let grow t =
-  let cap = Array.length t.auxs in
-  if t.n = cap then begin
-    let ncap = cap * 2 in
-    let kinds = Bytes.create ncap in
-    Bytes.blit t.kinds 0 kinds 0 cap;
-    t.kinds <- kinds;
-    let extend a def =
-      let fresh = Array.make ncap def in
-      Array.blit a 0 fresh 0 cap;
-      fresh
-    in
-    t.auxs <- extend t.auxs 0;
-    t.dep1s <- extend t.dep1s (-1);
-    t.dep2s <- extend t.dep2s (-1);
-    t.refs <- extend t.refs 0
-  end
+  let cap = Bytes.length t.buf in
+  if t.n * record = cap then t.buf <- Bytes.extend t.buf 0 cap
 
 let bad_dep i d =
   invalid_arg
@@ -67,31 +59,57 @@ let bad_dep i d =
         index)"
        i d)
 
+let bad_ref i r =
+  invalid_arg
+    (Printf.sprintf
+       "Trace.push: instruction %d has reference id %d (must be in [0, 2^31))"
+       i r)
+
+let too_long i =
+  invalid_arg
+    (Printf.sprintf
+       "Trace.push: instruction %d would make the trace longer than 2^31 - 1 \
+        instructions"
+       i)
+
+let distance i d = Int32.of_int (if d < 0 then 0 else i - d)
+
 let push t ~kind ~aux ~dep1 ~dep2 ~ref_ =
   let i = t.n in
+  if i >= max_length then too_long i;
   (* the simulator's consumer lists rely on every dependence pointing
      backwards: a forward or self edge would never be released *)
   if dep1 < -1 || dep1 >= i then bad_dep i dep1;
   if dep2 < -1 || dep2 >= i then bad_dep i dep2;
+  if ref_ < 0 || ref_ > 0x7fff_ffff then bad_ref i ref_;
   grow t;
-  Bytes.unsafe_set t.kinds i (Char.chr (kind_code kind));
-  t.auxs.(i) <- aux;
-  t.dep1s.(i) <- dep1;
-  t.dep2s.(i) <- dep2;
-  t.refs.(i) <- ref_;
+  let o = i * record in
+  set64 t.buf o (Int64.of_int aux);
+  set32 t.buf (o + 8) (distance i dep1);
+  set32 t.buf (o + 12) (distance i dep2);
+  set32 t.buf (o + 16) (Int32.of_int ref_);
+  Bytes.unsafe_set t.buf (o + 20) (Char.unsafe_chr (kind_code kind));
   t.n <- i + 1;
   i
 
-let kind t i = kind_of_code (Char.code (Bytes.unsafe_get t.kinds i))
-let aux t i = t.auxs.(i)
-let dep1 t i = t.dep1s.(i)
-let dep2 t i = t.dep2s.(i)
-let ref_id t i = t.refs.(i)
+let set_length_for_testing t n = t.n <- n
+
+let kind_byte t i = Char.code (Bytes.get t.buf ((i * record) + 20))
+let kind t i = kind_of_code (kind_byte t i)
+let aux t i = Int64.to_int (get64 t.buf (i * record))
+
+let dep t i off =
+  let d = Int32.to_int (get32 t.buf ((i * record) + off)) in
+  if d = 0 then -1 else i - d
+
+let dep1 t i = dep t i 8
+let dep2 t i = dep t i 12
+let ref_id t i = Int32.to_int (get32 t.buf ((i * record) + 16))
 
 let count_kind t k =
   let c = kind_code k in
   let acc = ref 0 in
   for i = 0 to t.n - 1 do
-    if Char.code (Bytes.unsafe_get t.kinds i) = c then incr acc
+    if kind_byte t i = c then incr acc
   done;
   !acc

@@ -74,8 +74,8 @@ let scaled_config (cfg : Config.t) (w : Workload.t) =
    same workload clustered for two MSHR counts that lead to the same
    transformation) hash together. The trace and the home map are
    immutable once built, so sharing across runs is safe. Lowered traces
-   are the largest values we memoize, so this cache has the smallest
-   cap. *)
+   are the largest values we memoize (24 bytes per instruction, in
+   buffers the GC never scans), so this cache has the smallest cap. *)
 let lower_cache : (Lower.t * (int -> int)) Analysis_cache.t =
   Analysis_cache.create ~cap:32 ~name:"harness-lower" ()
 

@@ -48,22 +48,16 @@ type t = {
   mutable pend_head : int;  (* trace index, -1 = none *)
   mutable pend_last : int;
   pend_next : int array;
-  (* completion times of issued-but-unretired instructions; [done_at] is
-     written once per issued instruction and retirement requires
-     [done_at <= now], so entries with a time in the past are stale and
-     popped lazily — the heap minimum beyond [now] is exactly what the
-     old per-window scan in [next_event] computed *)
-  done_heap : unit Pqueue.t;
   (* released instructions due later than [horizon] cycles out, keyed by
      [ready_at]; they join the ready list in the cycle they become due.
      Every [ready_at] is [now] or an issued-unretired instruction's
-     [done_at], so [next_event]'s completion heap already bounds every
-     entry: the event loop never skips a cycle where one could issue. *)
-  wait_heap : int Pqueue.t;
+     [done_at], so [next_event]'s window scan already bounds every entry:
+     the event loop never skips a cycle where one could issue. *)
+  wait_heap : Pqueue.t;
   mutable branches : int;
   (* write buffer *)
   wpending : int Queue.t;
-  winflight : unit Pqueue.t;  (* completion times of draining writes *)
+  winflight : Pqueue.t;  (* completion times of draining writes (value 0) *)
   wstalled : bool array;  (* per-slot: store already counted a wbuf-full stall *)
   has_barriers : bool;
       (* every instruction kind except Barrier_op needs a functional unit
@@ -116,7 +110,6 @@ let create (sh : shared) ~proc trace =
     pend_head = -1;
     pend_last = -1;
     pend_next = Array.make cap (-1);
-    done_heap = Pqueue.create ();
     wait_heap = Pqueue.create ();
     branches = 0;
     wpending = Queue.create ();
@@ -156,20 +149,12 @@ let drain_wbuf t ~now =
     match Hierarchy.write t.h ~now addr with
     | Some completion ->
         ignore (Queue.pop t.wpending);
-        Pqueue.push t.winflight completion ();
+        Pqueue.push t.winflight completion 0;
         t.progressed <- true
     | None -> ()
   end
 
 let wbuf_occupancy t = Queue.length t.wpending + Pqueue.length t.winflight
-
-(* [done_at] is written once per issued instruction and retirement
-   requires [done_at <= now], so heap entries at or before [now] can
-   never again be the "earliest future completion": drop them. *)
-let drain_done t ~now =
-  while Pqueue.min_prio t.done_heap <= now do
-    Pqueue.drop_min t.done_heap
-  done
 
 let barrier_satisfied t aux =
   let ok = ref true in
@@ -301,6 +286,13 @@ let wake t ~now =
              c)
            (-1) (List.sort Int.compare b))
 
+(* Instruction [i] (slot [s]) issues with its result at [done_at.(s)]:
+   release its consumers, searching the ready list from [i] on. *)
+let mark_issued t ~now i s =
+  t.state.(s) <- 1;
+  t.progressed <- true;
+  release t ~now ~after:i s t.done_at.(s)
+
 (* The scan walks the ready list in trace order. An instruction can issue
    exactly when every producer has issued (or, for a barrier, retired)
    with a result time at or before [now], and then it is on the list: it
@@ -330,14 +322,6 @@ let issue t ~now =
   let no_barriers = not t.has_barriers in
   let issued = ref 0 in
   let alu = ref 0 and fpu = ref 0 and mem_u = ref 0 in
-  let mark_issued i s =
-    t.state.(s) <- 1;
-    t.progressed <- true;
-    (* completion feeds [next_event]; stale entries are drained in [step] *)
-    Pqueue.push t.done_heap t.done_at.(s) ();
-    incr issued;
-    release t ~now ~after:i s t.done_at.(s)
-  in
   let prev = ref (-1) in
   let cur = ref t.pend_head in
   while
@@ -363,22 +347,26 @@ let issue t ~now =
         | Trace.Int_op ->
             incr alu;
             t.done_at.(s) <- now + 1;
-            mark_issued i s
+            mark_issued t ~now i s;
+            incr issued
         | Trace.Branch ->
             incr alu;
             t.done_at.(s) <- now + 1;
             t.branches <- max 0 (t.branches - 1);
-            mark_issued i s
+            mark_issued t ~now i s;
+            incr issued
         | Trace.Fp_op ->
             incr fpu;
             t.done_at.(s) <- now + Trace.aux t.trace i;
-            mark_issued i s
+            mark_issued t ~now i s;
+            incr issued
         | Trace.Load -> (
             match Hierarchy.read t.h ~now (Trace.aux t.trace i) with
             | Some ready ->
                 incr mem_u;
                 t.done_at.(s) <- ready;
-                mark_issued i s
+                mark_issued t ~now i s;
+                incr issued
             | None ->
                 (* MSHRs full: retry next cycle *)
                 t.retries <- t.retries + 1)
@@ -395,13 +383,15 @@ let issue t ~now =
               incr mem_u;
               Queue.push (Trace.aux t.trace i) t.wpending;
               t.done_at.(s) <- now;
-              mark_issued i s
+              mark_issued t ~now i s;
+              incr issued
             end
         | Trace.Prefetch_op ->
             incr mem_u;
             Hierarchy.prefetch t.h ~now (Trace.aux t.trace i);
             t.done_at.(s) <- now;
-            mark_issued i s
+            mark_issued t ~now i s;
+            incr issued
         | Trace.Barrier_op ->
             t.done_at.(s) <- now;
             t.state.(s) <- 1;
@@ -482,7 +472,6 @@ let step t ~now =
   t.stall <- Uncharged;
   t.retries <- 0;
   cleanup_mshrs t ~now;
-  drain_done t ~now;
   drain_wbuf t ~now;
   if t.head < Trace.length t.trace then retire t ~now;
   issue t ~now;
@@ -510,16 +499,22 @@ let replay_idle t ~times =
    instruction's result becoming available (which can unblock retire and
    dependent issues). Barrier release is not a timed event — it is
    triggered by another core's arrival, which bumps
-   [shared.barrier_epoch] for the machine loop to observe. *)
+   [shared.barrier_epoch] for the machine loop to observe. Results are
+   found by scanning the window, at most [cfg.window] slots: an unissued
+   instruction keeps the [done_at] of 0 that [fetch] gave it, and an
+   issued barrier's is the cycle it issued, so only issued, unretired
+   results can lie after [now]. *)
 let next_event t ~now =
   let ne = ref max_int in
-  let consider at = if at > now && at < !ne then ne := at in
-  consider (Hierarchy.next_completion t.h);
-  consider (Pqueue.min_prio t.winflight);
-  (* stale minima would hide the real next completion behind them *)
-  drain_done t ~now;
-  consider (Pqueue.min_prio t.done_heap);
-  if !ne = max_int then None else Some !ne
+  let mshr = Hierarchy.next_completion t.h in
+  if mshr > now then ne := mshr;
+  let write = Pqueue.min_prio t.winflight in
+  if write > now && write < !ne then ne := write;
+  for i = t.head to t.tail - 1 do
+    let at = t.done_at.(slot t i) in
+    if at > now && at < !ne then ne := at
+  done;
+  !ne
 
 let breakdown t = t.bd
 

@@ -50,14 +50,16 @@ val progressed : t -> bool
     cannot turn such a miss into a hit (it only makes lines staler and
     takes ownership away). *)
 
-val next_event : t -> now:int -> int option
+val next_event : t -> now:int -> int
 (** Earliest cycle strictly after [now] at which this core's behaviour
     can change on its own: the minimum over pending miss completions,
     draining write completions, and in-window issued instructions'
-    completion times. [None] when nothing is pending (the core is either
-    finished or waiting on another processor's barrier arrival). The
-    other wake condition of a stalled core — a change of
-    [shared.barrier_epoch] — is not timed and is not included. *)
+    completion times (found by scanning the window). [max_int] when
+    nothing is pending (the core is either finished or waiting on
+    another processor's barrier arrival). The other wake condition of a
+    stalled core — a change of [shared.barrier_epoch] — is not timed and
+    is not included. Reads the core only, so it is safe to call at any
+    time, for instance from a state dump. *)
 
 val replay_idle : t -> times:int -> unit
 (** Repeat the per-cycle statistic side effects of the last (no-progress)

@@ -17,10 +17,12 @@
      coalescing probe at any level finds the same entry.
    - Coherence and memory transfers are at the last level's line size. *)
 
+open Memclust_util
+
 type shared = {
   cfg : Config.t;
   mem : Memsys.t;
-  versions : (int, int * int) Hashtbl.t;
+  versions : int Int_tbl.t;
   home : int -> int;
   nprocs : int;
 }
@@ -52,8 +54,17 @@ type t = {
       (* demand loads catching an in-flight prefetch *)
 }
 
+(* A version entry packs (coherence version, last writer) into one int:
+   the writer plus one in the low [writer_bits] bits, so a line never
+   written (version 0, writer -1) is 0. *)
+let writer_bits = 16
+
 let make_shared cfg ~nprocs ~home =
-  { cfg; mem = Memsys.create cfg ~nprocs; versions = Hashtbl.create 4096; home; nprocs }
+  if nprocs >= (1 lsl writer_bits) - 1 then
+    invalid_arg
+      (Printf.sprintf "Hierarchy.make_shared: %d processors (at most %d)"
+         nprocs ((1 lsl writer_bits) - 2));
+  { cfg; mem = Memsys.create cfg ~nprocs; versions = Int_tbl.create 4096; home; nprocs }
 
 let log2_shift v =
   if v > 0 && v land (v - 1) = 0 then begin
@@ -106,10 +117,14 @@ let coh_line t addr =
 let level_line lvl addr =
   if lvl.lshift >= 0 then addr lsr lvl.lshift else addr / lvl.lsize
 
+let pack_version ~version ~writer = (version lsl writer_bits) lor (writer + 1)
+let version_of vw = vw asr writer_bits
+let writer_of vw = (vw land ((1 lsl writer_bits) - 1)) - 1
+
 let version t line =
-  match Hashtbl.find_opt t.sh.versions line with
-  | Some vw -> vw
-  | None -> (0, -1)
+  match Int_tbl.find t.sh.versions line with
+  | vw -> vw
+  | exception Not_found -> 0
 
 let miss_kind t ~writer ~home =
   if t.sh.nprocs = 1 then Memsys.Local
@@ -121,24 +136,30 @@ let miss_kind t ~writer ~home =
    sizes are non-decreasing toward memory, so addresses sharing an upper
    line share every line below — all levels hold the same entry set, just
    under their own keys; probing top-down finds the shared entry. *)
-let find_inflight t addr =
-  let n = Array.length t.levels in
-  let rec go k =
-    if k >= n then None
-    else
-      match Mshr.find t.levels.(k).mshr (level_line t.levels.(k) addr) with
-      | Some e -> Some e
-      | None -> go (k + 1)
-  in
-  go 0
+let rec find_inflight_from t addr k =
+  if k >= Array.length t.levels then None
+  else
+    let lvl = t.levels.(k) in
+    match Mshr.find lvl.mshr (level_line lvl addr) with
+    | Some _ as found -> found
+    | None -> find_inflight_from t addr (k + 1)
+
+let find_inflight t addr = find_inflight_from t addr 0
 
 (* A memory-bound miss needs an entry in every file. *)
-let any_full t = Array.exists (fun lvl -> Mshr.full lvl.mshr) t.levels
+let any_full t =
+  let full = ref false in
+  for k = 0 to Array.length t.levels - 1 do
+    if Mshr.full t.levels.(k).mshr then full := true
+  done;
+  !full
 
 let allocate t addr ~ready ~has_read ~has_write ~prefetch_only =
   let e = { Mshr.ready; has_read; has_write; prefetch_only } in
-  Array.iter (fun lvl -> Mshr.insert lvl.mshr ~line:(level_line lvl addr) e) t.levels;
-  e
+  for k = 0 to Array.length t.levels - 1 do
+    let lvl = t.levels.(k) in
+    Mshr.insert lvl.mshr ~line:(level_line lvl addr) e
+  done
 
 let note_read t (e : Mshr.entry) =
   if not e.Mshr.has_read then begin
@@ -151,8 +172,26 @@ let fill_above t k ~version ~addr =
     Cache.fill t.levels.(i).cache ~version ~addr
   done
 
-let fill_all t ~version ~addr =
-  Array.iter (fun lvl -> Cache.fill lvl.cache ~version ~addr) t.levels
+let fill_all t ~version ~addr = fill_above t (Array.length t.levels) ~version ~addr
+
+(* Demand-load probe from level [k] down: the first level that hits, or
+   the depth when every level misses; counts each level's hit or miss. *)
+let rec probe_read t ~version ~addr k =
+  if k >= Array.length t.levels then k
+  else if Cache.lookup t.levels.(k).cache ~version ~addr then begin
+    t.level_hits.(k) <- t.level_hits.(k) + 1;
+    k
+  end
+  else begin
+    t.level_misses.(k) <- t.level_misses.(k) + 1;
+    probe_read t ~version ~addr (k + 1)
+  end
+
+(* The same probe for a prefetch, which counts nothing. *)
+let rec probe t ~version ~addr k =
+  if k >= Array.length t.levels then k
+  else if Cache.lookup t.levels.(k).cache ~version ~addr then k
+  else probe t ~version ~addr (k + 1)
 
 (* Demand load: [Some ready] or [None] when no MSHR is available. *)
 let read t ~now addr =
@@ -167,20 +206,10 @@ let read t ~now addr =
       Some e.Mshr.ready
   | None -> (
       let line = coh_line t addr in
-      let v, w = version t line in
+      let vw = version t line in
+      let v = version_of vw and w = writer_of vw in
       let n = Array.length t.levels in
-      let rec probe k =
-        if k >= n then n
-        else if Cache.lookup t.levels.(k).cache ~version:v ~addr then begin
-          t.level_hits.(k) <- t.level_hits.(k) + 1;
-          k
-        end
-        else begin
-          t.level_misses.(k) <- t.level_misses.(k) + 1;
-          probe (k + 1)
-        end
-      in
-      match probe 0 with
+      match probe_read t ~version:v ~addr 0 with
       | k when k < n ->
           fill_above t k ~version:v ~addr;
           Some (now + t.levels.(k).lat)
@@ -193,9 +222,8 @@ let read t ~now addr =
             let home = t.sh.home addr in
             let kind = miss_kind t ~writer:w ~home in
             let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
-            ignore
-              (allocate t addr ~ready ~has_read:true ~has_write:false
-                 ~prefetch_only:false);
+            allocate t addr ~ready ~has_read:true ~has_write:false
+              ~prefetch_only:false;
             fill_all t ~version:v ~addr;
             t.mem_misses <- t.mem_misses + 1;
             t.read_misses <- t.read_misses + 1;
@@ -206,14 +234,15 @@ let read t ~now addr =
 (* Write-buffer drain access (write-allocate). *)
 let write t ~now addr =
   let line = coh_line t addr in
-  let v, w = version t line in
+  let vw = version t line in
+  let v = version_of vw and w = writer_of vw in
   (* coherence: a write by a new owner invalidates all other copies *)
   let v' = if w <> t.proc && w >= 0 then v + 1 else v in
-  let commit () = Hashtbl.replace t.sh.versions line (v', t.proc) in
+  let committed = pack_version ~version:v' ~writer:t.proc in
   match find_inflight t addr with
   | Some e ->
       e.Mshr.has_write <- true;
-      commit ();
+      Int_tbl.replace t.sh.versions line committed;
       fill_all t ~version:v' ~addr;
       Some e.Mshr.ready
   | None ->
@@ -222,13 +251,12 @@ let write t ~now addr =
          below the first hit, as the fixed two-level model did *)
       let hit_level = ref (-1) in
       if owned then
-        Array.iteri
-          (fun k lvl ->
-            if Cache.lookup lvl.cache ~version:v ~addr && !hit_level < 0 then
-              hit_level := k)
-          t.levels;
+        for k = 0 to Array.length t.levels - 1 do
+          if Cache.lookup t.levels.(k).cache ~version:v ~addr && !hit_level < 0
+          then hit_level := k
+        done;
       if !hit_level >= 0 then begin
-        commit ();
+        Int_tbl.replace t.sh.versions line committed;
         fill_all t ~version:v' ~addr;
         Some (now + t.levels.(!hit_level).lat)
       end
@@ -237,10 +265,9 @@ let write t ~now addr =
         let home = t.sh.home addr in
         let kind = miss_kind t ~writer:w ~home in
         let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
-        ignore
-          (allocate t addr ~ready ~has_read:false ~has_write:true
-             ~prefetch_only:false);
-        commit ();
+        allocate t addr ~ready ~has_read:false ~has_write:true
+          ~prefetch_only:false;
+        Int_tbl.replace t.sh.versions line committed;
         fill_all t ~version:v' ~addr;
         t.mem_misses <- t.mem_misses + 1;
         Some ready
@@ -255,22 +282,17 @@ let prefetch t ~now addr =
   | Some _ -> ()
   | None ->
       let line = coh_line t addr in
-      let v, w = version t line in
+      let vw = version t line in
+      let v = version_of vw and w = writer_of vw in
       let n = Array.length t.levels in
-      let rec probe k =
-        if k >= n then n
-        else if Cache.lookup t.levels.(k).cache ~version:v ~addr then k
-        else probe (k + 1)
-      in
-      let k = probe 0 in
+      let k = probe t ~version:v ~addr 0 in
       if k < n then fill_above t k ~version:v ~addr
       else if not (any_full t) then begin
         let home = t.sh.home addr in
         let kind = miss_kind t ~writer:w ~home in
         let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
-        ignore
-          (allocate t addr ~ready ~has_read:false ~has_write:false
-             ~prefetch_only:true);
+        allocate t addr ~ready ~has_read:false ~has_write:false
+          ~prefetch_only:true;
         fill_all t ~version:v ~addr;
         t.prefetch_miss_count <- t.prefetch_miss_count + 1
       end
@@ -279,12 +301,18 @@ let prefetch t ~now addr =
 
 let cleanup t ~now =
   let any = ref false in
-  Array.iter (fun lvl -> if Mshr.cleanup lvl.mshr ~now then any := true) t.levels;
+  for k = 0 to Array.length t.levels - 1 do
+    if Mshr.cleanup t.levels.(k).mshr ~now then any := true
+  done;
   !any
 
 let next_completion t =
-  Array.fold_left (fun acc lvl -> min acc (Mshr.next_ready lvl.mshr)) max_int
-    t.levels
+  let next = ref max_int in
+  for k = 0 to Array.length t.levels - 1 do
+    let r = Mshr.next_ready t.levels.(k).mshr in
+    if r < !next then next := r
+  done;
+  !next
 
 (* Occupancy metrics read the last (memory-side) level: its file tracks
    exactly the memory-bound misses in flight — the paper's Figure 4

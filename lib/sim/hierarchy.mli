@@ -17,8 +17,9 @@
 type shared = {
   cfg : Config.t;
   mem : Memsys.t;
-  versions : (int, int * int) Hashtbl.t;
-      (** line -> (coherence version, last writer) *)
+  versions : int Memclust_util.Int_tbl.t;
+      (** line -> (coherence version, last writer), packed into one int;
+          an absent line is version 0 with no writer *)
   home : int -> int;  (** home node of a byte address *)
   nprocs : int;
 }

@@ -63,8 +63,11 @@ let resolve_mode ?mode (cfg : Config.t) =
 type engine = {
   sh : Core.shared;
   procs : Core.t array;
-  read_hist : Stats.Histogram.t;
-  total_hist : Stats.Histogram.t;
+  (* per-cycle MSHR occupancy weights, by occupancy (clamped to the last
+     bucket, as [Stats.Histogram] does); integer counts, so [assemble]
+     builds the same float histograms as adding one cycle at a time *)
+  read_weights : int array;
+  total_weights : int array;
   mutable cycle : int;
   (* per-core sleep state (event mode): after a no-progress step at cycle
      [slept.(p)] (-1 = awake), core [p] is not stepped again until cycle
@@ -111,8 +114,8 @@ let make_engine ?(max_cycles = 400_000_000) ?watchdog_cycles ?time_budget
   {
     sh;
     procs;
-    read_hist = Stats.Histogram.create (Config.lp cfg + 1);
-    total_hist = Stats.Histogram.create (Config.lp cfg + 1);
+    read_weights = Array.make (Config.lp cfg + 1) 0;
+    total_weights = Array.make (Config.lp cfg + 1) 0;
     cycle = 0;
     slept = Array.make nprocs (-1);
     wake_at = Array.make nprocs max_int;
@@ -157,8 +160,8 @@ let state_dump e =
            (if Core.finished c then " (finished)" else "")
            e.sh.Core.reached.(p) mshrs
            (match Core.next_event c ~now:e.cycle with
-           | Some n -> string_of_int n
-           | None -> "none")))
+           | n when n = max_int -> "none"
+           | n -> string_of_int n)))
     e.procs;
   Buffer.contents b
 
@@ -172,11 +175,15 @@ let deadlock e ~reason =
          state_dump = state_dump e;
        })
 
+let add_weight weights v w =
+  let i = if v < 0 then 0 else min v (Array.length weights - 1) in
+  weights.(i) <- weights.(i) + w
+
 (* Account [w] cycles of core [c]'s current MSHR occupancy in the
-   per-cycle occupancy histograms. *)
+   per-cycle occupancy weights. *)
 let sample e c w =
-  Stats.Histogram.add_weighted e.read_hist (Core.mshr_read_occupancy c) w;
-  Stats.Histogram.add_weighted e.total_hist (Core.mshr_total_occupancy c) w
+  add_weight e.read_weights (Core.mshr_read_occupancy c) w;
+  add_weight e.total_weights (Core.mshr_total_occupancy c) w
 
 (* Wake a sleeping core at [e.cycle]: replay the cycles it slept through
    (its occupancy is frozen while it sleeps). *)
@@ -185,7 +192,7 @@ let wake e p =
   let skipped = e.cycle - e.slept.(p) - 1 in
   if skipped > 0 then begin
     Core.replay_idle c ~times:skipped;
-    sample e c (float_of_int skipped)
+    sample e c skipped
   end;
   e.slept.(p) <- -1
 
@@ -229,14 +236,13 @@ let advance e =
         then wake e p;
         if e.slept.(p) < 0 then begin
           Core.step c ~now:e.cycle;
-          sample e c 1.0;
+          sample e c 1;
           let progressed = Core.progressed c in
           if progressed then any_progress := true;
           if Core.finished c then e.finished_at.(p) <- e.cycle
           else if sleeping && not progressed then begin
             e.slept.(p) <- e.cycle;
-            e.wake_at.(p) <-
-              Option.value (Core.next_event c ~now:e.cycle) ~default:max_int;
+            e.wake_at.(p) <- Core.next_event c ~now:e.cycle;
             e.epoch_at.(p) <- e.sh.Core.barrier_epoch
           end
         end;
@@ -278,13 +284,20 @@ let advance e =
      frozen occupancy for every cycle after the step that finished it *)
   Array.iteri
     (fun p c ->
-      let w = float_of_int (e.cycle - e.finished_at.(p)) in
-      if w > 0.0 then begin
+      let w = e.cycle - e.finished_at.(p) in
+      if w > 0 then begin
         let bd = Core.breakdown c in
-        bd.Breakdown.sync_stall <- bd.Breakdown.sync_stall +. w;
+        bd.Breakdown.sync_stall <- bd.Breakdown.sync_stall +. float_of_int w;
         sample e c w
       end)
     e.procs
+
+(* Every weight is a whole number of cycles, far below 2^53, so the
+   float sums are exact whatever order they are added in. *)
+let histogram weights =
+  let h = Stats.Histogram.create (Array.length weights) in
+  Array.iteri (fun v w -> Stats.Histogram.add_weighted h v (float_of_int w)) weights;
+  h
 
 let fold_procs e f = Array.fold_left (fun acc p -> acc + f p) 0 e.procs
 
@@ -324,8 +337,8 @@ let assemble e =
     cycles;
     breakdown;
     per_proc;
-    read_mshr_hist = e.read_hist;
-    total_mshr_hist = e.total_hist;
+    read_mshr_hist = histogram e.read_weights;
+    total_mshr_hist = histogram e.total_weights;
     level_stats = sum_level_stats e;
     l2_misses = fold_procs e Core.l2_misses;
     read_misses;

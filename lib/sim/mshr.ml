@@ -9,28 +9,28 @@ type entry = {
 
 type t = {
   cap : int;
-  table : (int, entry) Hashtbl.t;
+  table : entry Int_tbl.t;
   (* min-heap of completion times, kept in sync with [table]: every
      insertion pushes (ready, line), cleanup pops expired entries, so no
      per-cycle fold over the table is needed *)
-  expiry : int Pqueue.t;
+  expiry : Pqueue.t;
   mutable read_occ : int;  (* entries with [has_read] *)
 }
 
 let create ~cap =
-  { cap; table = Hashtbl.create 32; expiry = Pqueue.create (); read_occ = 0 }
+  { cap; table = Int_tbl.create 32; expiry = Pqueue.create (); read_occ = 0 }
 
 let capacity t = t.cap
-let occupancy t = Hashtbl.length t.table
+let occupancy t = Int_tbl.length t.table
 let read_occupancy t = t.read_occ
-let is_empty t = Hashtbl.length t.table = 0
-let full t = Hashtbl.length t.table >= t.cap
+let is_empty t = Int_tbl.length t.table = 0
+let full t = Int_tbl.length t.table >= t.cap
 
-let find t line = Hashtbl.find_opt t.table line
-let mem t line = Hashtbl.mem t.table line
+let find t line = Int_tbl.find_opt t.table line
+let mem t line = Int_tbl.mem t.table line
 
 let insert t ~line e =
-  Hashtbl.add t.table line e;
+  Int_tbl.add t.table line e;
   Pqueue.push t.expiry e.ready line;
   if e.has_read then t.read_occ <- t.read_occ + 1
 
@@ -45,11 +45,11 @@ let cleanup t ~now =
   while Pqueue.min_prio t.expiry <= now do
     let line = Pqueue.min_value t.expiry in
     Pqueue.drop_min t.expiry;
-    (match Hashtbl.find_opt t.table line with
-    | Some e ->
+    (match Int_tbl.find t.table line with
+    | e ->
         if e.has_read then t.read_occ <- t.read_occ - 1;
-        Hashtbl.remove t.table line
-    | None -> ());
+        Int_tbl.remove t.table line
+    | exception Not_found -> ());
     any := true
   done;
   !any

@@ -62,6 +62,109 @@ let test_trace_rejects_bad_deps () =
   Alcotest.(check int) "earlier index accepted" 1
     (Trace.push t ~kind:Trace.Int_op ~aux:1 ~dep1:0 ~dep2:0 ~ref_:0)
 
+(* The packed record holds the reference id in 32 bits and each
+   dependence as a 32-bit distance: values that do not fit are rejected,
+   not truncated. *)
+let test_trace_rejects_out_of_range () =
+  let t = Trace.create () in
+  ignore (Trace.push t ~kind:Trace.Load ~aux:0 ~dep1:(-1) ~dep2:(-1) ~ref_:0);
+  let bad_ref r =
+    Alcotest.check_raises
+      (Printf.sprintf "ref %d" r)
+      (Invalid_argument
+         (Printf.sprintf
+            "Trace.push: instruction 1 has reference id %d (must be in [0, \
+             2^31))"
+            r))
+      (fun () ->
+        ignore (Trace.push t ~kind:Trace.Load ~aux:0 ~dep1:0 ~dep2:(-1) ~ref_:r))
+  in
+  bad_ref (-1);
+  bad_ref (1 lsl 31);
+  Alcotest.(check int) "largest ref accepted" 1
+    (Trace.push t ~kind:Trace.Load ~aux:0 ~dep1:0 ~dep2:(-1)
+       ~ref_:((1 lsl 31) - 1));
+  Alcotest.(check int) "read back" ((1 lsl 31) - 1) (Trace.ref_id t 1);
+  let full = Trace.create () in
+  let limit = (1 lsl 31) - 1 in
+  Trace.set_length_for_testing full limit;
+  Alcotest.check_raises "length limit"
+    (Invalid_argument
+       (Printf.sprintf
+          "Trace.push: instruction %d would make the trace longer than 2^31 \
+           - 1 instructions"
+          limit))
+    (fun () ->
+      ignore
+        (Trace.push full ~kind:Trace.Int_op ~aux:1 ~dep1:(-1) ~dep2:(-1) ~ref_:0));
+  Alcotest.(check int) "nothing appended" limit (Trace.length full)
+
+(* One random instruction: kind code, aux, each dependence as a distance
+   back (0 = none) and the reference id. *)
+let gen_instr =
+  let open QCheck.Gen in
+  let aux =
+    frequency
+      [
+        (1, return min_int);
+        (1, return (-1));
+        (1, return 0);
+        (1, return max_int);
+        (4, int);
+      ]
+  in
+  let dist = oneof [ return 0; return 1; int_range 2 64; int_range 65_537 70_000 ] in
+  let ref_ = frequency [ (1, return 0); (1, return ((1 lsl 31) - 1)); (4, int_bound ((1 lsl 31) - 1)) ] in
+  map
+    (fun (k, a, (d1, d2), r) -> (k, a, d1, d2, r))
+    (quad (int_range 0 6) aux (pair dist dist) ref_)
+
+(* Every field reads back as pushed, across the trace's doublings (4096,
+   8192 on a bare trace; 65536 behind a 61440-instruction prefix, which
+   also makes distances above 65536 reachable). *)
+let prop_trace_fields_roundtrip =
+  QCheck.Test.make ~name:"trace fields round-trip through the packed records"
+    ~count:10
+    (QCheck.make
+       ~print:(fun l -> Printf.sprintf "%d instructions" (List.length l))
+       QCheck.Gen.(list_size (int_range 9_000 11_000) gen_instr))
+    (fun instrs ->
+      let check ~prefix =
+        let t = Trace.create () in
+        let expect = ref [] in
+        let push ~kind ~aux ~dep1 ~dep2 ~ref_ =
+          let i = Trace.push t ~kind ~aux ~dep1 ~dep2 ~ref_ in
+          expect := (i, Trace.kind_code kind, aux, dep1, dep2, ref_) :: !expect
+        in
+        for i = 0 to prefix - 1 do
+          push ~kind:(Trace.kind_of_code (i mod 7)) ~aux:(i - 30_000)
+            ~dep1:(i - 1) ~dep2:(-1) ~ref_:i
+        done;
+        List.iter
+          (fun (k, aux, d1, d2, ref_) ->
+            let i = Trace.length t in
+            let dep d = if d = 0 || d > i then -1 else i - d in
+            push ~kind:(Trace.kind_of_code k) ~aux ~dep1:(dep d1)
+              ~dep2:(dep d2) ~ref_)
+          instrs;
+        let far = ref 0 in
+        let ok =
+          List.for_all
+            (fun (i, k, aux, d1, d2, r) ->
+              if d1 >= 0 && i - d1 > 65_536 then incr far;
+              Trace.kind_code (Trace.kind t i) = k
+              && Trace.aux t i = aux
+              && Trace.dep1 t i = d1
+              && Trace.dep2 t i = d2
+              && Trace.ref_id t i = r)
+            !expect
+        in
+        ok
+        && Trace.length t = prefix + List.length instrs
+        && (prefix = 0 || !far > 0)
+      in
+      check ~prefix:0 && check ~prefix:61_440)
+
 (* ------------------------------ Lower ------------------------------- *)
 
 let stream_program n =
@@ -223,6 +326,9 @@ let () =
           Alcotest.test_case "count kind" `Quick test_count_kind;
           Alcotest.test_case "rejects forward and self dependences" `Quick
             test_trace_rejects_bad_deps;
+          Alcotest.test_case "rejects out-of-range ref and length" `Quick
+            test_trace_rejects_out_of_range;
+          qtest prop_trace_fields_roundtrip;
         ] );
       ( "lower",
         [

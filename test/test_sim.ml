@@ -775,6 +775,28 @@ let test_release_retry_order () =
   Alcotest.(check int) "pinned" 267
     (run_both ~cfg:(Config.with_mshrs 1 Config.base) [ trace ] 0)
 
+(* A younger FP op completes while the head's L2 miss is still in
+   flight: the core's next event is the FP result, read off the window,
+   and then the miss. Event mode sleeps through both gaps and must still
+   match cycle mode field by field. *)
+let test_next_event_younger_fp () =
+  let instrs = [ (Trace.Load, 0x40000, -1, -1); (Trace.Fp_op, 40, -1, -1) ] in
+  let sh = Core.make_shared Config.base ~nprocs:1 ~home:(fun _ -> 0) in
+  let c = Core.create sh ~proc:0 (mk_trace instrs) in
+  Core.step c ~now:0;
+  (* cycle 0 fetched both; cycle 1 issues the miss and the FP op *)
+  Core.step c ~now:1;
+  Alcotest.(check int) "FP result first" 41 (Core.next_event c ~now:1);
+  Alcotest.(check int) "reading it changes nothing" 41 (Core.next_event c ~now:1);
+  for now = 2 to 41 do
+    Core.step c ~now;
+    Alcotest.(check bool) (Printf.sprintf "cycle %d idle" now) false
+      (Core.progressed c)
+  done;
+  let miss = Core.next_event c ~now:41 in
+  Alcotest.(check bool) "then the miss" true (miss > 41 && miss < max_int);
+  Alcotest.(check int) "both modes" (miss + 1) (run_both [ instrs ] 0)
+
 (* ----------------------------- sim mode ----------------------------- *)
 
 let test_mode_of_string () =
@@ -954,6 +976,8 @@ let () =
             test_release_long_chain;
           Alcotest.test_case "MSHR-full retry keeps trace order" `Quick
             test_release_retry_order;
+          Alcotest.test_case "next event: younger FP op before the miss"
+            `Quick test_next_event_younger_fp;
         ] );
       ( "prefetch",
         [

@@ -231,19 +231,19 @@ let test_plot_series () =
 
 let test_pqueue_order () =
   let q = Pqueue.create () in
-  List.iter (fun (p, v) -> Pqueue.push q p v) [ (3, "c"); (1, "a"); (2, "b") ];
-  Alcotest.(check (option (pair int string))) "peek" (Some (1, "a")) (Pqueue.peek q);
-  Alcotest.(check (option (pair int string))) "pop1" (Some (1, "a")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "pop2" (Some (2, "b")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "pop3" (Some (3, "c")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "empty" None (Pqueue.pop q)
+  List.iter (fun (p, v) -> Pqueue.push q p v) [ (3, 30); (1, 10); (2, 20) ];
+  Alcotest.(check (option (pair int int))) "peek" (Some (1, 10)) (Pqueue.peek q);
+  Alcotest.(check (option (pair int int))) "pop1" (Some (1, 10)) (Pqueue.pop q);
+  Alcotest.(check (option (pair int int))) "pop2" (Some (2, 20)) (Pqueue.pop q);
+  Alcotest.(check (option (pair int int))) "pop3" (Some (3, 30)) (Pqueue.pop q);
+  Alcotest.(check (option (pair int int))) "empty" None (Pqueue.pop q)
 
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
-  Pqueue.push q 1 "first";
-  Pqueue.push q 1 "second";
-  Alcotest.(check (option (pair int string))) "fifo" (Some (1, "first")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "fifo2" (Some (1, "second")) (Pqueue.pop q)
+  Pqueue.push q 1 100;
+  Pqueue.push q 1 200;
+  Alcotest.(check (option (pair int int))) "fifo" (Some (1, 100)) (Pqueue.pop q);
+  Alcotest.(check (option (pair int int))) "fifo2" (Some (1, 200)) (Pqueue.pop q)
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"Pqueue pops in priority order" ~count:300

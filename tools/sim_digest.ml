@@ -8,7 +8,12 @@
      beyond the window, on four machines: the base system, one MSHR, a
      seeded fault plan and the Exemplar-like preset. Digests are printed
      per batch of traces;
-   - the Registry.small golden points (both presets, base and clustered).
+   - the Registry.small golden points (both presets, base and clustered),
+     each followed by a digest of the traces it lowered: per processor,
+     the length and then every instruction's kind code, aux, dep1, dep2
+     and ref_id. That digest reads the fields through the [Trace]
+     accessors, so it does not depend on how a trace is stored, and it
+     covers [ref_id], which the simulator never reads.
 
    Cycle and event mode run the same core, so comparing them cannot
    catch a change to the core itself; comparing against the committed
@@ -114,6 +119,23 @@ let random_traces () =
 
 (* ---------------------------- golden points ---------------------------- *)
 
+let digest_traces (l : Lower.t) =
+  let b = Buffer.create 4096 in
+  let add v = Buffer.add_int64_le b (Int64.of_int v) in
+  Array.iter
+    (fun t ->
+      let n = Trace.length t in
+      add n;
+      for i = 0 to n - 1 do
+        add (Trace.kind_code (Trace.kind t i));
+        add (Trace.aux t i);
+        add (Trace.dep1 t i);
+        add (Trace.dep2 t i);
+        add (Trace.ref_id t i)
+      done)
+    l.Lower.traces;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let golden () =
   List.iter
     (fun (w : Workload.t) ->
@@ -130,7 +152,13 @@ let golden () =
               let ev = Machine.run cfg ~mode:Machine.Event ~home lowered in
               Printf.printf "golden %-10s %-13s %-9s %6d cycle %s event %s\n%!"
                 w.Workload.name cname vname cy.Machine.cycles
-                (digest_results [ cy ]) (digest_results [ ev ]))
+                (digest_results [ cy ]) (digest_results [ ev ]);
+              Printf.printf "trace  %-10s %-13s %-9s %8d instrs %s\n%!"
+                w.Workload.name cname vname
+                (Array.fold_left
+                   (fun acc t -> acc + Trace.length t)
+                   0 lowered.Lower.traces)
+                (digest_traces lowered))
             [
               ("base", Program.renumber w.Workload.program);
               ("clustered", fst (Experiment.transform cfg w));
