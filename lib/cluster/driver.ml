@@ -100,19 +100,23 @@ let uniquify_loops (p : program) =
 (* Analysis wrappers                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Profiling interprets the whole program, so [evaluate] profiles only
-   for an inner construct whose scope holds a leading irregular
-   reference: everywhere else Eq. 3 never reads P_m. The same candidate
-   program is still profiled repeatedly — across binary-search steps, and
-   across machine configurations that differ only in parameters the
-   profile doesn't depend on (window, MSHR count). Memoize on the line
-   size, a digest of the initialized source store and a structural digest
-   of the program, so caches key on content: one program clustered over
-   two differently initialized stores gets two profiles. The returned
-   closure reads an immutable profile, so sharing across domains is safe.
-   Candidates keep the source's declarations (the pipeline enforces it),
-   so the shared initialized source store is their store too:
-   [Profile.run] executes over a private copy of it. *)
+(* Profiling interprets the program, so [evaluate] profiles only for an
+   inner construct whose scope holds a leading irregular reference:
+   everywhere else Eq. 3 never reads P_m. It profiles the program cut
+   after the nest it evaluates ({!Pass.cut_after_nest}): the nest's
+   references run only inside it, after the unchanged statements before
+   it, so their miss rates are exactly the whole program's. The same cut
+   program is still profiled repeatedly — across binary-search steps,
+   across keys and passes that leave it alone, and across machine
+   configurations that differ only in parameters the profile doesn't
+   depend on (window, MSHR count). Memoize on the line size, a digest of
+   the initialized source store and a content digest of the program, so
+   caches key on content: one program clustered over two differently
+   initialized stores gets two profiles. The returned closure reads an
+   immutable profile, so sharing across domains is safe. Candidates keep
+   the source's declarations (the pipeline enforces it), so the shared
+   initialized source store is their store too: [Profile.run] executes
+   over a private copy of it. *)
 let pm_cache : (int -> float) Memclust_util.Analysis_cache.t =
   Memclust_util.Analysis_cache.create ~cap:512 ~name:"driver-profile-pm" ()
 
@@ -123,7 +127,7 @@ let make_pm options ~source p =
       (match source with
       | None -> "-" (* the zero-filled store of [p]'s declarations *)
       | Some s -> Lazy.force s.Pass.digest)
-      (Digest.to_hex (Digest.string (Marshal.to_string p [])))
+      (Memclust_util.Analysis_cache.content_digest p)
   in
   Memclust_util.Analysis_cache.find_or_compute pm_cache key (fun () ->
       let data =
@@ -134,13 +138,16 @@ let make_pm options ~source p =
       let prof = Profile.run ~line_size p data in
       fun id -> Profile.miss_rate prof id)
 
+let analyze options p =
+  Locality.analyze ~line_size:options.machine.Machine_model.line_size p
+
 (* Evaluate f for the innermost construct identified by [key] inside the
-   top-level nest whose loop variable is [nest_var]. *)
-let evaluate options ~source p ~nest_var ~key =
-  let loc = Locality.analyze ~line_size:options.machine.Machine_model.line_size p in
+   top-level nest whose loop variable is [nest_var]; [loc] is [p]'s
+   locality analysis. *)
+let evaluate options ~source ~loc p ~nest_var ~key =
   match Pass.find_nest p nest_var with
   | None -> None
-  | Some (_, nest) -> (
+  | Some (i, nest) -> (
       match
         List.find_opt
           (fun (l : Pass.located) -> String.equal (Pass.inner_key l.inner) key)
@@ -153,11 +160,11 @@ let evaluate options ~source p ~nest_var ~key =
           let alpha = Depgraph.alpha graph in
           let pm =
             if options.profile_pm && Festimate.reads_pm loc inner then
-              make_pm options ~source p
+              make_pm options ~source (Pass.cut_after_nest p i)
             else fun _ -> 1.0
           in
           let fest = Festimate.compute options.machine loc ~pm ~graph inner in
-          Some (loc, located, graph, alpha, fest))
+          Some (located, graph, alpha, fest))
 
 (* ------------------------------------------------------------------ *)
 (* Unroll-and-jam with binary search on the degree                     *)
@@ -214,8 +221,8 @@ let resolve_recurrences options ~source p ~nest_var ~key parent enclosing ~alpha
     match try_factor p ~nest_var parent enclosing n with
     | Error msg -> Error msg
     | Ok p' -> (
-        match evaluate options ~source p' ~nest_var ~key with
-        | Some (_, _, _, _, fest) -> Ok (p', fest.Festimate.f)
+        match evaluate options ~source ~loc:(analyze options p') p' ~nest_var ~key with
+        | Some (_, _, _, fest) -> Ok (p', fest.Festimate.f)
         | None -> Error "internal: nest vanished")
   in
   let best = ref None in
@@ -254,10 +261,10 @@ let resolve_recurrences options ~source p ~nest_var ~key parent enclosing ~alpha
 (* Window-constraint resolution                                        *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_window options ~source p ~nest_var ~key =
-  match evaluate options ~source p ~nest_var ~key with
+let resolve_window options ~source ~loc p ~nest_var ~key =
+  match evaluate options ~source ~loc p ~nest_var ~key with
   | None -> (p, [])
-  | Some (_, located, graph, _, fest) -> (
+  | Some (located, graph, _, fest) -> (
       let lp = float_of_int options.machine.Machine_model.mshrs in
       let density = fest.Festimate.misses_per_iteration in
       match located.Pass.inner with
@@ -287,7 +294,7 @@ let resolve_window options ~source p ~nest_var ~key =
 (* ------------------------------------------------------------------ *)
 
 let schedule_innermost options p =
-  let loc = Locality.analyze ~line_size:options.machine.Machine_model.line_size p in
+  let loc = analyze options p in
   let scheduled = ref 0 in
   let reorder body =
     let body' =
@@ -332,10 +339,13 @@ let qkey nest_var key = nest_var ^ "/" ^ key
 
 (* Iterate the source nests and their innermost-construct keys, threading
    the program through [f] — the single nest-indexed traversal that
-   replaces the old driver's shifting-index [while] loop. *)
-let over_nest_keys p f =
+   replaces the old driver's shifting-index [while] loop. [f] also gets
+   the program's locality analysis, recomputed only after a key's rewrite
+   has changed the program. *)
+let over_nest_keys options p f =
   let events = ref [] in
   let p = ref p in
+  let loc = ref (lazy (analyze options !p)) in
   List.iter
     (fun nest_var ->
       match Pass.find_nest !p nest_var with
@@ -348,8 +358,11 @@ let over_nest_keys p f =
           in
           List.iter
             (fun key ->
-              let p', evs = f !p ~nest_var ~key in
-              p := p';
+              let p', evs = f !p ~loc:(Lazy.force !loc) ~nest_var ~key in
+              if p' != !p then begin
+                p := p';
+                loc := lazy (analyze options p')
+              end;
               events := !events @ evs)
             keys)
     (Pass.source_nest_vars !p);
@@ -372,10 +385,10 @@ let analyze_pass =
     enabled = always;
     rewrite =
       (fun { Pass.options; source } p ->
-        over_nest_keys p (fun p ~nest_var ~key ->
-            match evaluate options ~source p ~nest_var ~key with
+        over_nest_keys options p (fun p ~loc ~nest_var ~key ->
+            match evaluate options ~source ~loc p ~nest_var ~key with
             | None -> (p, [])
-            | Some (_, located, _, alpha, fest) ->
+            | Some (located, _, alpha, fest) ->
                 let nest_index =
                   match Pass.find_nest p nest_var with
                   | Some (i, _) -> i
@@ -444,10 +457,10 @@ let unroll_jam_pass =
     rewrite =
       (fun { Pass.options; source } p ->
         let lp = float_of_int options.machine.Machine_model.mshrs in
-        over_nest_keys p (fun p ~nest_var ~key ->
-            match evaluate options ~source p ~nest_var ~key with
+        over_nest_keys options p (fun p ~loc ~nest_var ~key ->
+            match evaluate options ~source ~loc p ~nest_var ~key with
             | None -> (p, [])
-            | Some (_, located, _, alpha, fest) ->
+            | Some (located, _, alpha, fest) ->
                 if
                   alpha > 0.0
                   && fest.Festimate.f < alpha *. lp
@@ -497,8 +510,8 @@ let window_pass =
     enabled = (fun o -> o.do_window);
     rewrite =
       (fun { Pass.options; source } p ->
-        over_nest_keys p (fun p ~nest_var ~key ->
-            let p', acts = resolve_window options ~source p ~nest_var ~key in
+        over_nest_keys options p (fun p ~loc ~nest_var ~key ->
+            let p', acts = resolve_window options ~source ~loc p ~nest_var ~key in
             ( p',
               List.map
                 (fun action ->
@@ -656,11 +669,8 @@ let run ?(options = default_options) ?init ?only ?observe (p : program) =
              init d;
              d)
         in
-        (* without sharing, the bytes depend only on the contents *)
         let digest =
-          lazy
-            (Digest.to_hex
-               (Digest.string (Marshal.to_string (Lazy.force store) [ Marshal.No_sharing ])))
+          lazy (Memclust_util.Analysis_cache.content_digest (Lazy.force store))
         in
         { Pass.store; digest })
       init

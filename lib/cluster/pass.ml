@@ -225,6 +225,8 @@ let find_nest p var =
   in
   go 0 p.body
 
+let cut_after_nest p i = { p with body = List.filteri (fun j _ -> j <= i) p.body }
+
 let replace_nest p ~var ~repl =
   let found = ref false in
   let body =
@@ -263,14 +265,21 @@ module Pipeline = struct
   type nest_summary = { ns_inner : string; ns_alpha : float; ns_f : float }
   type ir_size = { stmts : int; static_refs : int }
 
+  (* A once-cell: the program to summarize until the first read, then the
+     summaries. Not a [Lazy.t], which raises when two domains force it at
+     once: racing readers here both compute the same list, and the cell
+     keeps one of them. *)
+  type summary_state = Pending of options * program | Done of nest_summary list
+  and summaries = summary_state Atomic.t
+
   type entry = {
     pass_name : string;
     ran : bool;
     wall_ms : float;
     size_before : ir_size;
     size_after : ir_size;
-    f_before : nest_summary list;
-    f_after : nest_summary list;
+    f_before : summaries;
+    f_after : summaries;
     validated : bool;
     degraded : string option;
     events : event list;
@@ -333,6 +342,14 @@ module Pipeline = struct
               (locate_all nest))
       (source_nest_vars p)
 
+  let summaries cell =
+    match Atomic.get cell with
+    | Done s -> s
+    | Pending (options, p) ->
+        let s = nest_summaries options p in
+        Atomic.set cell (Done s);
+        s
+
   let now_ms () = Unix.gettimeofday () *. 1000.0
 
   (* Differential-execution budgets. The reference run of the source
@@ -372,7 +389,7 @@ module Pipeline = struct
       (* no assignment anywhere: drop whatever statement comes first *)
       match p.body with _ :: rest -> { p with body = rest } | [] -> p
 
-  let run ?(summaries = true) ?observe ctx passes p =
+  let run ?observe ctx passes p =
     let t_start = now_ms () in
     let p0 = Program.renumber p in
     let failsafe = ctx.options.failsafe in
@@ -458,19 +475,11 @@ module Pipeline = struct
       let entries = ref [] in
       let accepted = ref [] in
       let record entry = entries := entry :: !entries in
-      (* pass k's "after" is pass k+1's "before": summarize each program
-         once, keyed physically *)
-      let last_summary = ref None in
-      let summarize prog =
-        if not summaries then []
-        else
-          match !last_summary with
-          | Some (q, s) when q == prog -> s
-          | _ ->
-              let s = nest_summaries ctx.options prog in
-              last_summary := Some (prog, s);
-              s
-      in
+      (* one cell per program, computed only if read: pass k's "after" is
+         pass k+1's "before" *)
+      let pending prog = Atomic.make (Pending (ctx.options, prog)) in
+      let current_summaries = ref (pending p0) in
+      let no_summaries = Atomic.make (Done []) in
       List.iter
         (fun pass ->
           if not (pass.enabled ctx.options) then begin
@@ -482,8 +491,8 @@ module Pipeline = struct
                 wall_ms = 0.0;
                 size_before = size;
                 size_after = size;
-                f_before = [];
-                f_after = [];
+                f_before = no_summaries;
+                f_after = no_summaries;
                 validated = true;
                 degraded = None;
                 events = [];
@@ -491,7 +500,7 @@ module Pipeline = struct
           end
           else begin
             let size_before = measure !current in
-            let f_before = summarize !current in
+            let f_before = !current_summaries in
             let t0 = now_ms () in
             let attempt () =
               match sabotage pass.name with
@@ -527,7 +536,7 @@ module Pipeline = struct
                   size_before;
                   size_after = size_before;
                   f_before;
-                  f_after = [];
+                  f_after = no_summaries;
                   validated;
                   degraded = Some reason;
                   events;
@@ -551,7 +560,9 @@ module Pipeline = struct
                 match if per_pass then divergence p' else None with
                 | Some detail -> violation ~events detail
                 | None ->
+                    let f_after = pending p' in
                     current := p';
+                    current_summaries := f_after;
                     accepted := (pass.name, p') :: !accepted;
                     record
                       {
@@ -561,7 +572,7 @@ module Pipeline = struct
                         size_before;
                         size_after = measure p';
                         f_before;
-                        f_after = summarize p';
+                        f_after;
                         validated = true;
                         degraded = None;
                         events;
@@ -599,8 +610,8 @@ module Pipeline = struct
         check_ms = !check_ms;
       } )
 
-  let run_result ?summaries ?observe ctx passes p =
-    match run ?summaries ?observe ctx passes p with
+  let run_result ?observe ctx passes p =
+    match run ?observe ctx passes p with
     | v -> Ok v
     | exception Memclust_util.Error.Error e -> Error e
 
@@ -671,8 +682,8 @@ module Pipeline = struct
       (match e.degraded with
       | Some r -> "\"" ^ json_escape r ^ "\""
       | None -> "null")
-      (summaries_to_json e.f_before)
-      (summaries_to_json e.f_after)
+      (summaries_to_json (summaries e.f_before))
+      (summaries_to_json (summaries e.f_after))
       (String.concat ","
          (List.map
             (fun ev -> "\"" ^ json_escape (event_label ev) ^ "\"")

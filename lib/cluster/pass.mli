@@ -8,8 +8,8 @@
     {!Pipeline.run}, which after {e every} pass renumbers and validates
     the program (failing fast with the offending pass named), checks the
     final program's semantics against the source once, and records
-    wall-clock time, IR-size deltas and before/after f/α summaries into a
-    structured {!Pipeline.trace}.
+    wall-clock time, IR-size deltas and before/after f/α summaries
+    (computed when first read) into a structured {!Pipeline.trace}.
 
     The standard pipeline lives in {!Driver}; this module is the
     machinery plus the nest-traversal helpers the passes share. *)
@@ -152,6 +152,11 @@ val find_nest : program -> string -> (int * loop) option
 (** Current body position and loop of the first top-level nest with the
     given variable. *)
 
+val cut_after_nest : program -> int -> program
+(** [cut_after_nest p i]: [p] without the top-level statements after body
+    position [i] (as {!find_nest} returns it). Not renumbered, so every
+    kept reference keeps its [ref_id]. *)
+
 val replace_nest : program -> var:string -> repl:stmt list -> program
 (** Splice [repl] in place of the first top-level loop with variable
     [var]. *)
@@ -166,6 +171,18 @@ module Pipeline : sig
   type nest_summary = { ns_inner : string; ns_alpha : float; ns_f : float }
   type ir_size = { stmts : int; static_refs : int }
 
+  type summaries
+  (** The f/α summaries of one program, {!nest_summaries} of it, computed
+      the first time {!summaries} reads them and kept from then on. Until
+      then the cell holds the program. *)
+
+  val summaries : summaries -> nest_summary list
+  (** Read (computing on the first read) the summaries. A first read costs
+      one whole-program locality analysis plus the dependence graph and f
+      of every innermost construct; later reads are free. Safe to call
+      from several domains at once: racing first reads compute equal lists
+      and raise nothing. *)
+
   type entry = {
     pass_name : string;
     ran : bool;  (** false: disabled by its predicate, program untouched *)
@@ -174,8 +191,12 @@ module Pipeline : sig
             is timed in {!trace.check_ms}, the f/α summaries not at all *)
     size_before : ir_size;
     size_after : ir_size;
-    f_before : nest_summary list;
-    f_after : nest_summary list;
+    f_before : summaries;
+        (** of the program the pass received; physically the previous
+            accepted pass's [f_after] *)
+    f_after : summaries;
+        (** of the accepted program; empty when the pass was disabled or
+            rolled back *)
     validated : bool;
         (** false only on a degraded entry whose candidate failed
             validation or differential execution *)
@@ -203,11 +224,10 @@ module Pipeline : sig
 
   val nest_summaries : options -> program -> nest_summary list
   (** Static f/α per innermost construct of every source nest, with
-      [pm = 1] (no profiling — this instruments every pass boundary, so it
-      must stay cheap). *)
+      [pm = 1] (no profiling: it describes every pass boundary of a
+      trace). *)
 
   val run :
-    ?summaries:bool ->
     ?observe:(string -> program -> unit) ->
     ctx ->
     t list ->
@@ -237,11 +257,10 @@ module Pipeline : sig
 
       [observe] is called, once the result is settled, with the pass name
       and the accepted program of each pass of the shipped run that ran
-      and was not rolled back. [summaries:false] skips the f/α trace
-      summaries. *)
+      and was not rolled back. The entries' f/α summaries are not
+      computed here: a caller that never reads them never pays for them. *)
 
   val run_result :
-    ?summaries:bool ->
     ?observe:(string -> program -> unit) ->
     ctx ->
     t list ->
@@ -254,5 +273,6 @@ module Pipeline : sig
 
   val trace_to_json : trace -> string
   (** The trace as a self-contained JSON object (name, wall time, IR
-      deltas, validation status and f/α summaries per pass). *)
+      deltas, validation status and f/α summaries per pass); reads, and so
+      computes, every entry's summaries. *)
 end

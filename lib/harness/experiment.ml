@@ -79,12 +79,9 @@ let scaled_config (cfg : Config.t) (w : Workload.t) =
 let lower_cache : (Lower.t * (int -> int)) Analysis_cache.t =
   Analysis_cache.create ~cap:32 ~name:"harness-lower" ()
 
-let program_digest program =
-  Digest.to_hex (Digest.string (Marshal.to_string program []))
-
 let lowered_for (w : Workload.t) ~nprocs program =
   let key =
-    Printf.sprintf "%s|%d|%s" w.Workload.name nprocs (program_digest program)
+    Printf.sprintf "%s|%d|%s" w.Workload.name nprocs (Analysis_cache.content_digest program)
   in
   Analysis_cache.find_or_compute lower_cache key (fun () ->
       let data = Data.create program in
@@ -112,7 +109,7 @@ let config_digest (cfg : Config.t) =
 let simulate_cached (w : Workload.t) (cfg : Config.t) ~nprocs program =
   let key =
     Printf.sprintf "%s|%d|%s|%s|%s" w.Workload.name nprocs (config_digest cfg)
-      (program_digest program)
+      (Analysis_cache.content_digest program)
       (Machine.mode_to_string (Machine.resolve_mode cfg))
   in
   Analysis_cache.find_or_compute sim_cache key (fun () ->

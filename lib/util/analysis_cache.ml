@@ -6,6 +6,9 @@ type 'a t = {
   lock : Mutex.t;
 }
 
+let content_digest v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
 (* Process-wide registry: name plus closures over each cache's heterogeneous
    payload type, so [clear_all]/[registered] work across caches of any 'a. *)
 let registry : (string * (unit -> unit) * (unit -> int)) list ref = ref []

@@ -2,12 +2,11 @@
     analyses (miss-rate profiles, clusterings, lowered traces, simulation
     results).
 
-    Every cache is string-keyed — callers key on structural digests
-    ([Digest.string (Marshal.to_string v [])]) or explicit parameter
-    strings. Lookups and insertions are serialized by a per-cache mutex;
-    {!find_or_compute} runs the computation {e outside} the lock, so two
-    domains racing on one key may duplicate (deterministic) work but never
-    corrupt the table.
+    Every cache is string-keyed — callers key on {!content_digest}s or
+    explicit parameter strings. Lookups and insertions are serialized by
+    a per-cache mutex; {!find_or_compute} runs the computation {e outside}
+    the lock, so two domains racing on one key may duplicate
+    (deterministic) work but never corrupt the table.
 
     Caches are bounded: once [cap] entries are present, inserting a new
     key evicts the oldest-inserted entries (FIFO), so long benchmark
@@ -16,6 +15,12 @@
     state at once. *)
 
 type 'a t
+
+val content_digest : 'a -> string
+(** Hex digest of a value marshalled without sharing, so it depends only
+    on the contents: two structurally equal values digest alike however
+    their blocks are shared. The value must be acyclic and hold no
+    closures. *)
 
 val create : ?cap:int -> name:string -> unit -> 'a t
 (** A fresh cache holding at most [cap] entries (default 512). [name]

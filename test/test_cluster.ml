@@ -390,6 +390,49 @@ let test_pm_keys_on_store () =
   Alcotest.(check (float 0.0)) "first store's f again" same (f_initial (init 0));
   Alcotest.(check (float 0.0)) "second store's f again" spread (f_initial (init (8 * 1031)))
 
+(* The driver profiles each nest's candidates cut after that nest. Exact:
+   a nest's references run only inside it, after the statements before
+   it, so the cut program's miss rates are the whole program's. Checked
+   for every reference of each top-level nest of Em3d, as written (with
+   its loop variables made unique, as the driver sees it) and as
+   clustered (the unroll-and-jammed nests and their postludes). *)
+let test_cut_profile_exact () =
+  let w =
+    List.find
+      (fun (w : Memclust_workloads.Workload.t) -> String.equal w.name "Em3d")
+      (Memclust_workloads.Registry.small ())
+  in
+  let clustered, _ = Driver.run ~init:w.init w.program in
+  List.iter
+    (fun (label, p) ->
+      let data = Data.create p in
+      w.init data;
+      let whole = Profile.run p data in
+      let nests = Pass.source_nest_vars p in
+      Alcotest.(check bool) (label ^ ": two nests") true (List.length nests >= 2);
+      List.iter
+        (fun var ->
+          let i, nest = Option.get (Pass.find_nest p var) in
+          let cut = Pass.cut_after_nest p i in
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s: cut keeps the body through the nest" label var)
+            (i + 1)
+            (List.length cut.Ast.body);
+          let prof = Profile.run cut data in
+          let refs = Program.refs_in_stmts [ Ast.Loop nest ] in
+          Alcotest.(check bool) (label ^ " " ^ var ^ ": has references") true (refs <> []);
+          List.iter
+            (fun (r : Program.ref_info) ->
+              let id = r.Program.ref_.Ast.ref_id in
+              let what = Printf.sprintf "%s %s ref %d" label var id in
+              Alcotest.(check int) (what ^ " accesses") (Profile.accesses whole id)
+                (Profile.accesses prof id);
+              Alcotest.(check (float 0.0)) (what ^ " miss rate")
+                (Profile.miss_rate whole id) (Profile.miss_rate prof id))
+            refs)
+        nests)
+    [ ("source", fst (Driver.run ~only:[] w.program)); ("clustered", clustered) ]
+
 (* ------------------------ pipeline fuzzing ------------------------- *)
 
 let exec_equal p1 p2 init =
@@ -451,6 +494,7 @@ let () =
           Alcotest.test_case "reads_pm on Registry.small" `Quick test_reads_pm_registry;
           QCheck_alcotest.to_alcotest prop_reads_pm;
           Alcotest.test_case "memo keys on store contents" `Quick test_pm_keys_on_store;
+          Alcotest.test_case "cut profile is exact (Em3d)" `Quick test_cut_profile_exact;
         ] );
       ( "regressions",
         [

@@ -276,6 +276,76 @@ let test_observe_sees_shipped_run () =
      in
      scan 0)
 
+(* --------------------- f/α summaries on demand --------------------- *)
+
+let small name =
+  List.find (fun w -> String.equal w.Workload.name name) (Registry.small ())
+
+let cluster_observed name =
+  let w = small name in
+  let observed = ref [] in
+  let _, report =
+    Driver.run ~init:w.Workload.init
+      ~observe:(fun pass p -> observed := (pass, p) :: !observed)
+      w.Workload.program
+  in
+  (w, report.Driver.trace, !observed)
+
+(* Each entry's summaries, read after the run, are [nest_summaries] of the
+   program that pass shipped; the "before" of an accepted pass is
+   physically the "after" of the previous accepted one. *)
+let test_summaries_on_first_read () =
+  let options = Driver.default_options in
+  List.iter
+    (fun name ->
+      let w, trace, observed = cluster_observed name in
+      let same what expected cell =
+        Alcotest.(check bool) (name ^ " " ^ what) true
+          (compare expected (Pass.Pipeline.summaries cell) = 0)
+      in
+      let previous = ref None in
+      List.iter
+        (fun (e : Pass.Pipeline.entry) ->
+          if e.Pass.Pipeline.ran && e.Pass.Pipeline.degraded = None then begin
+            let pass = e.Pass.Pipeline.pass_name in
+            (match !previous with
+            | None ->
+                same "source summaries"
+                  (Pass.Pipeline.nest_summaries options (Program.renumber w.Workload.program))
+                  e.Pass.Pipeline.f_before
+            | Some cell ->
+                Alcotest.(check bool) (name ^ " " ^ pass ^ " before is the previous after")
+                  true (e.Pass.Pipeline.f_before == cell));
+            same (pass ^ " after")
+              (Pass.Pipeline.nest_summaries options (List.assoc pass observed))
+              e.Pass.Pipeline.f_after;
+            previous := Some e.Pass.Pipeline.f_after
+          end)
+        trace.Pass.Pipeline.entries;
+      Alcotest.(check bool) (name ^ " summaries not empty") true
+        (match !previous with
+        | Some cell -> Pass.Pipeline.summaries cell <> []
+        | None -> false))
+    [ "Latbench"; "Em3d"; "FFT"; "LU" ]
+
+(* Two domains read one trace's unread summaries at once: equal lists, no
+   exception (a [Lazy.t] shared between domains would raise). *)
+let test_summaries_two_domains () =
+  let _, trace, observed = cluster_observed "FFT" in
+  let cells =
+    List.concat_map
+      (fun (e : Pass.Pipeline.entry) -> [ e.Pass.Pipeline.f_before; e.Pass.Pipeline.f_after ])
+      trace.Pass.Pipeline.entries
+  in
+  let read () = List.map Pass.Pipeline.summaries cells in
+  let d1 = Domain.spawn read and d2 = Domain.spawn read in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check bool) "both domains read equal lists" true (compare r1 r2 = 0);
+  Alcotest.(check bool) "and the shipped program's summaries" true
+    (compare (List.nth r1 (List.length r1 - 1))
+       (Pass.Pipeline.nest_summaries Driver.default_options (List.assoc "schedule" observed))
+    = 0)
+
 (* ------------------------- pinned output --------------------------- *)
 
 (* What the pipeline ships, pinned for every small workload at three MSHR
@@ -344,7 +414,9 @@ let test_pinned_output () =
       let summaries =
         List.map
           (fun (e : Pass.Pipeline.entry) ->
-            (e.Pass.Pipeline.pass_name, e.Pass.Pipeline.f_before, e.Pass.Pipeline.f_after))
+            ( e.Pass.Pipeline.pass_name,
+              Pass.Pipeline.summaries e.Pass.Pipeline.f_before,
+              Pass.Pipeline.summaries e.Pass.Pipeline.f_after ))
           report.Driver.trace.Pass.Pipeline.entries
       in
       let what = name ^ "@" ^ label in
@@ -376,6 +448,13 @@ let () =
             test_declaration_change_is_invalid;
           Alcotest.test_case "observe sees the shipped run" `Quick
             test_observe_sees_shipped_run;
+        ] );
+      ( "summaries",
+        [
+          Alcotest.test_case "computed on first read" `Quick
+            test_summaries_on_first_read;
+          Alcotest.test_case "read from two domains" `Quick
+            test_summaries_two_domains;
         ] );
       ( "traversal",
         [

@@ -566,6 +566,277 @@ let test_pack_respects_deps () =
   in
   Alcotest.(check bool) "semantics with address chain" true (semantics_equal p p2 init)
 
+(* The scheduler as it was before its pick loop went linear (every pick
+   re-checks every predecessor list) and before its conflict test gained
+   precomputed subscript shapes and name signatures. Kept as the oracle
+   the current [Schedule] must agree with: conflict for conflict, list
+   for list. *)
+module Oracle = struct
+  open Ast
+
+  type summary = {
+    s_reads : string list;
+    s_writes : string list;
+    s_mem_reads : (string * Affine.t option) list;
+    s_mem_writes : (string * Affine.t option) list;
+    s_barrier : bool;
+  }
+
+  let sites_alias (a1, i1) (a2, i2) =
+    String.equal a1 a2
+    &&
+    match (i1, i2) with
+    | Some x, Some y ->
+        let shape a = Affine.sub a (Affine.const (Affine.constant a)) in
+        if Affine.equal (shape x) (shape y) then Affine.constant x = Affine.constant y
+        else true
+    | _ -> true
+
+  let summarize stmt =
+    let reads = ref [] and writes = ref [] in
+    let mreads = ref [] and mwrites = ref [] in
+    let barrier = ref false in
+    let add l v = if not (List.mem v !l) then l := v :: !l in
+    let rec expr e =
+      match e with
+      | Const _ | Ivar _ -> ()
+      | Scalar v -> add reads v
+      | Load r -> ref_ false r
+      | Unop (_, a) -> expr a
+      | Binop (_, a, b) ->
+          expr a;
+          expr b
+    and ref_ is_store r =
+      let target = if is_store then mwrites else mreads in
+      match r.target with
+      | Direct { array; index } -> add target (array, Some index)
+      | Indirect { array; index } ->
+          add target (array, None);
+          expr index
+      | Field { region; ptr; _ } ->
+          add target (region, None);
+          expr ptr
+    in
+    let rec walk s =
+      match s with
+      | Assign (Lscalar v, e) ->
+          expr e;
+          add writes v
+      | Assign (Lmem r, e) ->
+          expr e;
+          ref_ true r
+      | Use e -> expr e
+      | Prefetch r -> ref_ false r
+      | Barrier -> barrier := true
+      | If (c, t, e) ->
+          expr c;
+          List.iter walk t;
+          List.iter walk e
+      | Loop l ->
+          barrier := true;
+          List.iter walk l.body
+      | Chase c ->
+          barrier := true;
+          expr c.init;
+          add writes c.cvar;
+          List.iter walk c.cbody
+    in
+    walk stmt;
+    {
+      s_reads = !reads;
+      s_writes = !writes;
+      s_mem_reads = !mreads;
+      s_mem_writes = !mwrites;
+      s_barrier = !barrier;
+    }
+
+  let conflicts a b =
+    a.s_barrier || b.s_barrier
+    || List.exists (fun v -> List.mem v b.s_reads || List.mem v b.s_writes) a.s_writes
+    || List.exists (fun v -> List.mem v b.s_writes) a.s_reads
+    || List.exists
+         (fun m ->
+           List.exists (sites_alias m) b.s_mem_reads
+           || List.exists (sites_alias m) b.s_mem_writes)
+         a.s_mem_writes
+    || List.exists (fun m -> List.exists (sites_alias m) b.s_mem_writes) a.s_mem_reads
+
+  let stmts_conflict a b = conflicts (summarize a) (summarize b)
+end
+
+let pack_misses_oracle loc stmts =
+  let n = List.length stmts in
+  if n <= 1 then stmts
+  else begin
+    let arr = Array.of_list stmts in
+    let sums = Array.map Oracle.summarize arr in
+    let preds = Array.make n [] in
+    for i = 0 to n - 1 do
+      for j = 0 to i - 1 do
+        if Oracle.conflicts sums.(j) sums.(i) then preds.(i) <- j :: preds.(i)
+      done
+    done;
+    let emitted = Array.make n false in
+    let out = ref [] in
+    let ready i = (not emitted.(i)) && List.for_all (fun j -> emitted.(j)) preds.(i) in
+    for _ = 0 to n - 1 do
+      let pick = ref (-1) in
+      (try
+         for i = 0 to n - 1 do
+           if ready i && Schedule.is_miss_load loc arr.(i) then begin
+             pick := i;
+             raise Exit
+           end
+         done
+       with Exit -> ());
+      if !pick < 0 then begin
+        try
+          for i = 0 to n - 1 do
+            if ready i then begin
+              pick := i;
+              raise Exit
+            end
+          done
+        with Exit -> ()
+      end;
+      assert (!pick >= 0);
+      emitted.(!pick) <- true;
+      out := arr.(!pick) :: !out
+    done;
+    List.rev !out
+  end
+
+(* the bodies [Driver]'s schedule pass reorders: those of loops and chases
+   with no loop or chase inside *)
+let innermost_bodies (p : Ast.program) =
+  let acc = ref [] in
+  let nested = List.exists (function Ast.Loop _ | Ast.Chase _ -> true | _ -> false) in
+  let rec walk = function
+    | Ast.Loop l -> if nested l.Ast.body then List.iter walk l.Ast.body else acc := l.Ast.body :: !acc
+    | Ast.Chase c ->
+        if nested c.Ast.cbody then List.iter walk c.Ast.cbody else acc := c.Ast.cbody :: !acc
+    | Ast.If (_, t, e) ->
+        List.iter walk t;
+        List.iter walk e
+    | Ast.Assign _ | Ast.Use _ | Ast.Barrier | Ast.Prefetch _ -> ()
+  in
+  List.iter walk p.Ast.body;
+  List.rev !acc
+
+(* [Schedule.stmts_conflict] is the oracle's relation on every pair; the
+   scheduler returns exactly the oracle's list, and that list is a
+   permutation of the body keeping every conflicting pair in order. *)
+let schedule_matches_oracle loc body =
+  let packed = Schedule.pack_misses loc body in
+  let same = List.length packed = List.length body
+             && List.for_all2 ( == ) packed (pack_misses_oracle loc body) in
+  let input = Array.of_list body in
+  let n = Array.length input in
+  let used = Array.make n false in
+  (* output position -> input index, matching physically *)
+  let order =
+    List.map
+      (fun s ->
+        let rec find i =
+          if i >= n then -1
+          else if (not used.(i)) && input.(i) == s then begin
+            used.(i) <- true;
+            i
+          end
+          else find (i + 1)
+        in
+        find 0)
+      packed
+  in
+  let permutation = List.length order = n && not (List.mem (-1) order) in
+  let pos = Array.make n (-1) in
+  List.iteri (fun k i -> if i >= 0 then pos.(i) <- k) order;
+  let ordered = ref true and relation = ref true in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let conflict = Schedule.stmts_conflict input.(j) input.(i) in
+      if conflict <> Oracle.stmts_conflict input.(j) input.(i) then relation := false;
+      if j < i && conflict && pos.(j) > pos.(i) then ordered := false
+    done
+  done;
+  same && permutation && !ordered && !relation
+
+(* Random nests, as generated, scalar-replaced and clustered up to the
+   schedule pass (unroll-and-jam and inner unrolling make the bodies
+   long). *)
+let prop_schedule_oracle =
+  QCheck.Test.make ~name:"miss-packing matches the re-checking oracle" ~count:40
+    Gen_program.arbitrary
+    (fun cfg ->
+      let p = Gen_program.build cfg in
+      let clustered = ref p in
+      ignore
+        (Memclust_cluster.Driver.run
+           ~options:{ Memclust_cluster.Driver.default_options with profile_pm = false }
+           ~observe:(fun name q -> if String.equal name "scalar-replace" then clustered := q)
+           p);
+      List.for_all
+        (fun q ->
+          let loc = Memclust_locality.Locality.analyze ~line_size:64 q in
+          List.for_all (schedule_matches_oracle loc) (innermost_bodies q))
+        [ p; fst (Scalar_replace.apply_innermost p); !clustered ])
+
+(* Same-array accesses: same shape, different constants never alias; a
+   different shape may alias; irregular accesses alias everything in
+   their array; another array or two reads never conflict. *)
+let test_schedule_conflict_shapes () =
+  let open Builder in
+  let a index = aref "a" index in
+  let st index = store (a index) (flt 1.0) in
+  let cases =
+    [
+      ("a[i+1] store / a[i] load", st (ix "i" +: cst 1), assign "x" (arr "a" (ix "i")), false);
+      ("a[i] store / a[i] load", st (ix "i"), assign "x" (arr "a" (ix "i")), true);
+      ("a[i] store / a[2i] load", st (ix "i"), assign "x" (arr "a" (2 *: ix "i")), true);
+      ("a[2i+1] store / a[2i] store", st ((2 *: ix "i") +: cst 1), st (2 *: ix "i"), false);
+      ("a[i] store / a[k] load", st (ix "i"), assign "x" (ld (iref "a" (sc "k"))), true);
+      ("a[i] store / b[i] load", st (ix "i"), assign "x" (arr "b" (ix "i")), false);
+      ("a[i] load / a[2i] load", assign "y" (arr "a" (ix "i")), assign "x" (arr "a" (2 *: ix "i")), false);
+      ("x write / x read", assign "x" (flt 1.0), assign "y" (sc "x"), true);
+    ]
+  in
+  List.iter
+    (fun (what, s1, s2, expected) ->
+      Alcotest.(check bool) what expected (Schedule.stmts_conflict s1 s2);
+      Alcotest.(check bool) (what ^ ", reversed") expected (Schedule.stmts_conflict s2 s1);
+      Alcotest.(check bool) (what ^ ", as the oracle") (Oracle.stmts_conflict s1 s2)
+        (Schedule.stmts_conflict s1 s2))
+    cases
+
+let test_schedule_oracle_fft () =
+  let w = Option.get (Memclust_workloads.Registry.by_name "FFT") in
+  let small =
+    List.find
+      (fun (w : Memclust_workloads.Workload.t) -> String.equal w.name "FFT")
+      (Memclust_workloads.Registry.small ())
+  in
+  List.iter
+    (fun (w : Memclust_workloads.Workload.t) ->
+      let jammed = ref None in
+      ignore
+        (Memclust_cluster.Driver.run ~init:w.init
+           ~observe:(fun name q -> if String.equal name "scalar-replace" then jammed := Some q)
+           w.program);
+      let q = Option.get !jammed in
+      let loc = Memclust_locality.Locality.analyze ~line_size:64 q in
+      let bodies = innermost_bodies q in
+      Alcotest.(check bool)
+        (w.name ^ ": unroll-and-jam made a long body")
+        true
+        (List.exists (fun b -> List.length b >= 64) bodies);
+      List.iteri
+        (fun k body ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s body %d (%d statements)" w.description k (List.length body))
+            true
+            (schedule_matches_oracle loc body))
+        bodies)
+    [ small; w ]
 
 (* ------------------------------ Fusion ----------------------------- *)
 
@@ -870,6 +1141,11 @@ let () =
         [
           Alcotest.test_case "permutation + packing" `Quick test_pack_is_permutation;
           Alcotest.test_case "respects deps" `Quick test_pack_respects_deps;
+          Alcotest.test_case "conflicts across subscript shapes" `Quick
+            test_schedule_conflict_shapes;
+          qtest prop_schedule_oracle;
+          Alcotest.test_case "oracle on unroll-and-jammed FFT" `Quick
+            test_schedule_oracle_fft;
         ] );
       ( "prefetch",
         [

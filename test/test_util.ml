@@ -205,6 +205,30 @@ let test_cache_registry () =
   Alcotest.(check (option int)) "clear_all empties" None
     (Analysis_cache.find_opt c "x")
 
+(* The memo keys of programs: [(s, s)] and [(s, copy of s)] are the same
+   program, however their blocks are shared. *)
+let test_content_digest_ignores_sharing () =
+  let open Memclust_ir in
+  let stmt () =
+    let open Builder in
+    loop "i" (cst 0) (cst 8) [ store (aref "a" (ix "i")) (arr "a" (ix "i") + flt 1.0) ]
+  in
+  let program body =
+    Builder.program "shared" ~arrays:[ Builder.array_decl "a" 8 ] body
+  in
+  let s = stmt () in
+  let shared = program [ s; s ] and copied = program [ s; stmt () ] in
+  Alcotest.(check bool) "structurally equal" true (shared = copied);
+  Alcotest.(check bool) "marshalled with sharing, they differ" false
+    (String.equal (Marshal.to_string shared []) (Marshal.to_string copied []));
+  Alcotest.(check string) "content digests agree"
+    (Analysis_cache.content_digest shared)
+    (Analysis_cache.content_digest copied);
+  Alcotest.(check bool) "a different program digests apart" false
+    (String.equal
+       (Analysis_cache.content_digest shared)
+       (Analysis_cache.content_digest (program [ s ])))
+
 (* ------------------------------ Plot ------------------------------- *)
 
 let test_plot_bar () =
@@ -345,6 +369,8 @@ let () =
           Alcotest.test_case "memoizes" `Quick test_cache_memoizes;
           Alcotest.test_case "bounded" `Quick test_cache_bounded;
           Alcotest.test_case "registry" `Quick test_cache_registry;
+          Alcotest.test_case "content digest ignores sharing" `Quick
+            test_content_digest_ignores_sharing;
         ] );
       ( "plot",
         [
