@@ -17,7 +17,7 @@ type action = Pass.action =
   | Inner_unroll of { inner_var : string; factor : int }
   | Rejected of { target_var : string; reason : string }
 
-type scheduler = Pass.scheduler = Pack_misses | Balanced | No_schedule
+type scheduler = Pass.scheduler = Pack_misses | Balanced
 type chaos = Pass.chaos = {
   chaos_seed : int;
   chaos_rate : float;
@@ -27,14 +27,7 @@ type chaos = Pass.chaos = {
 type options = Pass.options = {
   machine : Machine_model.t;
   profile_pm : bool;
-  do_unroll_jam : bool;
-  do_window : bool;
-  do_scalar_replace : bool;
-  do_schedule : bool;
   scheduler : scheduler;
-  do_fuse : bool;
-  do_strip_mine : bool;
-  do_prefetch : bool;
   failsafe : bool;
   chaos : chaos option;
 }
@@ -301,7 +294,6 @@ let schedule_innermost options p =
       match options.scheduler with
       | Pack_misses -> Schedule.pack_misses loc body
       | Balanced -> Balanced_sched.reorder loc body
-      | No_schedule -> body
     in
     if body' != body && body' <> body then incr scheduled;
     body'
@@ -329,8 +321,6 @@ let schedule_innermost options p =
 (* ------------------------------------------------------------------ *)
 (* The registered passes                                               *)
 (* ------------------------------------------------------------------ *)
-
-let always _ = true
 
 (* Chase pointer names are not uniquified, so an inner-construct key alone
    can repeat across nests; events qualify it with the nest variable so the
@@ -372,7 +362,6 @@ let uniquify_pass =
   {
     Pass.name = "uniquify";
     description = "rename loop variables so every counted loop is unique";
-    enabled = always;
     rewrite = (fun _ p -> (uniquify_loops p, []));
   }
 
@@ -382,7 +371,6 @@ let analyze_pass =
     description =
       "per-nest locality/dependence analysis: records alpha and the \
        initial f of every innermost construct";
-    enabled = always;
     rewrite =
       (fun { Pass.options; source } p ->
         over_nest_keys options p (fun p ~loc ~nest_var ~key ->
@@ -406,54 +394,12 @@ let analyze_pass =
                   ] )));
   }
 
-let fuse_pass =
-  {
-    Pass.name = "fuse";
-    description =
-      "fuse adjacent fusable top-level loops (paper §6: clusters the \
-       misses of unnested loops)";
-    enabled = (fun o -> o.do_fuse);
-    rewrite =
-      (fun _ p ->
-        let p', n = Fuse.fuse_adjacent ~params:p.params p in
-        (p', [ Pass.Count { what = "loops fused"; n } ]));
-  }
-
-let strip_mine_pass =
-  {
-    Pass.name = "strip-mine";
-    description =
-      "strip-mine-and-interchange top-level perfect 2-nests (paper §2.2 \
-       comparison transform)";
-    enabled = (fun o -> o.do_strip_mine);
-    rewrite =
-      (fun { Pass.options; _ } p ->
-        let size = min 8 options.machine.Machine_model.max_unroll in
-        let n = ref 0 in
-        let p = ref p in
-        List.iter
-          (fun nest_var ->
-            match Pass.find_nest !p nest_var with
-            | None -> ()
-            | Some (_, nest) -> (
-                match
-                  Strip_mine.strip_and_interchange ~params:!p.params ~size nest
-                with
-                | Error _ -> ()
-                | Ok stmt ->
-                    incr n;
-                    p := Pass.replace_nest !p ~var:nest_var ~repl:[ stmt ]))
-          (Pass.source_nest_vars !p);
-        (!p, [ Pass.Count { what = "nests strip-mined"; n = !n } ]));
-  }
-
 let unroll_jam_pass =
   {
     Pass.name = "unroll-jam";
     description =
       "resolve memory-parallelism recurrences: binary-search the largest \
        unroll-and-jam degree keeping f <= alpha*lp (paper §3.2)";
-    enabled = (fun o -> o.do_unroll_jam);
     rewrite =
       (fun { Pass.options; source } p ->
         let lp = float_of_int options.machine.Machine_model.mshrs in
@@ -507,7 +453,6 @@ let window_pass =
     description =
       "inner-loop unrolling when the misses of one window's worth of \
        iterations cannot fill the MSHRs (paper §3.3)";
-    enabled = (fun o -> o.do_window);
     rewrite =
       (fun { Pass.options; source } p ->
         over_nest_keys options p (fun p ~loc ~nest_var ~key ->
@@ -525,27 +470,10 @@ let scalar_replace_pass =
     description =
       "lift regular array loads into scalars and forward stored values \
        (the reuse unroll-and-jam creates, paper §2.2)";
-    enabled = (fun o -> o.do_scalar_replace);
     rewrite =
       (fun _ p ->
         let p', n = Scalar_replace.apply_innermost p in
         (p', [ Pass.Count { what = "scalar-replaced"; n } ]));
-  }
-
-let prefetch_insert_pass =
-  {
-    Pass.name = "prefetch";
-    description =
-      "Mowry-style software prefetch insertion into innermost counted \
-       loops (paper §1 comparison technique)";
-    enabled = (fun o -> o.do_prefetch);
-    rewrite =
-      (fun { Pass.options; _ } p ->
-        let p', n =
-          Prefetch_pass.insert
-            ~line_size:options.machine.Machine_model.line_size p
-        in
-        (p', [ Pass.Count { what = "prefetches inserted"; n } ]));
   }
 
 let schedule_pass =
@@ -554,10 +482,6 @@ let schedule_pass =
     description =
       "miss-packing (or balanced) scheduling of every innermost body \
        (paper §3.3)";
-    enabled =
-      (fun o ->
-        o.do_schedule
-        && match o.scheduler with No_schedule -> false | _ -> true);
     rewrite =
       (fun { Pass.options; _ } p ->
         let p', n = schedule_innermost options p in
@@ -568,12 +492,9 @@ let passes =
   [
     uniquify_pass;
     analyze_pass;
-    fuse_pass;
-    strip_mine_pass;
     unroll_jam_pass;
     window_pass;
     scalar_replace_pass;
-    prefetch_insert_pass;
     schedule_pass;
   ]
 
@@ -600,7 +521,7 @@ let report_of_trace (trace : Pass.Pipeline.trace) =
                   else (k, nr))
                 !nests
         | None ->
-            (* the analyze pass was disabled: synthesize a bare nest entry.
+            (* the analyze pass was not selected: synthesize a bare nest entry.
                Keys look like "nestvar/L:innervar" — recover the inner name. *)
             let inner_desc =
               let tail =
@@ -647,14 +568,11 @@ let select_passes only =
               (Printf.sprintf "Cluster.Driver: unknown pass %S (have: %s)" n
                  (String.concat ", " pass_names)))
         names;
-      List.map
+      (* uniquify underpins the name-keyed traversal of every other pass;
+         it cannot be opted out of *)
+      List.filter
         (fun p ->
-          (* uniquify underpins the name-keyed traversal of every other
-             pass; it cannot be opted out of *)
-          if String.equal p.Pass.name "uniquify" then p
-          else
-            let on = List.mem p.Pass.name names in
-            { p with Pass.enabled = (fun _ -> on) })
+          String.equal p.Pass.name "uniquify" || List.mem p.Pass.name names)
         passes
 
 let run ?(options = default_options) ?init ?only ?observe (p : program) =

@@ -7,16 +7,16 @@
     + [analyze] — locality analysis, (optionally) miss-rate profiling, the
       memory-parallelism dependence graph and α/f of every innermost
       loop-like construct;
-    + [fuse], [strip-mine] — optional comparison/extension transforms
-      (disabled by default);
     + [unroll-jam] — if a loop has a recurrence and f < α·lp,
       binary-search the largest unroll-and-jam degree of an enclosing loop
       that keeps f ≤ α·lp (re-analyzing after each trial);
     + [window-unroll] — inner-loop unrolling when the misses of ⌈W/i⌉
       iterations cannot fill the MSHRs;
-    + [scalar-replace], [prefetch] (optional), [schedule] — scalar
-      replacement, prefetch insertion and miss-packing scheduling of every
-      innermost body.
+    + [scalar-replace], [schedule] — scalar replacement and miss-packing
+      scheduling of every innermost body.
+
+    A subset of the pipeline is selected by pass name ([?only] of {!run});
+    the options never switch a pass off.
 
     The result is a transformed program plus a report of every decision
     and the pipeline's instrumentation trace (per-pass wall time, IR-size
@@ -52,7 +52,6 @@ type report = {
 type scheduler = Pass.scheduler =
   | Pack_misses  (** the window-conscious packing of §3.3 (default) *)
   | Balanced  (** statement-level balanced scheduling (comparison baseline) *)
-  | No_schedule
 
 type chaos = Pass.chaos = {
   chaos_seed : int;
@@ -69,14 +68,7 @@ type options = Pass.options = {
           runs only for an inner construct with a leading irregular
           reference ({!Festimate.reads_pm}), the only place Eq. 3 reads
           P_m; elsewhere f does not depend on P_m. *)
-  do_unroll_jam : bool;
-  do_window : bool;  (** inner unrolling for window constraints *)
-  do_scalar_replace : bool;
-  do_schedule : bool;  (** run a local scheduler at all *)
-  scheduler : scheduler;
-  do_fuse : bool;  (** optional fusion pass (paper §6), default off *)
-  do_strip_mine : bool;  (** optional strip-mine pass (§2.2), default off *)
-  do_prefetch : bool;  (** optional prefetch-insertion pass, default off *)
+  scheduler : scheduler;  (** the [schedule] pass's local scheduler *)
   failsafe : bool;
       (** guard the pipeline, rolling back failing passes as degraded
           (default; see {!Pass.Pipeline.run}) *)
@@ -102,9 +94,9 @@ val run :
     patterns and the semantic guard can run; it is called at most once
     per run, on the store every profile and guard execution copies.
     Without it, profiling sees a zero-filled store and the guard checks
-    structure only. [only] restricts the pipeline to the named passes
-    (overriding the option flags; [uniquify] always runs; unknown names
-    raise [Invalid_argument]). [observe] is called with the pass name and
+    structure only. [only] restricts the pipeline to the named passes, in
+    pipeline order ([uniquify] always runs; unknown names raise
+    [Invalid_argument]); the trace lists only the passes that ran. [observe] is called with the pass name and
     program of every pass of the shipped run that was accepted (see
     {!Pass.Pipeline.run}). The returned program is renumbered and
     validated after every pass. *)

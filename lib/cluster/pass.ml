@@ -7,7 +7,7 @@ open Ast
 (* Options shared by every pass                                        *)
 (* ------------------------------------------------------------------ *)
 
-type scheduler = Pack_misses | Balanced | No_schedule
+type scheduler = Pack_misses | Balanced
 
 (* Chaos testing: deterministically sabotage passes so the fail-safe
    guard's degradation path gets exercised end-to-end. *)
@@ -20,14 +20,7 @@ type chaos = {
 type options = {
   machine : Machine_model.t;
   profile_pm : bool;
-  do_unroll_jam : bool;
-  do_window : bool;
-  do_scalar_replace : bool;
-  do_schedule : bool;
   scheduler : scheduler;
-  do_fuse : bool;
-  do_strip_mine : bool;
-  do_prefetch : bool;
   failsafe : bool;
   chaos : chaos option;
 }
@@ -36,14 +29,7 @@ let default_options =
   {
     machine = Machine_model.base;
     profile_pm = true;
-    do_unroll_jam = true;
-    do_window = true;
-    do_scalar_replace = true;
-    do_schedule = true;
     scheduler = Pack_misses;
-    do_fuse = false;
-    do_strip_mine = false;
-    do_prefetch = false;
     failsafe = true;
     chaos = None;
   }
@@ -142,7 +128,6 @@ let event_label = function
 type t = {
   name : string;
   description : string;
-  enabled : options -> bool;
   rewrite : ctx -> program -> program * event list;
 }
 
@@ -274,7 +259,6 @@ module Pipeline = struct
 
   type entry = {
     pass_name : string;
-    ran : bool;
     wall_ms : float;
     size_before : ir_size;
     size_after : ir_size;
@@ -418,13 +402,19 @@ module Pipeline = struct
     let divergence candidate =
       match (Lazy.force reference, ctx.source) with
       | Some ref_store, Some source -> (
-          try
-            let d = Data.copy (Lazy.force source.store) in
-            Exec.run ~max_ops:diff_cand_max_ops candidate d;
-            if Data.equal ref_store d then None
-            else Some "differential execution: final stores diverge from the source program"
-          with Exec.Limit_exceeded ->
-            Some "differential execution: dynamic-operation budget exceeded (runaway rewrite?)")
+          let d = Data.copy (Lazy.force source.store) in
+          match Exec.run ~max_ops:diff_cand_max_ops candidate d with
+          | () ->
+              if Data.equal ref_store d then None
+              else Some "differential execution: final stores diverge from the source program"
+          | exception Exec.Limit_exceeded ->
+              Some "differential execution: dynamic-operation budget exceeded (runaway rewrite?)"
+          | exception e ->
+              (* a corrupted candidate can raise, e.g. reading a scalar
+                 whose assignment it dropped: that diverges too *)
+              Some
+                ("differential execution: the program raised "
+                ^ Printexc.to_string e))
       | _ -> None
     in
     let invalid_ir p' =
@@ -482,102 +472,82 @@ module Pipeline = struct
       let no_summaries = Atomic.make (Done []) in
       List.iter
         (fun pass ->
-          if not (pass.enabled ctx.options) then begin
-            let size = measure !current in
+          let size_before = measure !current in
+          let f_before = !current_summaries in
+          let t0 = now_ms () in
+          let attempt () =
+            match sabotage pass.name with
+            | `None -> pass.rewrite ctx !current
+            | `Crash ->
+                failwith (Printf.sprintf "%s: chaos-injected crash" pass.name)
+            | `Corrupt ->
+                (* ship the real result minus one assignment: still
+                   structurally plausible, semantically wrong *)
+                let p', events = pass.rewrite ctx !current in
+                (corrupt_program p', events)
+          in
+          let result =
+            match attempt () with
+            | exception e ->
+                `Crashed (Printf.sprintf "pass crashed: %s" (Printexc.to_string e))
+            | p', events -> (
+                let p' = Program.renumber p' in
+                match invalid_ir p' with
+                | Some msg -> `Invalid ("invalid IR: " ^ msg, events)
+                | None -> `Valid (p', events))
+          in
+          let wall_ms = now_ms () -. t0 in
+          (* Roll back to the last-good IR: the program is untouched, the
+             failure is recorded in the trace, and the pipeline continues —
+             worst case the untransformed program ships. *)
+          let degrade ~validated ~events reason =
             record
               {
                 pass_name = pass.name;
-                ran = false;
-                wall_ms = 0.0;
-                size_before = size;
-                size_after = size;
-                f_before = no_summaries;
+                wall_ms;
+                size_before;
+                size_after = size_before;
+                f_before;
                 f_after = no_summaries;
-                validated = true;
-                degraded = None;
-                events = [];
+                validated;
+                degraded = Some reason;
+                events;
               }
-          end
-          else begin
-            let size_before = measure !current in
-            let f_before = !current_summaries in
-            let t0 = now_ms () in
-            let attempt () =
-              match sabotage pass.name with
-              | `None -> pass.rewrite ctx !current
-              | `Crash ->
-                  failwith (Printf.sprintf "%s: chaos-injected crash" pass.name)
-              | `Corrupt ->
-                  (* ship the real result minus one assignment: still
-                     structurally plausible, semantically wrong *)
-                  let p', events = pass.rewrite ctx !current in
-                  (corrupt_program p', events)
-            in
-            let result =
-              match attempt () with
-              | exception e ->
-                  `Crashed (Printf.sprintf "pass crashed: %s" (Printexc.to_string e))
-              | p', events -> (
-                  let p' = Program.renumber p' in
-                  match invalid_ir p' with
-                  | Some msg -> `Invalid ("invalid IR: " ^ msg, events)
-                  | None -> `Valid (p', events))
-            in
-            let wall_ms = now_ms () -. t0 in
-            (* Roll back to the last-good IR: the program is untouched, the
-               failure is recorded in the trace, and the pipeline continues —
-               worst case the untransformed program ships. *)
-            let degrade ~validated ~events reason =
-              record
-                {
-                  pass_name = pass.name;
-                  ran = true;
-                  wall_ms;
-                  size_before;
-                  size_after = size_before;
-                  f_before;
-                  f_after = no_summaries;
-                  validated;
-                  degraded = Some reason;
-                  events;
-                }
-            in
-            let violation ~events detail =
-              if failsafe then degrade ~validated:false ~events detail
+          in
+          let violation ~events detail =
+            if failsafe then degrade ~validated:false ~events detail
+            else
+              Memclust_util.Error.raise_err
+                (Memclust_util.Error.Legality_violation
+                   { pass = pass.name; detail })
+          in
+          match result with
+          | `Crashed reason ->
+              if failsafe then degrade ~validated:true ~events:[] reason
               else
                 Memclust_util.Error.raise_err
-                  (Memclust_util.Error.Legality_violation
-                     { pass = pass.name; detail })
-            in
-            match result with
-            | `Crashed reason ->
-                if failsafe then degrade ~validated:true ~events:[] reason
-                else
-                  Memclust_util.Error.raise_err
-                    (Memclust_util.Error.Pass_failed { pass = pass.name; reason })
-            | `Invalid (detail, events) -> violation ~events detail
-            | `Valid (p', events) -> (
-                match if per_pass then divergence p' else None with
-                | Some detail -> violation ~events detail
-                | None ->
-                    let f_after = pending p' in
-                    current := p';
-                    current_summaries := f_after;
-                    accepted := (pass.name, p') :: !accepted;
-                    record
-                      {
-                        pass_name = pass.name;
-                        ran = true;
-                        wall_ms;
-                        size_before;
-                        size_after = measure p';
-                        f_before;
-                        f_after;
-                        validated = true;
-                        degraded = None;
-                        events;
-                      })
-          end)
+                  (Memclust_util.Error.Pass_failed { pass = pass.name; reason })
+          | `Invalid (detail, events) -> violation ~events detail
+          | `Valid (p', events) -> (
+              match if per_pass then divergence p' else None with
+              | Some detail -> violation ~events detail
+              | None ->
+                  let f_after = pending p' in
+                  current := p';
+                  current_summaries := f_after;
+                  accepted := (pass.name, p') :: !accepted;
+                  record
+                    {
+                      pass_name = pass.name;
+                      wall_ms;
+                      size_before;
+                      size_after = measure p';
+                      f_before;
+                      f_after;
+                      validated = true;
+                      degraded = None;
+                      events;
+                    }))
         passes;
       (!current, List.rev !entries, List.rev !accepted)
     in
@@ -622,23 +592,19 @@ module Pipeline = struct
       trace.program_name trace.total_ms trace.check_ms;
     List.iter
       (fun e ->
-        if not e.ran then Format.fprintf ppf "  %-14s (disabled)@," e.pass_name
-        else begin
-          Format.fprintf ppf
-            "  %-14s %7.2f ms  stmts %d->%d  refs %d->%d  [%s]@," e.pass_name
-            e.wall_ms e.size_before.stmts e.size_after.stmts
-            e.size_before.static_refs e.size_after.static_refs
-            (match e.degraded with
-            | Some _ -> "DEGRADED"
-            | None -> if e.validated then "ok" else "INVALID");
+        Format.fprintf ppf
+          "  %-14s %7.2f ms  stmts %d->%d  refs %d->%d  [%s]@," e.pass_name
+          e.wall_ms e.size_before.stmts e.size_after.stmts
+          e.size_before.static_refs e.size_after.static_refs
           (match e.degraded with
-          | Some reason ->
-              Format.fprintf ppf "      rolled back: %s@," reason
-          | None -> ());
-          List.iter
-            (fun ev -> Format.fprintf ppf "      %s@," (event_label ev))
-            e.events
-        end)
+          | Some _ -> "DEGRADED"
+          | None -> if e.validated then "ok" else "INVALID");
+        (match e.degraded with
+        | Some reason -> Format.fprintf ppf "      rolled back: %s@," reason
+        | None -> ());
+        List.iter
+          (fun ev -> Format.fprintf ppf "      %s@," (event_label ev))
+          e.events)
       trace.entries;
     Format.fprintf ppf "@]"
 
@@ -675,8 +641,8 @@ module Pipeline = struct
 
   let entry_to_json e =
     Printf.sprintf
-      "{\"name\":\"%s\",\"ran\":%b,\"wall_ms\":%s,\"stmts_before\":%d,\"stmts_after\":%d,\"refs_before\":%d,\"refs_after\":%d,\"validated\":%b,\"degraded\":%s,\"f_before\":%s,\"f_after\":%s,\"events\":[%s]}"
-      (json_escape e.pass_name) e.ran (json_float e.wall_ms)
+      "{\"name\":\"%s\",\"wall_ms\":%s,\"stmts_before\":%d,\"stmts_after\":%d,\"refs_before\":%d,\"refs_after\":%d,\"validated\":%b,\"degraded\":%s,\"f_before\":%s,\"f_after\":%s,\"events\":[%s]}"
+      (json_escape e.pass_name) (json_float e.wall_ms)
       e.size_before.stmts e.size_after.stmts e.size_before.static_refs
       e.size_after.static_refs e.validated
       (match e.degraded with

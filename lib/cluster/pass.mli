@@ -4,8 +4,7 @@
     graph, f/α per Equations 1–4), then rewrite (unroll-and-jam, inner
     unrolling, scalar replacement, miss-packing scheduling). This module
     gives each stage the shape of classic compiler infrastructure: a
-    named {!t} with a rewrite function and an enabled-predicate, run by
-    {!Pipeline.run}, which after {e every} pass renumbers and validates
+    named {!t} with a rewrite function, run by {!Pipeline.run}, which after {e every} pass renumbers and validates
     the program (failing fast with the offending pass named), checks the
     final program's semantics against the source once, and records
     wall-clock time, IR-size deltas and before/after f/α summaries
@@ -23,7 +22,6 @@ open Ast
 type scheduler =
   | Pack_misses  (** the window-conscious packing of §3.3 (default) *)
   | Balanced  (** statement-level balanced scheduling (comparison baseline) *)
-  | No_schedule
 
 type chaos = {
   chaos_seed : int;
@@ -42,16 +40,7 @@ type chaos = {
 type options = {
   machine : Machine_model.t;
   profile_pm : bool;  (** measure P_m by cache profiling (needs [source]) *)
-  do_unroll_jam : bool;
-  do_window : bool;  (** inner unrolling for window constraints *)
-  do_scalar_replace : bool;
-  do_schedule : bool;  (** run a local scheduler at all *)
-  scheduler : scheduler;
-  do_fuse : bool;  (** fuse adjacent top-level loops first (§6, off) *)
-  do_strip_mine : bool;
-      (** strip-mine-and-interchange top-level 2-nests (§2.2 comparison,
-          off) *)
-  do_prefetch : bool;  (** software prefetch insertion after clustering (off) *)
+  scheduler : scheduler;  (** the [schedule] pass's local scheduler *)
   failsafe : bool;
       (** guard every pass (default): a pass that crashes, produces
           invalid IR or changes program semantics is rolled back and
@@ -121,7 +110,6 @@ val event_label : event -> string
 type t = {
   name : string;
   description : string;
-  enabled : options -> bool;  (** consulted by {!Pipeline.run} *)
   rewrite : ctx -> program -> program * event list;
       (** must return a structurally valid program; the pipeline renumbers
           and validates after every pass *)
@@ -185,7 +173,6 @@ module Pipeline : sig
 
   type entry = {
     pass_name : string;
-    ran : bool;  (** false: disabled by its predicate, program untouched *)
     wall_ms : float;
         (** the rewrite plus renumbering and validation; the semantic check
             is timed in {!trace.check_ms}, the f/α summaries not at all *)
@@ -195,8 +182,7 @@ module Pipeline : sig
         (** of the program the pass received; physically the previous
             accepted pass's [f_after] *)
     f_after : summaries;
-        (** of the accepted program; empty when the pass was disabled or
-            rolled back *)
+        (** of the accepted program; empty when the pass was rolled back *)
     validated : bool;
         (** false only on a degraded entry whose candidate failed
             validation or differential execution *)
@@ -233,7 +219,7 @@ module Pipeline : sig
     t list ->
     program ->
     program * trace
-  (** Run the enabled passes in order under the fail-safe guard. After
+  (** Run the passes in order under the fail-safe guard. After
       every pass the result is renumbered and validated, and its array and
       region declarations must equal the source's; a crash or invalid IR
       is caught right there. When the context has a source store and the
@@ -241,8 +227,10 @@ module Pipeline : sig
       then differentially executed once against the {e original}
       program's final store. Since every candidate is compared with the
       source, one final check gives the guarantee of a check per pass.
-      Only if the final program diverges or exceeds its op budget is the
-      pipeline replayed with a differential check after every pass, which
+      A candidate diverges when its final store differs from the
+      source's or when its execution raises (a corrupted rewrite can read
+      an unassigned scalar). Only if the final program diverges or exceeds
+      its op budget is the pipeline replayed with a differential check after every pass, which
       repeats the per-pass rollback decisions exactly (chaos draws
       included); a divergence a later pass masks is not reported.
 
@@ -256,8 +244,8 @@ module Pipeline : sig
       divergent one.
 
       [observe] is called, once the result is settled, with the pass name
-      and the accepted program of each pass of the shipped run that ran
-      and was not rolled back. The entries' f/α summaries are not
+      and the accepted program of each pass of the shipped run that was
+      not rolled back. The entries' f/α summaries are not
       computed here: a caller that never reads them never pays for them. *)
 
   val run_result :

@@ -438,23 +438,18 @@ let prefetch () =
 (* which driver stage buys what (DESIGN.md ablation) *)
 let ablation () =
   let open Memclust_cluster in
-  let stage_options =
+  let without name = List.filter (fun n -> not (String.equal n name)) Driver.pass_names in
+  let default = Driver.default_options in
+  (* each variant is a pass list; only "balanced sched." changes an option *)
+  let stages =
     [
-      ("full", Driver.default_options);
-      ("no scalar-replace", { Driver.default_options with do_scalar_replace = false });
-      ("no scheduling", { Driver.default_options with do_schedule = false });
-      ( "balanced sched.",
-        { Driver.default_options with scheduler = Driver.Balanced } );
-      ("no unroll-and-jam", { Driver.default_options with do_unroll_jam = false });
-      ("no window stage", { Driver.default_options with do_window = false });
-      ( "analysis only",
-        {
-          Driver.default_options with
-          do_unroll_jam = false;
-          do_window = false;
-          do_scalar_replace = false;
-          do_schedule = false;
-        } );
+      ("full", default, Driver.pass_names);
+      ("no scalar-replace", default, without "scalar-replace");
+      ("no scheduling", default, without "schedule");
+      ("balanced sched.", { default with scheduler = Driver.Balanced }, Driver.pass_names);
+      ("no unroll-and-jam", default, without "unroll-jam");
+      ("no window stage", default, without "window-unroll");
+      ("analysis only", default, [ "analyze" ]);
     ]
   in
   let apps = [ "Em3d"; "LU"; "Mp3d"; "Ocean" ] in
@@ -481,21 +476,21 @@ let ablation () =
   in
   let variant_points =
     List.concat_map
-      (fun w -> List.map (fun so -> (w, so)) stage_options)
+      (fun w -> List.map (fun so -> (w, so)) stages)
       workloads
   in
   let variants =
     List.map2
-      (fun (w, (label, _)) r -> (w.Workload.name, label, r))
+      (fun (w, (label, _, _)) r -> (w.Workload.name, label, r))
       variant_points
       (Domain_pool.map_result
-         ~task_name:(fun (w, (label, _)) ->
+         ~task_name:(fun (w, (label, _, _)) ->
            Printf.sprintf "ablation %s %s" w.Workload.name label)
          pool
-         (fun (w, (label, options)) ->
+         (fun (w, (label, options, only)) ->
            Printf.eprintf "[run] ablation %s %s...\n%!" w.Workload.name label;
            let p, _ =
-             Driver.run ~options ~init:w.Workload.init w.Workload.program
+             Driver.run ~options ~init:w.Workload.init ~only w.Workload.program
            in
            simulate w p)
          variant_points)
@@ -506,7 +501,7 @@ let ablation () =
         let name = w.Workload.name in
         let base = List.assoc name bases in
         List.mapi
-          (fun i (label, _) ->
+          (fun i (label, _, _) ->
             let r =
               List.find_map
                 (fun (n, l, r) ->
@@ -524,7 +519,7 @@ let ablation () =
                   "degraded: " ^ Memclust_util.Error.kind e
             in
             [ (if i = 0 then name else ""); label; cell ])
-          stage_options)
+          stages)
       workloads
   in
   "Extension: per-stage ablation of the clustering driver (uniprocessor,

@@ -177,55 +177,6 @@ let unroll_jam_legal ~params ~outer_ranges ~target ~factor =
   in
   List.for_all (fun a -> List.for_all (pair_independent a) sites) sites
 
-let fusion_legal ~params ~outer_ranges ~var (l1 : loop) (l2 : loop) =
-  let env =
-    List.map (fun (v, k) -> (v, { r_lo = k; r_hi = k })) params @ outer_ranges
-  in
-  let ranges = outer_ranges @ ranges_of_nest_env ~env [ l1 ] in
-  let ranges = ranges @ ranges_of_nest_env ~env (inner_loops_of l1.body) in
-  let ranges = ranges @ ranges_of_nest_env ~env (inner_loops_of l2.body) in
-  let sites1, irr1 = collect_sites l1.body in
-  let sites2, irr2 = collect_sites l2.body in
-  (* an indirect access reaches an unknown element, so a store to the
-     same array in the other loop has an unknowable dependence distance:
-     the fusion could move a consumer ahead of its producer (e.g. Em3d's
-     second gather reads through an index array exactly the values the
-     first gather writes) *)
-  let indirect_arrays stmts =
-    List.filter_map
-      (fun (ri : Program.ref_info) ->
-        match ri.ref_.target with
-        | Indirect { array; _ } -> Some array
-        | Direct _ | Field _ -> None)
-      (Program.refs_in_stmts stmts)
-  in
-  let stored sites =
-    List.filter_map (fun s -> if s.s_store then Some s.s_array else None) sites
-  in
-  let indirect_vs_store ind sites =
-    List.exists (fun a -> List.mem a (stored sites)) ind
-  in
-  (not irr1) && (not irr2)
-  && (not (indirect_vs_store (indirect_arrays l2.body) sites1))
-  && (not (indirect_vs_store (indirect_arrays l1.body) sites2))
-  &&
-  let shared = List.map fst outer_ranges in
-  let bound = 6 in
-  let pair_ok a b =
-    (not (String.equal a.s_array b.s_array))
-    || ((not a.s_store) && not b.s_store)
-    ||
-    let dep = ref false in
-    (* a (first loop) at iteration i+d conflicting with b (second loop)
-       at iteration i means b would now run before the producing a *)
-    for d = 1 to bound do
-      let eq = equation ~ranges ~shared ~target:var ~d b.s_index a.s_index in
-      if solvable eq then dep := true
-    done;
-    not !dep
-  in
-  List.for_all (fun a -> List.for_all (pair_ok a) sites2) sites1
-
 let interchange_legal ~params ~outer_ranges ~outer ~inner =
   outer.parallel
   ||

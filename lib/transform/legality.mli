@@ -30,21 +30,6 @@ val unroll_jam_legal :
     irregular (indirect/pointer) store in the body makes the test fail
     (unless parallel). *)
 
-val fusion_legal :
-  params:(string * int) list ->
-  outer_ranges:(string * var_range) list ->
-  var:string ->
-  loop ->
-  loop ->
-  bool
-(** May the two loops (same iteration space over variable [var]) be fused?
-    Checks that no dependence points backwards across the fusion: an
-    access in the second loop at iteration i conflicting with a store in
-    the first loop at some iteration i+d, d >= 1 (bounded test, like
-    {!interchange_legal}). Any irregular store in either body fails, as
-    does an indirect read in one loop of an array the other loop stores
-    (the dependence distance through the index array is unknowable). *)
-
 val interchange_legal :
   params:(string * int) list ->
   outer_ranges:(string * var_range) list ->

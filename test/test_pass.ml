@@ -43,33 +43,13 @@ let test_trace_structure () =
         (e.Pass.Pipeline.pass_name ^ " wall time non-negative")
         true
         (e.Pass.Pipeline.wall_ms >= 0.0);
-      if e.Pass.Pipeline.ran then
-        Alcotest.(check bool)
-          (e.Pass.Pipeline.pass_name ^ " validated")
-          true e.Pass.Pipeline.validated
-      else
-        Alcotest.(check bool)
-          (e.Pass.Pipeline.pass_name ^ " skipped pass leaves IR size alone")
-          true
-          (e.Pass.Pipeline.size_before = e.Pass.Pipeline.size_after))
-    t.Pass.Pipeline.entries;
-  (* optional passes are off by default *)
-  List.iter
-    (fun name ->
-      let e =
-        List.find
-          (fun e -> e.Pass.Pipeline.pass_name = name)
-          t.Pass.Pipeline.entries
-      in
-      Alcotest.(check bool) (name ^ " disabled by default") false
-        e.Pass.Pipeline.ran)
-    [ "fuse"; "strip-mine"; "prefetch" ]
+      Alcotest.(check bool)
+        (e.Pass.Pipeline.pass_name ^ " validated")
+        true e.Pass.Pipeline.validated)
+    t.Pass.Pipeline.entries
 
 let ran_passes (t : Pass.Pipeline.trace) =
-  List.filter_map
-    (fun (e : Pass.Pipeline.entry) ->
-      if e.Pass.Pipeline.ran then Some e.Pass.Pipeline.pass_name else None)
-    t.Pass.Pipeline.entries
+  List.map (fun (e : Pass.Pipeline.entry) -> e.Pass.Pipeline.pass_name) t.Pass.Pipeline.entries
 
 let test_pass_selection () =
   let p = fig2a () in
@@ -83,6 +63,16 @@ let test_pass_selection () =
     "--passes analyze,unroll-jam runs exactly uniquify + those"
     [ "uniquify"; "analyze"; "unroll-jam" ]
     (ran_passes only_uj.Driver.trace);
+  (* leaving one name out of the list is the way to switch a pass off *)
+  List.iter
+    (fun n ->
+      if not (String.equal n "uniquify") then begin
+        let rest = List.filter (( <> ) n) Driver.pass_names in
+        let _, r = Driver.run ~options:no_profile ~only:rest p in
+        Alcotest.(check (list string)) ("every default pass except " ^ n) rest
+          (ran_passes r.Driver.trace)
+      end)
+    Driver.pass_names;
   (match Driver.run ~options:no_profile ~only:[ "no-such-pass" ] p with
   | (_ : Ast.program * Driver.report) ->
       Alcotest.fail "unknown pass name should raise"
@@ -173,19 +163,10 @@ let test_postlude_shifted_nests () =
 
 (* ---------------- differential per-pass execution ------------------ *)
 
-(* Every registered pass — including the optional fuse / strip-mine /
-   prefetch passes — over every registry workload at tiny sizes: the
+(* Every registered pass over every registry workload at tiny sizes: the
    observable store after executing the program as it leaves each pass
    must equal the base program's. *)
 let test_differential_passes () =
-  let options =
-    {
-      no_profile with
-      Driver.do_fuse = true;
-      Driver.do_strip_mine = true;
-      Driver.do_prefetch = true;
-    }
-  in
   List.iter
     (fun (w : Workload.t) ->
       let base = Program.renumber w.Workload.program in
@@ -194,7 +175,7 @@ let test_differential_passes () =
       Exec.run base d0;
       let observed = ref [] in
       let (_ : Ast.program * Driver.report) =
-        Driver.run ~options ~init:w.Workload.init
+        Driver.run ~options:no_profile ~init:w.Workload.init
           ~observe:(fun pass p -> observed := (pass, p) :: !observed)
           w.Workload.program
       in
@@ -226,7 +207,6 @@ let test_declaration_change_is_invalid () =
     {
       Pass.name = "grow";
       description = "declares one more array";
-      enabled = (fun _ -> true);
       rewrite =
         (fun _ p ->
           ({ p with Ast.arrays = p.Ast.arrays @ [ Builder.array_decl "extra" 4 ] }, []));
@@ -306,7 +286,7 @@ let test_summaries_on_first_read () =
       let previous = ref None in
       List.iter
         (fun (e : Pass.Pipeline.entry) ->
-          if e.Pass.Pipeline.ran && e.Pass.Pipeline.degraded = None then begin
+          if e.Pass.Pipeline.degraded = None then begin
             let pass = e.Pass.Pipeline.pass_name in
             (match !previous with
             | None ->
@@ -362,30 +342,30 @@ let test_summaries_two_domains () =
    this order: this test must run first. *)
 let pinned_output =
   [
-    ("Latbench", "base", "ebcc5db1cdc7604e762f7fa217ff9ac4", "81c8536325a9fbe16a5b6ddd7b03e906", "b4681bba7995c4d051c5170f93f0812f");
-    ("Em3d", "base", "5951fc689b1a942f9b6750f52d2acb54", "92bacdb202a1bb32896c47d6a99be06c", "04eb309aaa133314d5d72193b0fd5be0");
-    ("Erlebacher", "base", "c5f59bca5100cf3b6f5f257a5d0d4127", "940a872a10c83ac1a3e5c7c14e926844", "ed47526875ce9fad515f5aa155a5db66");
-    ("FFT", "base", "23bf5c0186589d40dcfdb83ba1af096b", "fe98fc2fdba690a7955518753e20b82d", "f50a78da276438cf7232da69d978c858");
-    ("LU", "base", "b2ace13a8518c199580484f1f2efd23a", "1755555ed8130f80cc08e40d57da1f56", "4325a3f4d1e4cc2a42d71290cde8a9a6");
-    ("Mp3d", "base", "facc5f2e85a293f149c01a99ceea96e5", "69c39fc0ef08820bdae541a97772552f", "84a11d49c8309a610c24caf2f87c1509");
-    ("MST", "base", "db46187c429842a9a717608ded6304f0", "a5a5ee1df2f97b15ef169155834074fe", "f8c028d99299483080b5317f807a853b");
-    ("Ocean", "base", "d40c284a1fc74008b91d4c30fe9c4b1a", "41313c9ac1443ab4b5ef1414e4521f2a", "e15aa533c01cb6577ccc99489467359e");
-    ("Latbench", "lp1", "2809030ebbc776b12f6b737d4271a1e6", "ab7a62a590bc61736d86872282f4639f", "c08c0e63d21bc75cc5ad33c02cbeefcc");
-    ("Em3d", "lp1", "745a0890c4ec51e70748c16c1a529e63", "e5784f4de746a6e1e6f9e7765e73899b", "1a4ae8a0bd077761003106710ce60983");
-    ("Erlebacher", "lp1", "c5f59bca5100cf3b6f5f257a5d0d4127", "680046f9d8c0125e206fec67beba0a55", "ed47526875ce9fad515f5aa155a5db66");
-    ("FFT", "lp1", "1f7dd5264ec64bc35337d2c55266e7b4", "a1950b6e3c9bb0802706cde2af7bb1d8", "f50a78da276438cf7232da69d978c858");
-    ("LU", "lp1", "2533e6f47eb07e13bf5a240f8c86284a", "791a2ccf87b4c25d5d7cb8e504bd3953", "f9b512c56195669ba8f33ef30ecc0889");
-    ("Mp3d", "lp1", "d38aab28ff6a3af614d526e04c08cf57", "6203b6097ce9e8024a88fffe94cb3022", "8a1ccd0fea27d796aa46f5df033cb47c");
-    ("MST", "lp1", "4f7e159e0e6d35dae1b2837e46815072", "ab7a62a590bc61736d86872282f4639f", "c08c0e63d21bc75cc5ad33c02cbeefcc");
-    ("Ocean", "lp1", "b581e79fb11c8b87dfe7c3f6f1de6646", "e7b667f01ee6fc6a612142a21fe7126e", "97abbb026051a85ff083713093b87af0");
-    ("Latbench", "lp16", "7c48ba86d8f87aa3d088e4c0eb82c096", "81c8536325a9fbe16a5b6ddd7b03e906", "b4681bba7995c4d051c5170f93f0812f");
-    ("Em3d", "lp16", "2e82ebdd089f4d972b6cf049bec21eb7", "92bacdb202a1bb32896c47d6a99be06c", "04eb309aaa133314d5d72193b0fd5be0");
-    ("Erlebacher", "lp16", "c5f59bca5100cf3b6f5f257a5d0d4127", "940a872a10c83ac1a3e5c7c14e926844", "ed47526875ce9fad515f5aa155a5db66");
-    ("FFT", "lp16", "0e195a313e856079bee69e6c48a816df", "fe98fc2fdba690a7955518753e20b82d", "f50a78da276438cf7232da69d978c858");
-    ("LU", "lp16", "b2ace13a8518c199580484f1f2efd23a", "1755555ed8130f80cc08e40d57da1f56", "4325a3f4d1e4cc2a42d71290cde8a9a6");
-    ("Mp3d", "lp16", "24a85c637b5dac639519d41942552b80", "d4766d7979e2a63965c69fd45e0b3f0b", "fc7f66dcb4b74df0566eeccb42d33966");
-    ("MST", "lp16", "19cd1f24c66562f2134b3b1e5683a805", "a5a5ee1df2f97b15ef169155834074fe", "baa8e49f6aa05d5bb668d45b1b621657");
-    ("Ocean", "lp16", "d40c284a1fc74008b91d4c30fe9c4b1a", "41313c9ac1443ab4b5ef1414e4521f2a", "e15aa533c01cb6577ccc99489467359e");
+    ("Latbench", "base", "ebcc5db1cdc7604e762f7fa217ff9ac4", "81c8536325a9fbe16a5b6ddd7b03e906", "7ac61aa772a9ac379c3bbd2d892c22a5");
+    ("Em3d", "base", "5951fc689b1a942f9b6750f52d2acb54", "92bacdb202a1bb32896c47d6a99be06c", "2551a1021de335b8657f7f642705e532");
+    ("Erlebacher", "base", "c5f59bca5100cf3b6f5f257a5d0d4127", "940a872a10c83ac1a3e5c7c14e926844", "c2194ef4aede937dacd1dfaffc82bdc3");
+    ("FFT", "base", "23bf5c0186589d40dcfdb83ba1af096b", "fe98fc2fdba690a7955518753e20b82d", "d79d5ee73ef6640d8ede5198dd4962ca");
+    ("LU", "base", "b2ace13a8518c199580484f1f2efd23a", "1755555ed8130f80cc08e40d57da1f56", "3a6134b89548ea3ca8d276060713ab84");
+    ("Mp3d", "base", "facc5f2e85a293f149c01a99ceea96e5", "69c39fc0ef08820bdae541a97772552f", "f190dfc4254382e0e05bbdb7a96bd4f6");
+    ("MST", "base", "db46187c429842a9a717608ded6304f0", "a5a5ee1df2f97b15ef169155834074fe", "c62c67593fc1e6e62e8a29b007a81647");
+    ("Ocean", "base", "d40c284a1fc74008b91d4c30fe9c4b1a", "41313c9ac1443ab4b5ef1414e4521f2a", "c3211d352feb5f4c630df03d4f3ee0a3");
+    ("Latbench", "lp1", "2809030ebbc776b12f6b737d4271a1e6", "ab7a62a590bc61736d86872282f4639f", "2ef23a8c2dd5e8c35ac6fe0698299bac");
+    ("Em3d", "lp1", "745a0890c4ec51e70748c16c1a529e63", "e5784f4de746a6e1e6f9e7765e73899b", "b79993ae72bd74dbaacabf876602ce3d");
+    ("Erlebacher", "lp1", "c5f59bca5100cf3b6f5f257a5d0d4127", "680046f9d8c0125e206fec67beba0a55", "c2194ef4aede937dacd1dfaffc82bdc3");
+    ("FFT", "lp1", "1f7dd5264ec64bc35337d2c55266e7b4", "a1950b6e3c9bb0802706cde2af7bb1d8", "d79d5ee73ef6640d8ede5198dd4962ca");
+    ("LU", "lp1", "2533e6f47eb07e13bf5a240f8c86284a", "791a2ccf87b4c25d5d7cb8e504bd3953", "4aa4cb9f9fff023fe55165109ddf704c");
+    ("Mp3d", "lp1", "d38aab28ff6a3af614d526e04c08cf57", "6203b6097ce9e8024a88fffe94cb3022", "c4d983da37702e2b8870beeb12467daf");
+    ("MST", "lp1", "4f7e159e0e6d35dae1b2837e46815072", "ab7a62a590bc61736d86872282f4639f", "2ef23a8c2dd5e8c35ac6fe0698299bac");
+    ("Ocean", "lp1", "b581e79fb11c8b87dfe7c3f6f1de6646", "e7b667f01ee6fc6a612142a21fe7126e", "52bed374400f77caba738974dfc3ece6");
+    ("Latbench", "lp16", "7c48ba86d8f87aa3d088e4c0eb82c096", "81c8536325a9fbe16a5b6ddd7b03e906", "7ac61aa772a9ac379c3bbd2d892c22a5");
+    ("Em3d", "lp16", "2e82ebdd089f4d972b6cf049bec21eb7", "92bacdb202a1bb32896c47d6a99be06c", "2551a1021de335b8657f7f642705e532");
+    ("Erlebacher", "lp16", "c5f59bca5100cf3b6f5f257a5d0d4127", "940a872a10c83ac1a3e5c7c14e926844", "c2194ef4aede937dacd1dfaffc82bdc3");
+    ("FFT", "lp16", "0e195a313e856079bee69e6c48a816df", "fe98fc2fdba690a7955518753e20b82d", "d79d5ee73ef6640d8ede5198dd4962ca");
+    ("LU", "lp16", "b2ace13a8518c199580484f1f2efd23a", "1755555ed8130f80cc08e40d57da1f56", "3a6134b89548ea3ca8d276060713ab84");
+    ("Mp3d", "lp16", "24a85c637b5dac639519d41942552b80", "d4766d7979e2a63965c69fd45e0b3f0b", "030ab4532498d9c0b1baceec6176f9f0");
+    ("MST", "lp16", "19cd1f24c66562f2134b3b1e5683a805", "a5a5ee1df2f97b15ef169155834074fe", "b4a6804f4282b25af38ebef6278d45d0");
+    ("Ocean", "lp16", "d40c284a1fc74008b91d4c30fe9c4b1a", "41313c9ac1443ab4b5ef1414e4521f2a", "c3211d352feb5f4c630df03d4f3ee0a3");
   ]
 
 let test_pinned_output () =

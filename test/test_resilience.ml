@@ -193,17 +193,15 @@ let test_forced_pass_failure_degrades () =
         (List.map fst (Pass.Pipeline.degraded_passes report.Driver.trace));
       let rec after = function
         | [] -> []
-        | (e : Pass.Pipeline.entry) :: rest ->
-            if String.equal e.Pass.Pipeline.pass_name forced then rest else after rest
+        | name :: rest -> if String.equal name forced then rest else after rest
       in
-      List.iter
-        (fun (e : Pass.Pipeline.entry) ->
-          if List.mem e.Pass.Pipeline.pass_name sabotageable then
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: later pass %s still runs" forced
-                 e.Pass.Pipeline.pass_name)
-              true e.Pass.Pipeline.ran)
-        (after report.Driver.trace.Pass.Pipeline.entries);
+      Alcotest.(check (list string))
+        (forced ^ ": every later pass still runs")
+        (after Driver.pass_names)
+        (after
+           (List.map
+              (fun (e : Pass.Pipeline.entry) -> e.Pass.Pipeline.pass_name)
+              report.Driver.trace.Pass.Pipeline.entries));
       Alcotest.(check bool)
         (forced ^ ": semantics preserved")
         true
@@ -230,6 +228,30 @@ let test_failsafe_off_raises_structured_error () =
       | exception Error.Error (Error.Legality_violation { pass; _ }) ->
           Alcotest.(check string) "names the pass" forced pass)
     [ "schedule"; "window-unroll" ]
+
+(* A corrupted candidate whose execution raises (here: it reads a scalar
+   whose assignment the corruption dropped) is a divergence like any
+   other: the pass rolls back and the run returns the source's
+   semantics. *)
+let test_raising_candidate_rolls_back () =
+  List.iter
+    (fun name ->
+      let w = List.find (fun w -> String.equal w.Workload.name name) (Registry.small ()) in
+      let reference = final_store w (Program.renumber w.Workload.program) in
+      let options =
+        {
+          Driver.default_options with
+          chaos = Some { Pass.chaos_seed = 0; chaos_rate = 0.5; fail_pass = None };
+        }
+      in
+      let p, report =
+        Driver.run ~options ~init:w.Workload.init w.Workload.program
+      in
+      Alcotest.(check bool) (name ^ ": a pass degraded") true
+        (Pass.Pipeline.degraded_passes report.Driver.trace <> []);
+      Alcotest.(check bool) (name ^ ": semantics preserved") true
+        (Data.equal reference (final_store w p)))
+    [ "MST"; "Mp3d" ]
 
 let test_chaos_of_env_parses () =
   Unix.putenv "MEMCLUST_CHAOS_PASSES" "11:0.5";
@@ -349,6 +371,8 @@ let () =
             test_forced_pass_failure_degrades;
           Alcotest.test_case "failsafe off raises" `Quick
             test_failsafe_off_raises_structured_error;
+          Alcotest.test_case "raising candidate rolls back" `Quick
+            test_raising_candidate_rolls_back;
           Alcotest.test_case "env spec parses" `Quick test_chaos_of_env_parses;
         ] );
       ( "crash containment",

@@ -838,143 +838,6 @@ let test_schedule_oracle_fft () =
         bodies)
     [ small; w ]
 
-(* ------------------------------ Fusion ----------------------------- *)
-
-let two_loops ?(second_reads_ahead = false) () =
-  let open Builder in
-  let idx = if second_reads_ahead then ix "i" +: cst 1 else ix "i" in
-  program "pair"
-    ~arrays:[ array_decl "a" 128; array_decl "b" 128; array_decl "oa" 128; array_decl "ob" 128 ]
-    [
-      loop "i" (cst 0) (cst 100)
-        [ store (aref "oa" (ix "i")) (arr "a" (ix "i") * flt 2.0) ];
-      loop "i" (cst 0) (cst 100)
-        [ store (aref "ob" (ix "i")) (arr "b" (ix "i") + arr "oa" idx) ];
-    ]
-
-let loops_of p =
-  match p.Ast.body with
-  | [ Ast.Loop l1; Ast.Loop l2 ] -> (l1, l2)
-  | _ -> assert false
-
-let test_fusion_forward_dep_legal () =
-  let p = two_loops () in
-  let l1, l2 = loops_of p in
-  match Fuse.apply l1 l2 with
-  | Error e -> Alcotest.failf "fusion failed: %a" Fuse.pp_error e
-  | Ok fused ->
-      let p2 = replace_nest p [ fused ] in
-      Alcotest.(check bool) "semantics" true
-        (semantics_equal p p2 (float_init [ "a"; "b" ] 128))
-
-let test_fusion_backward_dep_illegal () =
-  (* loop 2 reads oa[i+1], produced by loop 1 only at iteration i+1 *)
-  let p = two_loops ~second_reads_ahead:true () in
-  let l1, l2 = loops_of p in
-  match Fuse.apply l1 l2 with
-  | Error (Fuse.Illegal _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %a" Fuse.pp_error e
-  | Ok _ -> Alcotest.fail "backward dependence must forbid fusion"
-
-let test_fusion_shape_mismatch () =
-  let open Builder in
-  let p =
-    program "mismatch"
-      ~arrays:[ array_decl "a" 64; array_decl "b" 64 ]
-      [
-        loop "i" (cst 0) (cst 32) [ store (aref "a" (ix "i")) (flt 1.0) ];
-        loop "j" (cst 0) (cst 33) [ store (aref "b" (ix "j")) (flt 2.0) ];
-      ]
-  in
-  let l1, l2 = loops_of p in
-  match Fuse.apply l1 l2 with
-  | Error (Fuse.Shape_mismatch _) -> ()
-  | _ -> Alcotest.fail "expected shape mismatch"
-
-let test_fusion_renames_second_var () =
-  let open Builder in
-  let p =
-    program "vars"
-      ~arrays:[ array_decl "a" 64; array_decl "b" 64; array_decl "c" 64 ]
-      [
-        loop "i" (cst 0) (cst 64) [ store (aref "a" (ix "i")) (arr "c" (ix "i")) ];
-        loop "j" (cst 0) (cst 64) [ store (aref "b" (ix "j")) (arr "c" (ix "j") * flt 3.0) ];
-      ]
-  in
-  let l1, l2 = loops_of p in
-  match Fuse.apply l1 l2 with
-  | Error e -> Alcotest.failf "fusion failed: %a" Fuse.pp_error e
-  | Ok fused ->
-      let p2 = replace_nest p [ fused ] in
-      Alcotest.(check bool) "semantics across variable rename" true
-        (semantics_equal p p2 (float_init [ "c" ] 64))
-
-let test_fusion_privatizes_scalars () =
-  let open Builder in
-  let p =
-    program "scal"
-      ~arrays:[ array_decl "a" 64; array_decl "oa" 64; array_decl "ob" 64 ]
-      [
-        loop "i" (cst 0) (cst 64)
-          [ assign "t" (arr "a" (ix "i")); store (aref "oa" (ix "i")) (sc "t" * sc "t") ];
-        loop "i" (cst 0) (cst 64)
-          [ assign "t" (arr "a" (ix "i")); store (aref "ob" (ix "i")) (sc "t" + flt 1.0) ];
-      ]
-  in
-  let l1, l2 = loops_of p in
-  match Fuse.apply l1 l2 with
-  | Error e -> Alcotest.failf "fusion failed: %a" Fuse.pp_error e
-  | Ok fused ->
-      let p2 = replace_nest p [ fused ] in
-      Alcotest.(check bool) "semantics with renamed temporaries" true
-        (semantics_equal p p2 (float_init [ "a" ] 64))
-
-let test_fuse_adjacent_sweep () =
-  let p = two_loops () in
-  let p2, n = Fuse.fuse_adjacent p in
-  Alcotest.(check int) "one fusion" 1 n;
-  Alcotest.(check int) "single top-level loop" 1 (List.length p2.Ast.body);
-  Alcotest.(check bool) "semantics" true
-    (semantics_equal p p2 (float_init [ "a"; "b" ] 128))
-
-
-
-let test_fusion_irregular_store_illegal () =
-  let open Builder in
-  let p =
-    program "irrf"
-      ~arrays:[ array_decl "a" 64; array_decl "idx" 64; array_decl "b" 64 ]
-      [
-        loop "i" (cst 0) (cst 64)
-          [ store (iref "a" (arr "idx" (ix "i"))) (flt 1.0) ];
-        loop "i" (cst 0) (cst 64)
-          [ store (aref "b" (ix "i")) (arr "a" (ix "i")) ];
-      ]
-  in
-  let l1, l2 = loops_of p in
-  match Fuse.apply l1 l2 with
-  | Error (Fuse.Illegal _) -> ()
-  | _ -> Alcotest.fail "irregular store must forbid fusion"
-
-let test_fusion_scalar_conflict () =
-  let open Builder in
-  (* the second loop reads s before writing it: its value comes from the
-     end of the first loop, which fusion would change *)
-  let p =
-    program "conflict"
-      ~arrays:[ array_decl "a" 64; array_decl "o" 64 ]
-      [
-        loop "i" (cst 0) (cst 64) [ assign "s" (arr "a" (ix "i")) ];
-        loop "i" (cst 0) (cst 64)
-          [ store (aref "o" (ix "i")) (sc "s"); assign "s" (flt 0.0) ];
-      ]
-  in
-  let l1, l2 = loops_of p in
-  match Fuse.apply l1 l2 with
-  | Error (Fuse.Scalar_conflict _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %a" Fuse.pp_error e
-  | Ok _ -> Alcotest.fail "carried scalar must forbid fusion"
-
 (* ---------------------------- Prefetching -------------------------- *)
 
 let test_prefetch_preserves_semantics () =
@@ -1158,16 +1021,5 @@ let () =
         [
           Alcotest.test_case "permutation + semantics" `Quick test_balanced_is_permutation;
           QCheck_alcotest.to_alcotest prop_balanced_semantics;
-        ] );
-      ( "fusion",
-        [
-          Alcotest.test_case "forward dep legal" `Quick test_fusion_forward_dep_legal;
-          Alcotest.test_case "backward dep illegal" `Quick test_fusion_backward_dep_illegal;
-          Alcotest.test_case "shape mismatch" `Quick test_fusion_shape_mismatch;
-          Alcotest.test_case "variable rename" `Quick test_fusion_renames_second_var;
-          Alcotest.test_case "scalar privatization" `Quick test_fusion_privatizes_scalars;
-          Alcotest.test_case "fuse_adjacent" `Quick test_fuse_adjacent_sweep;
-          Alcotest.test_case "irregular store illegal" `Quick test_fusion_irregular_store_illegal;
-          Alcotest.test_case "scalar conflict" `Quick test_fusion_scalar_conflict;
         ] );
     ]
