@@ -76,11 +76,11 @@ let chaos_arg =
   Arg.(
     value & opt (some string) None & info [ "chaos-passes" ] ~docv:"SEED[:RATE]" ~doc)
 
-(* Every option that names a clustering pass parses through this one
-   converter: an unknown name is a usage error (exit 124) naming the
-   registered passes. *)
-let pass_conv =
-  Arg.enum (List.map (fun n -> (n, n)) Memclust_cluster.Driver.pass_names)
+(* Every option that names a clustering pass parses through an enum of
+   the names: an unknown name is a usage error (exit 124) listing them.
+   --fail-pass excludes uniquify, which is never sabotaged. *)
+let pass_enum names = Arg.enum (List.map (fun n -> (n, n)) names)
+let pass_conv = pass_enum Memclust_cluster.Driver.pass_names
 
 let fail_pass_arg =
   let doc =
@@ -88,7 +88,8 @@ let fail_pass_arg =
      the run must complete with that pass rolled back and recorded as \
      degraded). Same as $(b,MEMCLUST_FAIL_PASS)."
   in
-  Arg.(value & opt (some pass_conv) None & info [ "fail-pass" ] ~docv:"PASS" ~doc)
+  let names = pass_enum Memclust_cluster.Driver.fail_pass_names in
+  Arg.(value & opt (some names) None & info [ "fail-pass" ] ~docv:"PASS" ~doc)
 
 let apply_resilience_flags watchdog budget faults chaos fail_pass =
   let bad fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n" s; exit 1) fmt in
@@ -112,7 +113,7 @@ let apply_resilience_flags watchdog budget faults chaos fail_pass =
   Option.iter
     (fun s ->
       Unix.putenv "MEMCLUST_CHAOS_PASSES" s;
-      try ignore (Memclust_cluster.Pass.chaos_of_env ())
+      try ignore (Memclust_cluster.Driver.chaos_of_env ())
       with Invalid_argument m -> bad "bad --chaos-passes %s: %s" s m)
     chaos;
   Option.iter (Unix.putenv "MEMCLUST_FAIL_PASS") fail_pass
@@ -313,11 +314,7 @@ let sweep_cmd =
     let configs =
       List.map
         (fun (m, l) ->
-          let cfg =
-            { (Config.base |> Config.with_mshrs m |> Config.with_line l) with
-              Config.name = Printf.sprintf "base-m%d-l%d" m l
-            }
-          in
+          let cfg = Config.base |> Config.with_mshrs m |> Config.with_line l in
           (match Config.validate cfg with
           | Ok () -> ()
           | Error e ->
@@ -545,6 +542,10 @@ let () =
   (* fail fast if a preset was edited into an inconsistent state *)
   List.iter Config.validate_exn
     [ Config.base; Config.exemplar_like; Config.three_level ];
+  (* and on a bad MEMCLUST_CHAOS_PASSES / MEMCLUST_FAIL_PASS, naming the
+     valid values, rather than deep inside a worker domain *)
+  (try ignore (Memclust_cluster.Driver.chaos_of_env ())
+   with Invalid_argument m -> prerr_endline m; exit 1);
   exit
     (Cmd.eval
        (Cmd.group info

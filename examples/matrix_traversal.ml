@@ -56,7 +56,7 @@ let variants () =
     | Error e -> failwith ("strip-mine: " ^ e)
   in
   let uj =
-    match Unroll_jam.apply ~factor:10 j_loop with
+    match Unroll_jam.apply ~stamp:1 ~factor:10 j_loop with
     | Ok stmts -> stmts
     | Error e -> Format.kasprintf failwith "unroll-and-jam: %a" Unroll_jam.pp_error e
   in

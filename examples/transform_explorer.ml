@@ -72,7 +72,7 @@ let () =
         let j_loop =
           match base.Ast.body with [ Ast.Loop l ] -> l | _ -> assert false
         in
-        match Unroll_jam.apply ~factor j_loop with
+        match Unroll_jam.apply ~stamp:1 ~factor j_loop with
         | Error _ -> None
         | Ok stmts ->
             let p = Program.renumber { base with Ast.body = stmts } in

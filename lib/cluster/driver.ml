@@ -163,12 +163,14 @@ let evaluate options ~source ~loc p ~nest_var ~key =
 (* Unroll-and-jam with binary search on the degree                     *)
 (* ------------------------------------------------------------------ *)
 
-let try_factor p ~nest_var (parent : loop) enclosing n =
+let try_factor ~stamp p ~nest_var (parent : loop) enclosing n =
   let outer_ranges =
     Legality.ranges_of_nest ~params:p.params
       (List.filter (fun (l : loop) -> not (String.equal l.var parent.var)) enclosing)
   in
-  match Unroll_jam.apply ~params:p.params ~outer_ranges ~factor:n parent with
+  match
+    Unroll_jam.apply ~params:p.params ~outer_ranges ~stamp:(stamp ()) ~factor:n parent
+  with
   | Error e -> Error (Format.asprintf "%a" Unroll_jam.pp_error e)
   | Ok repl -> (
       match Pass.find_nest p nest_var with
@@ -177,8 +179,8 @@ let try_factor p ~nest_var (parent : loop) enclosing n =
           let nest' = Pass.replace_loop ~var:parent.var ~repl (Loop nest) in
           Ok (Program.renumber (Pass.replace_nest p ~var:nest_var ~repl:nest')))
 
-let resolve_recurrences options ~source p ~nest_var ~key parent enclosing ~alpha ~f0
-    =
+let resolve_recurrences { Pass.options; source; stamp } p ~nest_var ~key parent
+    enclosing ~alpha ~f0 =
   let lp = float_of_int options.machine.Machine_model.mshrs in
   let target = alpha *. lp in
   let u = options.machine.Machine_model.max_unroll in
@@ -211,7 +213,7 @@ let resolve_recurrences options ~source p ~nest_var ~key parent enclosing ~alpha
   (* f is monotone in the unroll degree: binary-search the largest degree
      whose f stays within α·lp (the paper's contention-conscious rule) *)
   let f_of n =
-    match try_factor p ~nest_var parent enclosing n with
+    match try_factor ~stamp p ~nest_var parent enclosing n with
     | Error msg -> Error msg
     | Ok p' -> (
         match evaluate options ~source ~loc:(analyze options p') p' ~nest_var ~key with
@@ -254,7 +256,7 @@ let resolve_recurrences options ~source p ~nest_var ~key parent enclosing ~alpha
 (* Window-constraint resolution                                        *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_window options ~source ~loc p ~nest_var ~key =
+let resolve_window { Pass.options; source; stamp } ~loc p ~nest_var ~key =
   match evaluate options ~source ~loc p ~nest_var ~key with
   | None -> (p, [])
   | Some (located, graph, _, fest) -> (
@@ -269,7 +271,7 @@ let resolve_window options ~source ~loc p ~nest_var ~key =
             min options.machine.Machine_model.max_unroll
               (max 2 (int_of_float (Float.ceil (lp /. density))))
           in
-          (match Inner_unroll.apply ~params:p.params ~factor:k l with
+          (match Inner_unroll.apply ~params:p.params ~stamp:(stamp ()) ~factor:k l with
           | Error _ -> (p, [])
           | Ok repl -> (
               match Pass.find_nest p nest_var with
@@ -372,7 +374,7 @@ let analyze_pass =
       "per-nest locality/dependence analysis: records alpha and the \
        initial f of every innermost construct";
     rewrite =
-      (fun { Pass.options; source } p ->
+      (fun { Pass.options; source; _ } p ->
         over_nest_keys options p (fun p ~loc ~nest_var ~key ->
             match evaluate options ~source ~loc p ~nest_var ~key with
             | None -> (p, [])
@@ -401,7 +403,7 @@ let unroll_jam_pass =
       "resolve memory-parallelism recurrences: binary-search the largest \
        unroll-and-jam degree keeping f <= alpha*lp (paper §3.2)";
     rewrite =
-      (fun { Pass.options; source } p ->
+      (fun ({ Pass.options; source; _ } as ctx) p ->
         let lp = float_of_int options.machine.Machine_model.mshrs in
         over_nest_keys options p (fun p ~loc ~nest_var ~key ->
             match evaluate options ~source ~loc p ~nest_var ~key with
@@ -422,7 +424,7 @@ let unroll_jam_pass =
                     | [] -> ()
                     | target :: rest ->
                         let p', acts =
-                          resolve_recurrences options ~source !p ~nest_var ~key
+                          resolve_recurrences ctx !p ~nest_var ~key
                             target located.Pass.enclosing ~alpha
                             ~f0:fest.Festimate.f
                         in
@@ -454,9 +456,9 @@ let window_pass =
       "inner-loop unrolling when the misses of one window's worth of \
        iterations cannot fill the MSHRs (paper §3.3)";
     rewrite =
-      (fun { Pass.options; source } p ->
-        over_nest_keys options p (fun p ~loc ~nest_var ~key ->
-            let p', acts = resolve_window options ~source ~loc p ~nest_var ~key in
+      (fun ctx p ->
+        over_nest_keys ctx.Pass.options p (fun p ~loc ~nest_var ~key ->
+            let p', acts = resolve_window ctx ~loc p ~nest_var ~key in
             ( p',
               List.map
                 (fun action ->
@@ -499,6 +501,64 @@ let passes =
   ]
 
 let pass_names = List.map (fun p -> p.Pass.name) passes
+
+(* uniquify is never sabotaged: every later pass keys nests by the
+   unique loop variables it establishes *)
+let fail_pass_names =
+  List.filter (fun n -> not (String.equal n "uniquify")) pass_names
+
+let check_chaos ~what c =
+  match c.fail_pass with
+  | Some n when not (List.mem n fail_pass_names) ->
+      invalid_arg
+        (Printf.sprintf "%s: %S is not a pass that can fail (valid: %s)" what n
+           (String.concat ", " fail_pass_names))
+  | _ -> c
+
+(* "SEED[:RATE]" in MEMCLUST_CHAOS_PASSES (rate defaults to 0.25), plus
+   MEMCLUST_FAIL_PASS naming one pass to sabotage unconditionally. The
+   environment route exists so the repro CLI can reach pipelines built
+   deep inside the harness, mirroring MEMCLUST_SIM_MODE. *)
+let chaos_of_env () =
+  let fail_pass =
+    match Sys.getenv_opt "MEMCLUST_FAIL_PASS" with
+    | None | Some "" -> None
+    | Some s -> Some s
+  in
+  let spec =
+    match Sys.getenv_opt "MEMCLUST_CHAOS_PASSES" with
+    | None | Some "" -> None
+    | Some s -> Some s
+  in
+  match (spec, fail_pass) with
+  | None, None -> None
+  | _ ->
+      let chaos_seed, chaos_rate =
+        match spec with
+        | None -> (0, 0.0)
+        | Some s -> (
+            let bad () =
+              invalid_arg
+                (Printf.sprintf
+                   "MEMCLUST_CHAOS_PASSES: expected SEED[:RATE] with RATE in \
+                    [0,1], got %S"
+                   s)
+            in
+            match String.split_on_char ':' (String.trim s) with
+            | [ seed ] -> (
+                match int_of_string_opt seed with
+                | Some seed -> (seed, 0.25)
+                | None -> bad ())
+            | [ seed; rate ] -> (
+                match (int_of_string_opt seed, float_of_string_opt rate) with
+                | Some seed, Some rate when rate >= 0.0 && rate <= 1.0 ->
+                    (seed, rate)
+                | _ -> bad ())
+            | _ -> bad ())
+      in
+      Some
+        (check_chaos ~what:"MEMCLUST_FAIL_PASS"
+           { chaos_seed; chaos_rate; fail_pass })
 
 (* ------------------------------------------------------------------ *)
 (* Report assembly                                                     *)
@@ -593,8 +653,14 @@ let run ?(options = default_options) ?init ?only ?observe (p : program) =
         { Pass.store; digest })
       init
   in
-  let ctx = { Pass.options; source } in
-  let p', trace = Pass.Pipeline.run ?observe ctx (select_passes only) p in
+  let chaos =
+    match options.chaos with
+    | Some c -> Some (check_chaos ~what:"Cluster.Driver: chaos.fail_pass" c)
+    | None -> chaos_of_env ()
+  in
+  let p', trace =
+    Pass.Pipeline.run ?observe ?source { options with chaos } (select_passes only) p
+  in
   (p', report_of_trace trace)
 
 let pp_action = Pass.pp_action

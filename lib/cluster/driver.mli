@@ -72,7 +72,9 @@ type options = Pass.options = {
   failsafe : bool;
       (** guard the pipeline, rolling back failing passes as degraded
           (default; see {!Pass.Pipeline.run}) *)
-  chaos : chaos option;  (** sabotage injection (default [None]) *)
+  chaos : chaos option;
+      (** sabotage injection (default [None]: {!run} then reads
+          {!chaos_of_env}) *)
 }
 
 val default_options : options
@@ -81,6 +83,17 @@ val passes : Pass.t list
 (** The registered pipeline, in execution order. *)
 
 val pass_names : string list
+
+val fail_pass_names : string list
+(** The passes a [chaos.fail_pass] may name: every registered pass but
+    [uniquify], which is never sabotaged. *)
+
+val chaos_of_env : unit -> chaos option
+(** The [MEMCLUST_CHAOS_PASSES] ("SEED[:RATE]", rate defaulting to 0.25)
+    and [MEMCLUST_FAIL_PASS] (one of {!fail_pass_names}) environment
+    variables — how the repro CLI reaches pipelines constructed deep
+    inside the harness. [None] when neither is set; raises
+    [Invalid_argument] on a malformed value. *)
 
 val run :
   ?options:options ->
@@ -96,7 +109,8 @@ val run :
     Without it, profiling sees a zero-filled store and the guard checks
     structure only. [only] restricts the pipeline to the named passes, in
     pipeline order ([uniquify] always runs; unknown names raise
-    [Invalid_argument]); the trace lists only the passes that ran. [observe] is called with the pass name and
+    [Invalid_argument], as does a [chaos.fail_pass] outside
+    {!fail_pass_names}); the trace lists only the passes that ran. [observe] is called with the pass name and
     program of every pass of the shipped run that was accepted (see
     {!Pass.Pipeline.run}). The returned program is renumbered and
     validated after every pass. *)

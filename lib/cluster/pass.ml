@@ -34,51 +34,8 @@ let default_options =
     chaos = None;
   }
 
-(* "SEED[:RATE]" in MEMCLUST_CHAOS_PASSES (rate defaults to 0.25), plus
-   MEMCLUST_FAIL_PASS naming one pass to sabotage unconditionally. The
-   environment route exists so the repro CLI can reach pipelines built
-   deep inside the harness, mirroring MEMCLUST_SIM_MODE. *)
-let chaos_of_env () =
-  let fail_pass =
-    match Sys.getenv_opt "MEMCLUST_FAIL_PASS" with
-    | None | Some "" -> None
-    | Some s -> Some s
-  in
-  let spec =
-    match Sys.getenv_opt "MEMCLUST_CHAOS_PASSES" with
-    | None | Some "" -> None
-    | Some s -> Some s
-  in
-  match (spec, fail_pass) with
-  | None, None -> None
-  | _ ->
-      let chaos_seed, chaos_rate =
-        match spec with
-        | None -> (0, 0.0)
-        | Some s -> (
-            let bad () =
-              invalid_arg
-                (Printf.sprintf
-                   "MEMCLUST_CHAOS_PASSES: expected SEED[:RATE] with RATE in \
-                    [0,1], got %S"
-                   s)
-            in
-            match String.split_on_char ':' (String.trim s) with
-            | [ seed ] -> (
-                match int_of_string_opt seed with
-                | Some seed -> (seed, 0.25)
-                | None -> bad ())
-            | [ seed; rate ] -> (
-                match (int_of_string_opt seed, float_of_string_opt rate) with
-                | Some seed, Some rate when rate >= 0.0 && rate <= 1.0 ->
-                    (seed, rate)
-                | _ -> bad ())
-            | _ -> bad ())
-      in
-      Some { chaos_seed; chaos_rate; fail_pass }
-
 type source = { store : Data.t Lazy.t; digest : string Lazy.t }
-type ctx = { options : options; source : source option }
+type ctx = { options : options; source : source option; stamp : unit -> int }
 
 (* ------------------------------------------------------------------ *)
 (* Events: what a pass did, in terms the report can aggregate          *)
@@ -373,12 +330,16 @@ module Pipeline = struct
       (* no assignment anywhere: drop whatever statement comes first *)
       match p.body with _ :: rest -> { p with body = rest } | [] -> p
 
-  let run ?observe ctx passes p =
+  let run ?observe ?source options passes p =
     let t_start = now_ms () in
     let p0 = Program.renumber p in
-    let failsafe = ctx.options.failsafe in
-    let chaos =
-      match ctx.options.chaos with Some c -> Some c | None -> chaos_of_env ()
+    let failsafe = options.failsafe in
+    let chaos = options.chaos in
+    (* stamps the source already carries (it was clustered before) *)
+    let taken =
+      List.concat_map Memclust_transform.Subst.name_stamps
+        (Program.scalars_written p0.body
+        @ List.map (fun c -> c.cvar) (Program.chases p0))
     in
     (* The reference store — the source program's final data state —
        computed lazily once per pipeline run. The paper's own methodology
@@ -390,7 +351,7 @@ module Pipeline = struct
        [Data.create] lays out ([invalid_ir] enforces it). *)
     let reference =
       lazy
-        (match ctx.source with
+        (match source with
         | None -> None
         | Some source -> (
             try
@@ -400,7 +361,7 @@ module Pipeline = struct
             with Exec.Limit_exceeded -> None))
     in
     let divergence candidate =
-      match (Lazy.force reference, ctx.source) with
+      match (Lazy.force reference, source) with
       | Some ref_store, Some source -> (
           let d = Data.copy (Lazy.force source.store) in
           match Exec.run ~max_ops:diff_cand_max_ops candidate d with
@@ -431,6 +392,16 @@ module Pipeline = struct
        the last-good program, the trace entries and the accepted
        [(pass, program)] pairs for [observe]. *)
     let run_passes ~per_pass =
+      (* this run's rename stamps, 1, 2, ... in draw order: the replay
+         draws exactly the stamps the first run drew *)
+      let ctx =
+        let last = ref 0 in
+        let rec stamp () =
+          incr last;
+          if List.mem !last taken then stamp () else !last
+        in
+        { options; source; stamp }
+      in
       let chaos_rng =
         Option.map
           (fun c -> Memclust_util.Rng.create (c.chaos_seed lxor Hashtbl.hash p.p_name))
@@ -467,7 +438,7 @@ module Pipeline = struct
       let record entry = entries := entry :: !entries in
       (* one cell per program, computed only if read: pass k's "after" is
          pass k+1's "before" *)
-      let pending prog = Atomic.make (Pending (ctx.options, prog)) in
+      let pending prog = Atomic.make (Pending (options, prog)) in
       let current_summaries = ref (pending p0) in
       let no_summaries = Atomic.make (Done []) in
       List.iter
@@ -579,11 +550,6 @@ module Pipeline = struct
         total_ms = now_ms () -. t_start;
         check_ms = !check_ms;
       } )
-
-  let run_result ?observe ctx passes p =
-    match run ?observe ctx passes p with
-    | v -> Ok v
-    | exception Memclust_util.Error.Error e -> Error e
 
   (* ---------------------------- rendering --------------------------- *)
 

@@ -45,18 +45,12 @@ type options = {
       (** guard every pass (default): a pass that crashes, produces
           invalid IR or changes program semantics is rolled back and
           recorded as degraded instead of failing the pipeline *)
-  chaos : chaos option;  (** sabotage injection; [None] (default) also
-                             consults {!chaos_of_env} at run time *)
+  chaos : chaos option;
+      (** sabotage injection (default [None]; {!Driver.run} then consults
+          {!Driver.chaos_of_env}) *)
 }
 
 val default_options : options
-
-val chaos_of_env : unit -> chaos option
-(** The [MEMCLUST_CHAOS_PASSES] ("SEED[:RATE]", rate defaulting to 0.25)
-    and [MEMCLUST_FAIL_PASS] (a pass name) environment variables — how
-    the repro CLI reaches pipelines constructed deep inside the harness.
-    [None] when neither is set; raises [Invalid_argument] on malformed
-    values. *)
 
 type source = {
   store : Data.t Lazy.t;
@@ -72,9 +66,15 @@ type source = {
     candidate because no pass may change the array and region
     declarations {!Data.create} lays out. *)
 
-type ctx = { options : options; source : source option }
-(** What every pass may consult: the machine/flag options and the
-    initialized source store, when the caller supplied an initializer. *)
+type ctx = {
+  options : options;
+  source : source option;
+  stamp : unit -> int;
+      (** the next rename stamp for unroll-and-jam and inner unrolling:
+          1, 2, ... afresh in each run of the pass sequence, skipping the
+          source's own stamps *)
+}
+(** What every pass may consult, built by {!Pipeline.run}. *)
 
 (** {1 Events} *)
 
@@ -215,14 +215,15 @@ module Pipeline : sig
 
   val run :
     ?observe:(string -> program -> unit) ->
-    ctx ->
+    ?source:source ->
+    options ->
     t list ->
     program ->
     program * trace
   (** Run the passes in order under the fail-safe guard. After
       every pass the result is renumbered and validated, and its array and
       region declarations must equal the source's; a crash or invalid IR
-      is caught right there. When the context has a source store and the
+      is caught right there. When there is a [source] store and the
       source program fits the interpreter op budget, the final program is
       then differentially executed once against the {e original}
       program's final store. Since every candidate is compared with the
@@ -247,15 +248,6 @@ module Pipeline : sig
       and the accepted program of each pass of the shipped run that was
       not rolled back. The entries' f/α summaries are not
       computed here: a caller that never reads them never pays for them. *)
-
-  val run_result :
-    ?observe:(string -> program -> unit) ->
-    ctx ->
-    t list ->
-    program ->
-    (program * trace, Memclust_util.Error.t) result
-  (** {!run} with the [failsafe = false] errors returned instead of
-      raised. *)
 
   val pp_trace : Format.formatter -> trace -> unit
 

@@ -43,11 +43,6 @@ let add_trace ?(line_size = 64) lines acc trace =
   done;
   !acc
 
-let of_trace ?(line_size = 64) trace =
-  let lines = Hashtbl.create 1024 in
-  let t = add_trace ~line_size lines empty trace in
-  { t with distinct_lines = Hashtbl.length lines }
-
 let of_lowered ?(line_size = 64) (l : Lower.t) =
   let lines = Hashtbl.create 1024 in
   let t =

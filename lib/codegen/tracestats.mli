@@ -14,8 +14,6 @@ type t = {
   distinct_lines : int;  (** distinct cache lines touched (64 B) *)
 }
 
-val of_trace : ?line_size:int -> Trace.t -> t
-
 val of_lowered : ?line_size:int -> Lower.t -> t
 (** Aggregated over all processors. *)
 

@@ -36,6 +36,3 @@ let compute ~nodes ~succ =
   in
   List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) nodes;
   List.rev !components
-
-let is_trivial comp ~self_edge =
-  match comp with [ v ] -> not (self_edge v) | _ -> false

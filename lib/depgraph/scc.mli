@@ -5,7 +5,3 @@ val compute : nodes:int list -> succ:(int -> int list) -> int list list
 (** Strongly connected components in reverse topological order. Singleton
     components are included even without a self-edge; the caller decides
     whether they form a cycle. *)
-
-val is_trivial : int list -> self_edge:(int -> bool) -> bool
-(** A component is trivial (not a recurrence) when it has one node and no
-    self edge. *)

@@ -538,10 +538,7 @@ let mshr_sweep () =
       List.find (fun w -> w.Workload.name = "LU") (Registry.applications ());
     ]
   in
-  let sweep_config mshrs =
-    { (Config.with_mshrs mshrs Config.base) with
-      Config.name = Printf.sprintf "base-mshr%d" mshrs }
-  in
+  let sweep_config mshrs = Config.with_mshrs mshrs Config.base in
   prewarm
     (List.concat_map
        (fun w ->

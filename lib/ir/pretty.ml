@@ -87,4 +87,3 @@ let pp_program ppf p =
   Format.fprintf ppf "@,%a@]" pp_body p.body
 
 let stmt_to_string s = Format.asprintf "%a" pp_stmt s
-let program_to_string p = Format.asprintf "%a" pp_program p

@@ -8,4 +8,3 @@ val pp_stmt : Format.formatter -> stmt -> unit
 val pp_program : Format.formatter -> program -> unit
 
 val stmt_to_string : stmt -> string
-val program_to_string : program -> string

@@ -51,8 +51,6 @@ let rec map_stmt f stmt =
   in
   f stmt
 
-let map_stmts f p = { p with body = List.map (map_stmt f) p.body }
-
 let rec iter_exprs_in_stmt f stmt =
   match stmt with
   | Assign (_, e) -> f e

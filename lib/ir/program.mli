@@ -11,9 +11,6 @@ val renumber : program -> program
 
 val max_ref_id : program -> int
 
-val map_stmts : (stmt -> stmt) -> program -> program
-(** Bottom-up rewrite of every statement (children first). *)
-
 val map_refs : (mem_ref -> mem_ref) -> stmt -> stmt
 (** Rewrite every memory reference in a statement, including those nested
     in expressions and left-hand sides. *)

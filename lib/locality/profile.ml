@@ -72,5 +72,3 @@ let misses t id = if id >= 0 && id < Array.length t.mis then t.mis.(id) else 0
 let miss_rate t id =
   let a = accesses t id in
   if a = 0 then 1.0 else float_of_int (misses t id) /. float_of_int a
-
-let total_misses t = Array.fold_left ( + ) 0 t.mis

@@ -27,5 +27,3 @@ val misses : t -> int -> int
 val miss_rate : t -> int -> float
 (** [P_m] for reference [m]; 1.0 when the reference was never executed
     (the conservative assumption for unprofiled irregulars). *)
-
-val total_misses : t -> int

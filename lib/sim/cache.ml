@@ -31,8 +31,6 @@ let assoc t = t.assoc
 let sets t = t.sets
 let line_size t = t.line
 
-let line_of t addr = addr lsr t.shift
-
 let set_base t line = line mod t.sets * t.assoc
 
 let lookup t ~version ~addr =

@@ -22,9 +22,6 @@ val fill : t -> version:int -> addr:int -> unit
     the same line is re-tagged in place (stale-version refresh), else the
     set's LRU way is evicted. *)
 
-val line_of : t -> int -> int
-(** Line number of a byte address. *)
-
 val assoc : t -> int
 val sets : t -> int
 val line_size : t -> int

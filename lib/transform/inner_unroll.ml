@@ -57,10 +57,7 @@ let const_bounds ~params (l : loop) =
   | lo, hi -> Some (lo, hi)
   | exception Exit -> None
 
-(* unique rename stamp per invocation; see Unroll_jam *)
-let stamp_counter = Atomic.make 0 (* domain-safe: experiments transform in parallel *)
-
-let apply ?(params = []) ~factor (l : loop) =
+let apply ?(params = []) ~stamp ~factor (l : loop) =
   if factor <= 1 then Ok [ Loop l ]
   else begin
     match const_bounds ~params l with
@@ -71,7 +68,6 @@ let apply ?(params = []) ~factor (l : loop) =
         if count < factor then Error "fewer iterations than the unroll factor"
         else begin
           let to_rename = privatizable_scalars l.body in
-          let stamp = Atomic.fetch_and_add stamp_counter 1 + 1 in
           let body =
             List.concat
               (List.init factor (fun k ->
@@ -81,7 +77,7 @@ let apply ?(params = []) ~factor (l : loop) =
                        Subst.rename_scalars
                          (fun v ->
                            if List.mem v to_rename then
-                             Printf.sprintf "%s__k%d_%d" v stamp k
+                             Subst.copy_name ~tag:'k' ~stamp ~copy:k v
                            else v)
                          st
                    in

@@ -8,7 +8,9 @@ open Memclust_ir
 open Ast
 
 val apply :
-  ?params:(string * int) list -> factor:int -> loop -> (stmt list, string) result
-(** [apply ~factor l] unrolls [l] in place by [factor]; returns main loop
-    plus postlude. Requires constant bounds under [params] and at least
+  ?params:(string * int) list -> stamp:int -> factor:int -> loop ->
+  (stmt list, string) result
+(** [apply ~stamp ~factor l] unrolls [l] in place by [factor] (copies
+    renamed as in {!Unroll_jam.apply}, tag ['k']); returns main loop plus
+    postlude. Requires constant bounds under [params] and at least
     [factor] iterations. The caller renumbers afterwards. *)

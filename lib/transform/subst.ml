@@ -87,6 +87,21 @@ let rename_scalars f stmt =
   in
   go stmt
 
+let copy_name ~tag ~stamp ~copy v = Printf.sprintf "%s__%c%d_%d" v tag stamp copy
+
+(* "s__u2_1__k5_3" splits into s, "", u2, 1, "", k5, 3 *)
+let name_stamps v =
+  let rec go = function
+    | "" :: tag :: (_ :: _ as rest)
+      when String.length tag > 1 && (tag.[0] = 'u' || tag.[0] = 'k') -> (
+        match int_of_string_opt (String.sub tag 1 (String.length tag - 1)) with
+        | Some n -> n :: go rest
+        | None -> go rest)
+    | _ :: rest -> go rest
+    | [] -> []
+  in
+  go (String.split_on_char '_' v)
+
 let subst_var_affine v repl stmt =
   let fe = function
     | Ivar v' when String.equal v v' ->

@@ -170,14 +170,8 @@ let const_bounds ~params (l : loop) =
   | lo, hi -> Some (lo, hi)
   | exception Exit -> None
 
-(* Every invocation stamps its renamed scalars uniquely, so repeated
-   passes over already-transformed code (an outer unroll-and-jam after an
-   inner one) can never collide: "wr" -> "wr__u3_1" never equals an
-   earlier pass's "wr__u2_1". *)
-let stamp_counter = Atomic.make 0 (* domain-safe: experiments transform in parallel *)
-
 let apply ?(params = []) ?(outer_ranges = []) ?(interchange_postlude = true)
-    ~factor (l : loop) =
+    ~stamp ~factor (l : loop) =
   if factor <= 1 then Ok [ Loop l ]
   else if not (scalars_privatizable l) then
     Error
@@ -199,7 +193,6 @@ let apply ?(params = []) ?(outer_ranges = []) ?(interchange_postlude = true)
             List.sort_uniq String.compare
               (Program.scalars_written l.body @ chase_cvars l.body)
           in
-          let stamp = Atomic.fetch_and_add stamp_counter 1 + 1 in
           let copy k =
             let shift st = Subst.shift_var l.var (k * s) st in
             let rename st =
@@ -208,7 +201,7 @@ let apply ?(params = []) ?(outer_ranges = []) ?(interchange_postlude = true)
                 Subst.rename_scalars
                   (fun v ->
                     if List.mem v to_rename then
-                      Printf.sprintf "%s__u%d_%d" v stamp k
+                      Subst.copy_name ~tag:'u' ~stamp ~copy:k v
                     else v)
                   st
             in

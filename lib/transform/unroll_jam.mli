@@ -26,11 +26,14 @@ val apply :
   ?params:(string * int) list ->
   ?outer_ranges:(string * Legality.var_range) list ->
   ?interchange_postlude:bool ->
+  stamp:int ->
   factor:int ->
   loop ->
   (stmt list, error) result
-(** [apply ~factor l] unrolls-and-jams loop [l]. Returns the replacement
-    statement sequence (main loop, postlude bookkeeping, postlude).
+(** [apply ~stamp ~factor l] unrolls-and-jams loop [l]. Returns the
+    replacement statement sequence (main loop, postlude bookkeeping,
+    postlude). Copies are renamed by {!Subst.copy_name} with tag ['u'] and
+    [stamp], which the caller keeps unused in the program.
     [params] and [outer_ranges] feed the legality tests; a loop marked
     [parallel] skips the array-dependence test but still requires its
     written scalars to be privatizable. [interchange_postlude] defaults to

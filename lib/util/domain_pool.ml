@@ -6,8 +6,9 @@ type t = {
   mutable workers : unit Domain.t array;
 }
 
-(* Tasks submitted from inside a worker run inline (see [map]), so a
-   recursive [map] can never wait for a worker that is itself waiting. *)
+(* Tasks submitted from inside a worker run inline (see [map_result]), so
+   a recursive [map_result] can never wait for a worker that is itself
+   waiting. *)
 let in_worker = Domain.DLS.new_key (fun () -> false)
 
 let rec worker_loop t =
@@ -89,42 +90,6 @@ let run_batch t n run =
   Mutex.unlock t.m
 
 let inline_only t = Array.length t.workers = 0 || Domain.DLS.get in_worker
-
-let map t f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ when inline_only t -> List.map f xs
-  | _ ->
-      let args = Array.of_list xs in
-      let n = Array.length args in
-      let results = Array.make n None in
-      let first_exn = ref None in
-      run_batch t n (fun i ->
-          match f args.(i) with
-          | v -> results.(i) <- Some v
-          | exception e ->
-              Mutex.lock t.m;
-              if !first_exn = None then first_exn := Some e;
-              Mutex.unlock t.m);
-      (match !first_exn with Some e -> raise e | None -> ());
-      Array.to_list
-        (Array.mapi
-           (fun i r ->
-             match r with
-             | Some v -> v
-             | None ->
-                 (* no exception was recorded yet this slot is empty: a
-                    worker died without settling its task. Fail as a
-                    structured per-task error, not a blind assert. *)
-                 Error.raise_err
-                   (Error.Worker_crashed
-                      {
-                        task = Printf.sprintf "task-%d" i;
-                        attempts = 1;
-                        reason = "worker finished without recording a result";
-                      }))
-           results)
 
 let attempt ~attempts ~task f x =
   let rec go k =

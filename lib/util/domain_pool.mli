@@ -12,22 +12,11 @@ type t
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] spawns [max 0 domains] worker domains (default:
     [recommended_domain_count () - 1], so workers plus the submitting
-    domain match the hardware). With zero workers every [map] runs inline
-    in the caller — correct, just sequential. *)
+    domain match the hardware). With zero workers every [map_result]
+    runs inline in the caller — correct, just sequential. *)
 
 val size : t -> int
-(** Number of worker domains (0 means [map] runs inline). *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map pool f xs] applies [f] to every element of [xs], using the
-    worker domains, and returns the results in order. The calling domain
-    also executes tasks while it waits, so a pool of [n] workers uses
-    [n + 1] cores. If any [f x] raises, the first exception observed is
-    re-raised in the caller after all scheduled tasks have settled.
-
-    Recursive use ([f] itself calling [map] on the same pool) is safe:
-    tasks submitted from inside a worker run inline rather than deadlock
-    waiting for a free worker. *)
+(** Number of worker domains (0 means [map_result] runs inline). *)
 
 val map_result :
   ?attempts:int ->
@@ -36,17 +25,23 @@ val map_result :
   ('a -> 'b) ->
   'a list ->
   ('b, Error.t) result list
-(** Crash-contained [map]: never raises. Each task gets up to [attempts]
-    tries (default 2, i.e. one retry — transient failures such as an
-    OOM-killed allocation often succeed on retry); a task that still
-    fails yields [Error] in its slot — [Error.t] as-is if it raised
-    [Error.Error], otherwise [Worker_crashed] naming the task (via
-    [task_name], default ["task-<i>"]) — while every other task's result
-    is preserved. Scheduling behaviour is identical to [map]. *)
+(** [map_result pool f xs] applies [f] to every element of [xs], using
+    the worker domains, and returns the results in order. The calling
+    domain also executes tasks while it waits, so a pool of [n] workers
+    uses [n + 1] cores. Recursive use ([f] itself calling [map_result] on
+    the same pool) is safe: tasks submitted from inside a worker run
+    inline rather than deadlock waiting for a free worker.
+
+    It never raises. Each task gets up to [attempts] tries (default 2,
+    i.e. one retry — transient failures such as an OOM-killed allocation
+    often succeed on retry); a task that still fails yields [Error] in
+    its slot — [Error.t] as-is if it raised [Error.Error], otherwise
+    [Worker_crashed] naming the task (via [task_name], default
+    ["task-<i>"]) — while every other task's result is preserved. *)
 
 val shutdown : t -> unit
-(** Stop and join the workers. Subsequent [map] calls run inline.
-    Idempotent. *)
+(** Stop and join the workers. Subsequent [map_result] calls run
+    inline. Idempotent. *)
 
 val default : unit -> t
 (** A lazily-created shared pool sized by [MEMCLUST_DOMAINS] (an integer

@@ -283,11 +283,11 @@ let test_nested_jam_rename_stamps () =
   let r_loop = match p.Ast.body with [ Ast.Loop l ] -> l | _ -> assert false in
   let g_loop = match r_loop.Ast.body with [ Ast.Loop l ] -> l | _ -> assert false in
   (* first jam g by 4 inside r, then jam r by 2 over the result *)
-  match Unroll_jam.apply ~factor:4 g_loop with
+  match Unroll_jam.apply ~stamp:1 ~factor:4 g_loop with
   | Error e -> Alcotest.failf "inner jam: %a" Unroll_jam.pp_error e
   | Ok g_stmts -> (
       let r_loop = { r_loop with Ast.body = g_stmts } in
-      match Unroll_jam.apply ~factor:2 r_loop with
+      match Unroll_jam.apply ~stamp:2 ~factor:2 r_loop with
       | Error e -> Alcotest.failf "outer jam: %a" Unroll_jam.pp_error e
       | Ok r_stmts ->
           let p' = Program.renumber { p with Ast.body = r_stmts } in

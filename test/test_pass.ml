@@ -213,7 +213,7 @@ let test_declaration_change_is_invalid () =
     }
   in
   let shipped, trace =
-    Pass.Pipeline.run { Pass.options = no_profile; source = None } [ grow ] p
+    Pass.Pipeline.run no_profile [ grow ] p
   in
   (match Pass.Pipeline.degraded_passes trace with
   | [ ("grow", reason) ] ->
@@ -333,22 +333,16 @@ let test_summaries_two_domains () =
    keys lowering on), the report text's digest and the digest of the
    trace's per-pass f/α summaries. The summaries are marshalled without
    sharing, so only their structure is pinned. The guard and the trace
-   bookkeeping may get cheaper; what they ship must not change.
-
-   Unroll-and-jam and inner unrolling stamp the scalars they rename from
-   process-wide counters, and stamped names are later sorted, so the
-   output depends on what was clustered earlier in the process. The
-   digests are those of a fresh process clustering exactly this list, in
-   this order: this test must run first. *)
+   bookkeeping may get cheaper; what they ship must not change. *)
 let pinned_output =
   [
-    ("Latbench", "base", "ebcc5db1cdc7604e762f7fa217ff9ac4", "81c8536325a9fbe16a5b6ddd7b03e906", "7ac61aa772a9ac379c3bbd2d892c22a5");
-    ("Em3d", "base", "5951fc689b1a942f9b6750f52d2acb54", "92bacdb202a1bb32896c47d6a99be06c", "2551a1021de335b8657f7f642705e532");
+    ("Latbench", "base", "0dfecc9b2f64bfac75e09b7f9b9e9f84", "81c8536325a9fbe16a5b6ddd7b03e906", "7ac61aa772a9ac379c3bbd2d892c22a5");
+    ("Em3d", "base", "e42fb6fd9ab42bd9c7b4def988713080", "92bacdb202a1bb32896c47d6a99be06c", "2551a1021de335b8657f7f642705e532");
     ("Erlebacher", "base", "c5f59bca5100cf3b6f5f257a5d0d4127", "940a872a10c83ac1a3e5c7c14e926844", "c2194ef4aede937dacd1dfaffc82bdc3");
-    ("FFT", "base", "23bf5c0186589d40dcfdb83ba1af096b", "fe98fc2fdba690a7955518753e20b82d", "d79d5ee73ef6640d8ede5198dd4962ca");
+    ("FFT", "base", "3faceae6aae3a808ccb2efd8ceba0391", "fe98fc2fdba690a7955518753e20b82d", "d79d5ee73ef6640d8ede5198dd4962ca");
     ("LU", "base", "b2ace13a8518c199580484f1f2efd23a", "1755555ed8130f80cc08e40d57da1f56", "3a6134b89548ea3ca8d276060713ab84");
     ("Mp3d", "base", "facc5f2e85a293f149c01a99ceea96e5", "69c39fc0ef08820bdae541a97772552f", "f190dfc4254382e0e05bbdb7a96bd4f6");
-    ("MST", "base", "db46187c429842a9a717608ded6304f0", "a5a5ee1df2f97b15ef169155834074fe", "c62c67593fc1e6e62e8a29b007a81647");
+    ("MST", "base", "78fa553abb1bcd85363f60722d2c152d", "a5a5ee1df2f97b15ef169155834074fe", "582df01de394c11d913ce74047ab759b");
     ("Ocean", "base", "d40c284a1fc74008b91d4c30fe9c4b1a", "41313c9ac1443ab4b5ef1414e4521f2a", "c3211d352feb5f4c630df03d4f3ee0a3");
     ("Latbench", "lp1", "2809030ebbc776b12f6b737d4271a1e6", "ab7a62a590bc61736d86872282f4639f", "2ef23a8c2dd5e8c35ac6fe0698299bac");
     ("Em3d", "lp1", "745a0890c4ec51e70748c16c1a529e63", "e5784f4de746a6e1e6f9e7765e73899b", "b79993ae72bd74dbaacabf876602ce3d");
@@ -358,39 +352,44 @@ let pinned_output =
     ("Mp3d", "lp1", "d38aab28ff6a3af614d526e04c08cf57", "6203b6097ce9e8024a88fffe94cb3022", "c4d983da37702e2b8870beeb12467daf");
     ("MST", "lp1", "4f7e159e0e6d35dae1b2837e46815072", "ab7a62a590bc61736d86872282f4639f", "2ef23a8c2dd5e8c35ac6fe0698299bac");
     ("Ocean", "lp1", "b581e79fb11c8b87dfe7c3f6f1de6646", "e7b667f01ee6fc6a612142a21fe7126e", "52bed374400f77caba738974dfc3ece6");
-    ("Latbench", "lp16", "7c48ba86d8f87aa3d088e4c0eb82c096", "81c8536325a9fbe16a5b6ddd7b03e906", "7ac61aa772a9ac379c3bbd2d892c22a5");
-    ("Em3d", "lp16", "2e82ebdd089f4d972b6cf049bec21eb7", "92bacdb202a1bb32896c47d6a99be06c", "2551a1021de335b8657f7f642705e532");
+    ("Latbench", "lp16", "0dfecc9b2f64bfac75e09b7f9b9e9f84", "81c8536325a9fbe16a5b6ddd7b03e906", "7ac61aa772a9ac379c3bbd2d892c22a5");
+    ("Em3d", "lp16", "e42fb6fd9ab42bd9c7b4def988713080", "92bacdb202a1bb32896c47d6a99be06c", "2551a1021de335b8657f7f642705e532");
     ("Erlebacher", "lp16", "c5f59bca5100cf3b6f5f257a5d0d4127", "940a872a10c83ac1a3e5c7c14e926844", "c2194ef4aede937dacd1dfaffc82bdc3");
-    ("FFT", "lp16", "0e195a313e856079bee69e6c48a816df", "fe98fc2fdba690a7955518753e20b82d", "d79d5ee73ef6640d8ede5198dd4962ca");
+    ("FFT", "lp16", "3faceae6aae3a808ccb2efd8ceba0391", "fe98fc2fdba690a7955518753e20b82d", "d79d5ee73ef6640d8ede5198dd4962ca");
     ("LU", "lp16", "b2ace13a8518c199580484f1f2efd23a", "1755555ed8130f80cc08e40d57da1f56", "3a6134b89548ea3ca8d276060713ab84");
-    ("Mp3d", "lp16", "24a85c637b5dac639519d41942552b80", "d4766d7979e2a63965c69fd45e0b3f0b", "030ab4532498d9c0b1baceec6176f9f0");
-    ("MST", "lp16", "19cd1f24c66562f2134b3b1e5683a805", "a5a5ee1df2f97b15ef169155834074fe", "b4a6804f4282b25af38ebef6278d45d0");
+    ("Mp3d", "lp16", "942dab25d539420bd2360433c5bf441b", "d4766d7979e2a63965c69fd45e0b3f0b", "030ab4532498d9c0b1baceec6176f9f0");
+    ("MST", "lp16", "78fa553abb1bcd85363f60722d2c152d", "a5a5ee1df2f97b15ef169155834074fe", "582df01de394c11d913ce74047ab759b");
     ("Ocean", "lp16", "d40c284a1fc74008b91d4c30fe9c4b1a", "41313c9ac1443ab4b5ef1414e4521f2a", "c3211d352feb5f4c630df03d4f3ee0a3");
   ]
 
+let hex s = Digest.to_hex (Digest.string s)
+
+let lp_configs =
+  [
+    ("base", Config.base);
+    ("lp1", Config.with_mshrs 1 Config.base);
+    ("lp2", Config.with_mshrs 2 Config.base);
+    ("lp4", Config.with_mshrs 4 Config.base);
+    ("lp16", Config.with_mshrs 16 Config.base);
+  ]
+
+let machine_for (w : Workload.t) label =
+  {
+    (Experiment.machine_of_config (List.assoc label lp_configs)) with
+    Machine_model.max_procs = max 1 w.Workload.mp_procs;
+  }
+
+(* Cluster small workload [name] for the machine of configuration [label]. *)
+let cluster_small name label =
+  let w = small name in
+  Driver.run
+    ~options:{ Driver.default_options with machine = machine_for w label }
+    ~init:w.Workload.init w.Workload.program
+
 let test_pinned_output () =
-  let configs =
-    [
-      ("base", Config.base);
-      ("lp1", Config.with_mshrs 1 Config.base);
-      ("lp16", Config.with_mshrs 16 Config.base);
-    ]
-  in
-  let hex s = Digest.to_hex (Digest.string s) in
   List.iter
     (fun (name, label, program_digest, report_digest, summaries_digest) ->
-      let w = List.find (fun w -> w.Workload.name = name) (Registry.small ()) in
-      let machine =
-        {
-          (Experiment.machine_of_config (List.assoc label configs)) with
-          Machine_model.max_procs = max 1 w.Workload.mp_procs;
-        }
-      in
-      let p, report =
-        Driver.run
-          ~options:{ Driver.default_options with machine }
-          ~init:w.Workload.init w.Workload.program
-      in
+      let p, report = cluster_small name label in
       let summaries =
         List.map
           (fun (e : Pass.Pipeline.entry) ->
@@ -408,15 +407,52 @@ let test_pinned_output () =
         (hex (Marshal.to_string summaries [ Marshal.No_sharing ])))
     pinned_output
 
+(* Clustering is a function of the program, the store and the machine:
+   the small registry clustered in one order and then in the reverse
+   order, in one process, gives the same programs. *)
+let test_order_independent () =
+  let points =
+    List.concat_map
+      (fun label ->
+        List.map (fun (w : Workload.t) -> (w.Workload.name, label)) (Registry.small ()))
+      [ "base"; "lp4"; "lp16" ]
+  in
+  let digest (name, label) =
+    hex (Marshal.to_string (fst (cluster_small name label)) [])
+  in
+  let forward = List.map digest points in
+  let backward = List.rev (List.map digest (List.rev points)) in
+  List.iter2
+    (fun ((name, label), f) b ->
+      Alcotest.(check string) (name ^ "@" ^ label ^ " program") f b)
+    (List.combine points forward)
+    backward
+
+(* A clustered program clustered again for more MSHRs unrolls bodies
+   whose scalars already carry stamped names. Without the guard (no
+   store), only fresh stamps keep the copies' renamed scalars apart. *)
+let test_recluster_draws_fresh_stamps () =
+  List.iter
+    (fun (name, first) ->
+      let w = small name in
+      let p1, _ = cluster_small name first in
+      let p2, _ =
+        Driver.run ~options:{ no_profile with Driver.machine = machine_for w "lp16" } p1
+      in
+      Alcotest.(check bool) (name ^ ": clustered again") true (p2 <> p1);
+      let final p =
+        let d = Data.create p in
+        w.Workload.init d;
+        Exec.run p d;
+        d
+      in
+      Alcotest.(check bool) (name ^ ": semantics preserved") true
+        (Data.equal (final (Program.renumber w.Workload.program)) (final p2)))
+    [ ("Latbench", "lp2"); ("MST", "lp4") ]
+
 let () =
   Alcotest.run "pass"
     [
-      (* first: the pinned digests assume a process in which nothing has
-         been clustered yet (see [pinned_output]) *)
-      ( "pinned",
-        [
-          Alcotest.test_case "output, all workloads" `Quick test_pinned_output;
-        ] );
       ( "pipeline",
         [
           Alcotest.test_case "trace structure" `Quick test_trace_structure;
@@ -445,5 +481,15 @@ let () =
         [
           Alcotest.test_case "all passes, all workloads" `Slow
             test_differential_passes;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "output, all workloads" `Quick test_pinned_output;
+        ] );
+      ( "stamps",
+        [
+          Alcotest.test_case "order independent" `Quick test_order_independent;
+          Alcotest.test_case "reclustering draws fresh ones" `Quick
+            test_recluster_draws_fresh_stamps;
         ] );
     ]

@@ -256,7 +256,7 @@ let test_raising_candidate_rolls_back () =
 let test_chaos_of_env_parses () =
   Unix.putenv "MEMCLUST_CHAOS_PASSES" "11:0.5";
   Unix.putenv "MEMCLUST_FAIL_PASS" "schedule";
-  let c = Pass.chaos_of_env () in
+  let c = Driver.chaos_of_env () in
   Unix.putenv "MEMCLUST_CHAOS_PASSES" "";
   Unix.putenv "MEMCLUST_FAIL_PASS" "";
   (match c with
@@ -264,7 +264,39 @@ let test_chaos_of_env_parses () =
     ->
       ()
   | _ -> Alcotest.fail "env chaos spec not parsed");
-  Alcotest.(check bool) "unset -> None" true (Pass.chaos_of_env () = None)
+  Alcotest.(check bool) "unset -> None" true (Driver.chaos_of_env () = None)
+
+(* A fail pass must name a pass that can fail: an unknown name, or
+   uniquify (never sabotaged), would turn the resilience demo into a
+   silent normal run. The options and MEMCLUST_FAIL_PASS are both
+   checked, and the error names every valid pass. *)
+let test_fail_pass_name_checked () =
+  let w = small_lu () in
+  let valid = List.filter (fun n -> n <> "uniquify") Driver.pass_names in
+  let mentions m n =
+    let k = String.length n in
+    let rec scan i = i + k <= String.length m && (String.sub m i k = n || scan (i + 1)) in
+    scan 0
+  in
+  let rejects what run =
+    match run () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument m ->
+        List.iter
+          (fun n -> Alcotest.(check bool) (what ^ ": names " ^ n) true (mentions m n))
+          valid
+  in
+  List.iter
+    (fun bad ->
+      let chaos = Some { Pass.chaos_seed = 0; chaos_rate = 0.0; fail_pass = Some bad } in
+      rejects ("fail_pass " ^ bad) (fun () ->
+          Driver.run ~options:{ Driver.default_options with chaos } w.Workload.program);
+      Unix.putenv "MEMCLUST_FAIL_PASS" bad;
+      Fun.protect
+        ~finally:(fun () -> Unix.putenv "MEMCLUST_FAIL_PASS" "")
+        (fun () ->
+          rejects ("MEMCLUST_FAIL_PASS=" ^ bad) (fun () -> Driver.run w.Workload.program)))
+    [ "bogus"; "uniquify" ]
 
 (* --------------------------- crash containment -------------------------- *)
 
@@ -374,6 +406,8 @@ let () =
           Alcotest.test_case "raising candidate rolls back" `Quick
             test_raising_candidate_rolls_back;
           Alcotest.test_case "env spec parses" `Quick test_chaos_of_env_parses;
+          Alcotest.test_case "fail pass name checked" `Quick
+            test_fail_pass_name_checked;
         ] );
       ( "crash containment",
         [

@@ -182,7 +182,7 @@ let test_interchange_legal_and_semantics () =
 
 let uj_semantics ~rows ~cols ~factor =
   let p = fig2a ~rows ~cols () in
-  match Unroll_jam.apply ~factor (outer_of p) with
+  match Unroll_jam.apply ~stamp:1 ~factor (outer_of p) with
   | Error e -> Alcotest.failf "unroll-and-jam failed: %a" Unroll_jam.pp_error e
   | Ok stmts ->
       let p' = replace_nest p stmts in
@@ -204,7 +204,7 @@ let prop_uj_semantics =
     (fun (rows, cols, factor) ->
       QCheck.assume (rows >= factor);
       let p = fig2a ~rows ~cols () in
-      match Unroll_jam.apply ~factor (outer_of p) with
+      match Unroll_jam.apply ~stamp:1 ~factor (outer_of p) with
       | Error _ -> true (* refusing is always sound *)
       | Ok stmts ->
           let p' = replace_nest p stmts in
@@ -212,7 +212,7 @@ let prop_uj_semantics =
 
 let test_uj_too_few_iterations () =
   let p = fig2a ~rows:3 ~cols:5 () in
-  match Unroll_jam.apply ~factor:8 (outer_of p) with
+  match Unroll_jam.apply ~stamp:1 ~factor:8 (outer_of p) with
   | Error (Unroll_jam.Not_unrollable _) -> ()
   | _ -> Alcotest.fail "expected refusal"
 
@@ -232,13 +232,13 @@ let test_uj_carried_scalar_refused () =
       ]
   in
   let l = match p.Ast.body with [ _; Ast.Loop l; _ ] -> l | _ -> assert false in
-  match Unroll_jam.apply ~factor:2 l with
+  match Unroll_jam.apply ~stamp:1 ~factor:2 l with
   | Error (Unroll_jam.Not_unrollable _) -> ()
   | _ -> Alcotest.fail "carried scalar must refuse"
 
 let test_uj_postlude_interchanged () =
   let p = fig2a ~rows:23 ~cols:17 () in
-  match Unroll_jam.apply ~factor:4 (outer_of p) with
+  match Unroll_jam.apply ~stamp:1 ~factor:4 (outer_of p) with
   | Error _ -> Alcotest.fail "should succeed"
   | Ok stmts -> (
       Alcotest.(check int) "main + postlude" 2 (List.length stmts);
@@ -265,7 +265,7 @@ let test_uj_scalar_renaming () =
           ];
       ]
   in
-  match Unroll_jam.apply ~factor:4 (outer_of p) with
+  match Unroll_jam.apply ~stamp:1 ~factor:4 (outer_of p) with
   | Error e -> Alcotest.failf "failed: %a" Unroll_jam.pp_error e
   | Ok stmts ->
       let p' = replace_nest p stmts in
@@ -316,7 +316,7 @@ let init_chains ~chains ~len_of d =
 let test_jam_equal_counts () =
   let p = chains_program ~chains:8 ~region_nodes:100 ~count:(Some 5) in
   let l = outer_of p in
-  match Unroll_jam.apply ~factor:4 l with
+  match Unroll_jam.apply ~stamp:1 ~factor:4 l with
   | Error e -> Alcotest.failf "failed: %a" Unroll_jam.pp_error e
   | Ok stmts ->
       let p' = replace_nest p stmts in
@@ -326,7 +326,7 @@ let test_jam_equal_counts () =
 let test_jam_variable_lengths_guarded () =
   let p = chains_program ~chains:9 ~region_nodes:200 ~count:None in
   let l = outer_of p in
-  match Unroll_jam.apply ~factor:3 l with
+  match Unroll_jam.apply ~stamp:1 ~factor:3 l with
   | Error e -> Alcotest.failf "failed: %a" Unroll_jam.pp_error e
   | Ok stmts ->
       let p' = replace_nest p stmts in
@@ -340,7 +340,7 @@ let prop_jam_ragged =
     (fun (factor, lens) ->
       let lens = Array.of_list lens in
       let p = chains_program ~chains:8 ~region_nodes:100 ~count:None in
-      match Unroll_jam.apply ~factor (outer_of p) with
+      match Unroll_jam.apply ~stamp:1 ~factor (outer_of p) with
       | Error _ -> false
       | Ok stmts ->
           let p' = replace_nest p stmts in
@@ -360,7 +360,7 @@ let test_inner_unroll_semantics () =
       ]
   in
   let l = match p.Ast.body with [ _; Ast.Loop l; _ ] -> l | _ -> assert false in
-  match Inner_unroll.apply ~factor:7 l with
+  match Inner_unroll.apply ~stamp:1 ~factor:7 l with
   | Error e -> Alcotest.fail e
   | Ok stmts ->
       let p' =
@@ -384,7 +384,7 @@ let test_inner_unroll_privatizes_temps () =
       ]
   in
   let l = outer_of p in
-  match Inner_unroll.apply ~factor:4 l with
+  match Inner_unroll.apply ~stamp:1 ~factor:4 l with
   | Error e -> Alcotest.fail e
   | Ok stmts -> (
       let p' = replace_nest p stmts in

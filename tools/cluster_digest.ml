@@ -1,9 +1,8 @@
 (* Print, for every full-size registry workload on the base machine and
    at lp 1, 2, 4, 8 and 16, the digest of the clustered program
-   (Marshal) and of its report text (Driver.pp_report). Clustered output
-   depends on what was clustered earlier in the process (rename stamps
-   are process-wide), so the workloads run in a fixed order in one fresh
-   process and the output is compared only with another such run:
+   (Marshal) and of its report text (Driver.pp_report). Clustering is a
+   function of the program, its store and the machine (rename stamps are
+   per pipeline run), so each line depends only on its point:
 
      dune exec tools/cluster_digest.exe | diff tools/cluster_digest.expected -
 *)
