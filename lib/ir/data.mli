@@ -4,7 +4,17 @@
     to a cache line) in a flat synthetic address space, holds the current
     value of every element/field, and translates references to addresses.
     The executor reads and writes through it; the simulator only ever sees
-    the byte addresses it produces. *)
+    the byte addresses it produces.
+
+    Representation and cost model: each array and region holds its
+    elements in two flat [Bytes] buffers, one tag byte per slot (float,
+    int or pointer) and one 8-byte payload per slot (the IEEE bits, or the
+    int). The buffers hold no OCaml pointers, so the GC never scans a
+    store however large it is. A write stores the tag and the payload in
+    place: it allocates nothing and needs no write barrier. A read boxes
+    the one {!Ast.value} it returns (2 words for an int or pointer, 4 for
+    a float). {!create} fills the buffers and {!copy} duplicates them, a
+    memcpy each; {!equal} walks the tags and payloads without boxing. *)
 
 open Ast
 

@@ -58,44 +58,105 @@ let apply_unop op v =
   | Sqrt -> Vfloat (sqrt (Float.abs (to_float v)))
   | Trunc -> Vint (to_int v)
 
-let it_cmp a b fcmp icmp =
-  let r =
-    if is_float a || is_float b then fcmp (to_float a) (to_float b)
-    else icmp (to_int a) (to_int b)
-  in
-  Vint (if r then 1 else 0)
+(* Binary operators: [binop] picks one per [Binop] node at compile time.
+   Each matches the float/float and int/int cases first; a float operand
+   makes the operation a float one, otherwise pointers count as ints. *)
 
-let apply_binop op a b =
-  let fl f = Vfloat (f (to_float a) (to_float b)) in
-  let it f = Vint (f (to_int a) (to_int b)) in
-  let numeric ffun ifun = if is_float a || is_float b then fl ffun else it ifun in
-  match op with
-  | Add -> (
-      (* pointer arithmetic stays a pointer *)
-      match (a, b) with
-      | Vptr p, v | v, Vptr p -> Vptr (p + to_int v)
-      | _ -> numeric ( +. ) ( + ))
-  | Sub -> numeric ( -. ) ( - )
-  | Mul -> numeric ( *. ) ( * )
-  | Div ->
-      if is_float a || is_float b then
-        let d = to_float b in
-        Vfloat (if d = 0.0 then 0.0 else to_float a /. d)
-      else
-        let d = to_int b in
-        Vint (if d = 0 then 0 else to_int a / d)
-  | Mod ->
-      if is_float a || is_float b then
-        let d = to_float b in
-        Vfloat (if d = 0.0 then 0.0 else Float.rem (to_float a) d)
-      else
-        let d = to_int b in
-        Vint (if d = 0 then 0 else to_int a mod d)
-  | Min -> numeric Float.min min
-  | Max -> numeric Float.max max
-  | Lt -> it_cmp a b ( < ) ( < )
-  | Le -> it_cmp a b ( <= ) ( <= )
-  | Eq -> it_cmp a b ( = ) ( = )
+let add a b =
+  match (a, b) with
+  | Vfloat x, Vfloat y -> Vfloat (x +. y)
+  | Vint x, Vint y -> Vint (x + y)
+  (* pointer arithmetic stays a pointer *)
+  | Vptr p, v | v, Vptr p -> Vptr (p + to_int v)
+  | _ -> Vfloat (to_float a +. to_float b)
+
+let sub a b =
+  match (a, b) with
+  | Vfloat x, Vfloat y -> Vfloat (x -. y)
+  | Vint x, Vint y -> Vint (x - y)
+  | Vfloat _, _ | _, Vfloat _ -> Vfloat (to_float a -. to_float b)
+  | _ -> Vint (to_int a - to_int b)
+
+let mul a b =
+  match (a, b) with
+  | Vfloat x, Vfloat y -> Vfloat (x *. y)
+  | Vint x, Vint y -> Vint (x * y)
+  | Vfloat _, _ | _, Vfloat _ -> Vfloat (to_float a *. to_float b)
+  | _ -> Vint (to_int a * to_int b)
+
+let fdiv x d = if d = 0.0 then 0.0 else x /. d
+let idiv x d = if d = 0 then 0 else x / d
+
+let div a b =
+  match (a, b) with
+  | Vfloat x, Vfloat y -> Vfloat (fdiv x y)
+  | Vint x, Vint y -> Vint (idiv x y)
+  | Vfloat _, _ | _, Vfloat _ -> Vfloat (fdiv (to_float a) (to_float b))
+  | _ -> Vint (idiv (to_int a) (to_int b))
+
+let fmod x d = if d = 0.0 then 0.0 else Float.rem x d
+let imod x d = if d = 0 then 0 else x mod d
+
+let mod_ a b =
+  match (a, b) with
+  | Vfloat x, Vfloat y -> Vfloat (fmod x y)
+  | Vint x, Vint y -> Vint (imod x y)
+  | Vfloat _, _ | _, Vfloat _ -> Vfloat (fmod (to_float a) (to_float b))
+  | _ -> Vint (imod (to_int a) (to_int b))
+
+let imin (x : int) y = if x <= y then x else y
+let imax (x : int) y = if x >= y then x else y
+
+let min_ a b =
+  match (a, b) with
+  | Vfloat x, Vfloat y -> Vfloat (Float.min x y)
+  | Vint x, Vint y -> Vint (imin x y)
+  | Vfloat _, _ | _, Vfloat _ -> Vfloat (Float.min (to_float a) (to_float b))
+  | _ -> Vint (imin (to_int a) (to_int b))
+
+let max_ a b =
+  match (a, b) with
+  | Vfloat x, Vfloat y -> Vfloat (Float.max x y)
+  | Vint x, Vint y -> Vint (imax x y)
+  | Vfloat _, _ | _, Vfloat _ -> Vfloat (Float.max (to_float a) (to_float b))
+  | _ -> Vint (imax (to_int a) (to_int b))
+
+(* comparisons yield [Vint 1] or [Vint 0]; float ones follow IEEE, so a
+   NaN compares false *)
+let truth b = Vint (if b then 1 else 0)
+
+let lt a b =
+  match (a, b) with
+  | Vfloat x, Vfloat y -> truth (x < y)
+  | Vint x, Vint y -> truth (x < y)
+  | Vfloat _, _ | _, Vfloat _ -> truth (to_float a < to_float b)
+  | _ -> truth (to_int a < to_int b)
+
+let le a b =
+  match (a, b) with
+  | Vfloat x, Vfloat y -> truth (x <= y)
+  | Vint x, Vint y -> truth (x <= y)
+  | Vfloat _, _ | _, Vfloat _ -> truth (to_float a <= to_float b)
+  | _ -> truth (to_int a <= to_int b)
+
+let eq a b =
+  match (a, b) with
+  | Vfloat x, Vfloat y -> truth (x = y)
+  | Vint x, Vint y -> truth (x = y)
+  | Vfloat _, _ | _, Vfloat _ -> truth (to_float a = to_float b)
+  | _ -> truth (to_int a = to_int b)
+
+let binop = function
+  | Add -> add
+  | Sub -> sub
+  | Mul -> mul
+  | Div -> div
+  | Mod -> mod_
+  | Min -> min_
+  | Max -> max_
+  | Lt -> lt
+  | Le -> le
+  | Eq -> eq
 
 (* ------------------------------------------------------------------ *)
 (* The executor compiles the (small, static) AST to a tree of closures
@@ -247,13 +308,14 @@ let rec compile_expr env e : rt -> value =
       let ca = compile_expr env a in
       let cb = compile_expr env b in
       let lat = fp_latency op in
+      let f = binop op in
       fun rt ->
         let va = ca rt in
         let ta = rt.tok in
         let vb = cb rt in
         let tb = rt.tok in
         tick rt;
-        let v = apply_binop op va vb in
+        let v = f va vb in
         rt.tok <-
           (if is_float va || is_float vb then rt.emit.e_fp ~lat ta tb
            else rt.emit.e_int ta tb);

@@ -16,15 +16,7 @@ type plan = {
   stall_cycles : int;
 }
 
-type stats = {
-  mutable requests : int;
-  mutable delayed : int;
-  mutable nacked : int;
-  mutable stalled : int;
-  mutable extra_cycles : int;
-}
-
-type injector = { plan : plan; rng : Rng.t; stats : stats }
+type injector = { plan : plan; rng : Rng.t }
 
 let plan ?(delay_prob = 0.0) ?(delay_cycles = 200) ?(nack_prob = 0.0)
     ?(nack_backoff = 16) ?(nack_max_retries = 4) ?(stall_prob = 0.0)
@@ -95,12 +87,7 @@ let of_env () =
       | Ok p -> Some p
       | Error m -> invalid_arg m)
 
-let make plan =
-  {
-    plan;
-    rng = Rng.create plan.seed;
-    stats = { requests = 0; delayed = 0; nacked = 0; stalled = 0; extra_cycles = 0 };
-  }
+let make plan = { plan; rng = Rng.create plan.seed }
 
 type decision = {
   pre_delay : int;  (* NACK backoff served before the bank access *)
@@ -117,8 +104,6 @@ let hit rng prob = prob > 0.0 && Rng.float rng 1.0 < prob
    the plan seed and the request sequence. *)
 let inject t =
   let p = t.plan in
-  let s = t.stats in
-  s.requests <- s.requests + 1;
   if not (is_active p) then no_fault
   else begin
     (* NACKed response: the requester retries with bounded exponential
@@ -131,28 +116,11 @@ let inject t =
       else acc
     in
     let pre_delay = backoff 0 0 in
-    if pre_delay > 0 then s.nacked <- s.nacked + 1;
     let bank_extra =
-      if hit t.rng p.stall_prob then begin
-        s.stalled <- s.stalled + 1;
-        1 + Rng.int t.rng p.stall_cycles
-      end
-      else 0
+      if hit t.rng p.stall_prob then 1 + Rng.int t.rng p.stall_cycles else 0
     in
     let fill_delay =
-      if hit t.rng p.delay_prob then begin
-        s.delayed <- s.delayed + 1;
-        1 + Rng.int t.rng p.delay_cycles
-      end
-      else 0
+      if hit t.rng p.delay_prob then 1 + Rng.int t.rng p.delay_cycles else 0
     in
-    s.extra_cycles <- s.extra_cycles + pre_delay + bank_extra + fill_delay;
     { pre_delay; bank_extra; fill_delay }
   end
-
-let stats t = t.stats
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "%d requests: %d delayed, %d nacked, %d stalled (+%d cycles injected)"
-    s.requests s.delayed s.nacked s.stalled s.extra_cycles

@@ -29,17 +29,9 @@ type plan = {
   stall_cycles : int;
 }
 
-type stats = {
-  mutable requests : int;
-  mutable delayed : int;
-  mutable nacked : int;
-  mutable stalled : int;
-  mutable extra_cycles : int;
-}
-
 type injector
-(** The mutable side: plan + RNG position + counters. One per memory
-    system instance. *)
+(** The mutable side: plan + RNG position. One per memory system
+    instance. *)
 
 val plan :
   ?delay_prob:float ->
@@ -90,7 +82,4 @@ val no_fault : decision
 
 val inject : injector -> decision
 (** Decide the faults for the next memory request, advancing the RNG in
-    a fixed draw order and updating the counters. *)
-
-val stats : injector -> stats
-val pp_stats : Format.formatter -> stats -> unit
+    a fixed draw order. *)

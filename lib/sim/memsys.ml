@@ -89,7 +89,6 @@ let request t ~proc ~home ~kind ~line ~now =
 
 let bus_busy t = t.bus_busy_total
 let bank_busy t = t.bank_busy_total
-let fault_stats t = Option.map Faults.stats t.inj
 
 let bus_utilization t ~upto =
   if upto <= 0 then 0.0

@@ -22,10 +22,6 @@ val bus_busy : t -> int
 
 val bank_busy : t -> int
 
-val fault_stats : t -> Faults.stats option
-(** Counters of the fault injector, if this config resolved to an active
-    fault plan ({!Config.resolve_faults}); [None] on fault-free runs. *)
-
 val bus_utilization : t -> upto:int -> float
 (** Average bus occupancy per node over the first [upto] cycles. *)
 

@@ -216,6 +216,143 @@ let test_data_home () =
   Alcotest.(check int) "uniproc" 0
     (Data.home_of_addr d ~nprocs:1 (Data.addr_of d "a" 63))
 
+(* Model-based check of the store: random operation sequences run on a
+   [Data.t] and on plain [value array]s, one per array and per region. *)
+
+let value_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map
+            (fun x -> Vfloat x)
+            (oneofl
+               [
+                 0.0; -0.0; 1.0; 1.0 +. 1e-10; 1.0 +. 1e-6; 1e12; 1e12 +. 1.0;
+                 -3.5; Float.nan; Int64.float_of_bits 0x7ff8_0000_dead_beefL;
+                 Float.infinity; Float.neg_infinity;
+               ]) );
+        (2, map (fun i -> Vint i) (oneofl [ 0; 1; -1; 42; min_int; max_int ]));
+        (1, map (fun p -> Vptr p) (oneofl [ 0; 1; 0x2000; max_int ]));
+      ])
+
+let pp_value = function
+  | Vfloat x -> Printf.sprintf "Vfloat %h" x
+  | Vint i -> Printf.sprintf "Vint %d" i
+  | Vptr p -> Printf.sprintf "Vptr %#x" p
+
+(* identity, floats by bit pattern: NaN payloads and -0.0 must survive *)
+let same_value a b =
+  match (a, b) with
+  | Vfloat x, Vfloat y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Vint x, Vint y | Vptr x, Vptr y -> x = y
+  | _ -> false
+
+(* the store's documented comparison, on boxed values *)
+let model_value_equal eps a b =
+  match (a, b) with
+  | Vfloat x, Vfloat y ->
+      let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
+      Float.abs (x -. y) <= eps *. scale
+  | Vint x, Vint y | Vptr x, Vptr y -> x = y
+  | _ -> false
+
+type store_op =
+  | Set of bool * int * value  (* on the copy?, index (unclamped), value *)
+  | Get of bool * int
+  | Field_set of bool * int * int * value  (* node, field *)
+  | Field_get of bool * int * int
+  | Copy
+  | Equal of float
+
+let pp_store_op = function
+  | Set (c, i, v) -> Printf.sprintf "set%s %d %s" (if c then "'" else "") i (pp_value v)
+  | Get (c, i) -> Printf.sprintf "get%s %d" (if c then "'" else "") i
+  | Field_set (c, n, f, v) ->
+      Printf.sprintf "field_set%s %d.%d %s" (if c then "'" else "") n f (pp_value v)
+  | Field_get (c, n, f) -> Printf.sprintf "field_get%s %d.%d" (if c then "'" else "") n f
+  | Copy -> "copy"
+  | Equal eps -> Printf.sprintf "equal ~eps:%g" eps
+
+let model_len = 5
+let model_nodes = 3
+
+let store_op_gen =
+  QCheck.Gen.(
+    let index = int_range (-2) (model_len + 1) in
+    let node = int_range 0 (model_nodes - 1) and field = int_range 0 1 in
+    frequency
+      [
+        (4, map3 (fun c i v -> Set (c, i, v)) bool index value_gen);
+        (2, map2 (fun c i -> Get (c, i)) bool index);
+        (3, map4 (fun c n f v -> Field_set (c, n, f, v)) bool node field value_gen);
+        (2, map3 (fun c n f -> Field_get (c, n, f)) bool node field);
+        (1, return Copy);
+        (2, map (fun e -> Equal e) (oneofl [ 1e-9; 0.0; 1e-3 ]));
+      ])
+
+let prop_store_model =
+  let p =
+    let open Builder in
+    program "model"
+      ~arrays:[ array_decl "a" model_len ]
+      ~regions:[ region_decl ~node_size:16 "r" model_nodes ]
+      []
+  in
+  QCheck.Test.make ~name:"store matches a value-array model" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_store_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (1 -- 40) store_op_gen))
+    (fun ops ->
+      let fresh () =
+        (Array.make model_len (Vfloat 0.0), Array.make (2 * model_nodes) (Vint 0))
+      in
+      (* the original, and the most recent copy of it *)
+      let d = ref (Data.create p) and m = ref (fresh ()) in
+      let d' = ref (Data.create p) and m' = ref (fresh ()) in
+      let pick c = if c then (!d', !m') else (!d, !m) in
+      let clamp i = max 0 (min (model_len - 1) i) in
+      let ptr d n = Data.node_addr d "r" n in
+      let model_equal eps (a1, r1) (a2, r2) =
+        Array.for_all2 (model_value_equal eps) a1 a2
+        && Array.for_all2 (model_value_equal eps) r1 r2
+      in
+      let agrees (d, (a, r)) =
+        List.for_all (fun i -> same_value (Data.get d "a" i) a.(i)) (List.init model_len Fun.id)
+        && List.for_all
+             (fun s ->
+               same_value (Data.field_get d "r" ~ptr:(ptr d (s / 2)) ~field:(s mod 2)) r.(s))
+             (List.init (2 * model_nodes) Fun.id)
+      in
+      let step = function
+        | Set (c, i, v) ->
+            let d, (a, _) = pick c in
+            Data.set d "a" i v;
+            a.(clamp i) <- v;
+            true
+        | Get (c, i) ->
+            let d, (a, _) = pick c in
+            same_value (Data.get d "a" i) a.(clamp i)
+        | Field_set (c, n, f, v) ->
+            let d, (_, r) = pick c in
+            Data.field_set d "r" ~ptr:(ptr d n) ~field:f v;
+            r.((2 * n) + f) <- v;
+            true
+        | Field_get (c, n, f) ->
+            let d, (_, r) = pick c in
+            same_value (Data.field_get d "r" ~ptr:(ptr d n) ~field:f) r.((2 * n) + f)
+        | Copy ->
+            let a, r = !m in
+            d' := Data.copy !d;
+            m' := (Array.copy a, Array.copy r);
+            true
+        | Equal eps ->
+            Bool.equal (Data.equal ~eps !d !d') (model_equal eps !m !m')
+            && Bool.equal (Data.equal ~eps !d' !d) (model_equal eps !m' !m)
+      in
+      List.for_all step ops && agrees (!d, !m) && agrees (!d', !m'))
+
 (* ------------------------------- Exec ------------------------------ *)
 
 let run_and_get p init name idx =
@@ -476,6 +613,90 @@ let test_exec_pointer_arithmetic () =
   | Ast.Vptr a -> Alcotest.(check int) "ptr + int stays ptr" 0x2010 a
   | _ -> Alcotest.fail "pointer arithmetic lost the pointer"
 
+(* The executor's arithmetic against a reference copy of the original
+   operator table (one closure-built function for every operator). *)
+let reference_binop op a b =
+  let to_float = function Vfloat x -> x | Vint i | Vptr i -> float_of_int i in
+  let to_int = function Vint i | Vptr i -> i | Vfloat x -> int_of_float x in
+  let is_float = function Vfloat _ -> true | Vint _ | Vptr _ -> false in
+  let fl f = Vfloat (f (to_float a) (to_float b)) in
+  let it f = Vint (f (to_int a) (to_int b)) in
+  let numeric ffun ifun = if is_float a || is_float b then fl ffun else it ifun in
+  let cmp fcmp icmp =
+    let r =
+      if is_float a || is_float b then fcmp (to_float a) (to_float b)
+      else icmp (to_int a) (to_int b)
+    in
+    Vint (if r then 1 else 0)
+  in
+  match op with
+  | Add -> (
+      match (a, b) with
+      | Vptr p, v | v, Vptr p -> Vptr (p + to_int v)
+      | _ -> numeric ( +. ) ( + ))
+  | Sub -> numeric ( -. ) ( - )
+  | Mul -> numeric ( *. ) ( * )
+  | Div ->
+      if is_float a || is_float b then
+        let d = to_float b in
+        Vfloat (if d = 0.0 then 0.0 else to_float a /. d)
+      else
+        let d = to_int b in
+        Vint (if d = 0 then 0 else to_int a / d)
+  | Mod ->
+      if is_float a || is_float b then
+        let d = to_float b in
+        Vfloat (if d = 0.0 then 0.0 else Float.rem (to_float a) d)
+      else
+        let d = to_int b in
+        Vint (if d = 0 then 0 else to_int a mod d)
+  | Min -> numeric Float.min min
+  | Max -> numeric Float.max max
+  | Lt -> cmp ( < ) ( < )
+  | Le -> cmp ( <= ) ( <= )
+  | Eq -> cmp ( = ) ( = )
+
+let binop_operand_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map
+            (fun x -> Vfloat x)
+            (oneof
+               [
+                 oneofl
+                   [
+                     Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity;
+                     1.0; -2.5; 3.9; 1e300; Float.max_float;
+                   ];
+                 float;
+               ]) );
+        ( 3,
+          map
+            (fun i -> Vint i)
+            (oneof [ oneofl [ 0; 1; -1; 2; -7; min_int; max_int ]; int ]) );
+        (1, map (fun p -> Vptr p) (oneofl [ 0; 64; 0x2000 ]));
+      ])
+
+let prop_exec_binop =
+  let ops = [ Add; Sub; Mul; Div; Mod; Min; Max; Lt; Le; Eq ] in
+  let pp_op op = Format.asprintf "%a" Pretty.pp_expr (Binop (op, Const (Vint 0), Const (Vint 0))) in
+  QCheck.Test.make ~name:"binop matches the reference operators" ~count:2000
+    (QCheck.make
+       ~print:(fun (op, a, b) ->
+         Printf.sprintf "%s  %s  %s" (pp_op op) (pp_value a) (pp_value b))
+       QCheck.Gen.(triple (oneofl ops) binop_operand_gen binop_operand_gen))
+    (fun (op, a, b) ->
+      let p =
+        let open Builder in
+        program "binop" ~arrays:[ array_decl "out" 1 ]
+          [ store (aref "out" (cst 0)) (Binop (op, Const a, Const b)) ]
+      in
+      let d = Data.create p in
+      Exec.run p d;
+      same_value (Data.get d "out" 0) (reference_binop op a b))
+
 let test_data_elem_size_four () =
   let p =
     let open Builder in
@@ -556,6 +777,7 @@ let () =
           Alcotest.test_case "region" `Quick test_data_region;
           Alcotest.test_case "copy/equal" `Quick test_data_copy_equal;
           Alcotest.test_case "home" `Quick test_data_home;
+          qtest prop_store_model;
         ] );
       ( "exec",
         [
@@ -582,5 +804,6 @@ let () =
           Alcotest.test_case "pointer arithmetic" `Quick test_exec_pointer_arithmetic;
           Alcotest.test_case "4-byte elements" `Quick test_data_elem_size_four;
           qtest prop_affine_compare_consistent;
+          qtest prop_exec_binop;
         ] );
     ]
