@@ -50,7 +50,7 @@ let build ?(nprocs = 1) (p : Ast.program) data =
             done;
             cur := saved
           end);
-      e_set_proc = (fun p -> cur := min (nprocs - 1) (max 0 p));
+      e_set_proc = (fun p -> cur := Int.min (nprocs - 1) (Int.max 0 p));
     }
   in
   Exec.run ~emit ~nprocs p data;

@@ -9,7 +9,10 @@ let kind_code = function
   | Barrier_op -> 5
   | Prefetch_op -> 6
 
-let kind_of_code = function
+let bad_code c = invalid_arg (Printf.sprintf "Trace.kind_of_code %d" c)
+[@@inline never]
+
+let[@inline] kind_of_code = function
   | 0 -> Int_op
   | 1 -> Fp_op
   | 2 -> Load
@@ -17,7 +20,7 @@ let kind_of_code = function
   | 4 -> Branch
   | 5 -> Barrier_op
   | 6 -> Prefetch_op
-  | c -> invalid_arg (Printf.sprintf "Trace.kind_of_code %d" c)
+  | c -> bad_code c
 
 (* One record per instruction, [record] bytes at offset [record * i], in
    native byte order:
@@ -29,7 +32,10 @@ let kind_of_code = function
     20  kind  one byte (3 bytes of padding follow)
 
    The compiler primitives below read and write the fields in place
-   without boxing, whichever module the accessor is inlined into. *)
+   without boxing, whichever module the accessor is inlined into. The
+   helpers are inlined into the accessors, so an accessor called from
+   another module is one call (the dev profile's [-opaque] inlines
+   nothing across modules). *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
@@ -94,11 +100,11 @@ let push t ~kind ~aux ~dep1 ~dep2 ~ref_ =
 
 let set_length_for_testing t n = t.n <- n
 
-let kind_byte t i = Char.code (Bytes.get t.buf ((i * record) + 20))
+let[@inline] kind_byte t i = Char.code (Bytes.get t.buf ((i * record) + 20))
 let kind t i = kind_of_code (kind_byte t i)
 let aux t i = Int64.to_int (get64 t.buf (i * record))
 
-let dep t i off =
+let[@inline] dep t i off =
   let d = Int32.to_int (get32 t.buf ((i * record) + off)) in
   if d = 0 then -1 else i - d
 

@@ -38,7 +38,8 @@ let write s i v =
       set64 s.words (8 * i) (Int64.of_int a)
 
 (* Tags must match; ints and pointers compare exactly, floats within a
-   relative [eps] (so a NaN equals nothing). *)
+   relative [eps] or both NaN (so a store holding a NaN equals its own
+   copy). A NaN against a number fails the [eps] test. *)
 let slots_equal eps a b =
   let n = length a in
   n = length b
@@ -53,7 +54,7 @@ let slots_equal eps a b =
           let x = Int64.float_of_bits (get64 a.words o)
           and y = Int64.float_of_bits (get64 b.words o) in
           let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
-          Float.abs (x -. y) <= eps *. scale
+          Float.abs (x -. y) <= eps *. scale || (Float.is_nan x && Float.is_nan y)
         else (get64 a.words o : int64) = get64 b.words o)
     && go (i + 1)
   in

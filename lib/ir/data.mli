@@ -89,9 +89,12 @@ val rh_addr : rhandle -> ptr:int -> field:int -> int
 val copy : t -> t
 
 val equal : ?eps:float -> t -> t -> bool
-(** Element-wise comparison of all arrays and regions; floats compared with
-    relative tolerance [eps] (default 1e-9). Used by the semantics-
-    preservation property tests. *)
+(** Element-wise comparison of all arrays and regions: the element tags
+    must match, ints and pointers exactly, floats within relative
+    tolerance [eps] (default 1e-9). Two NaNs are equal, whatever their
+    payloads, and a NaN equals no number, so a store holding a NaN equals
+    its own {!copy}. Used by the semantic guard and the
+    semantics-preservation property tests. *)
 
 val home_of_addr : t -> nprocs:int -> int -> int
 (** Home processor of a byte address under block distribution: each array

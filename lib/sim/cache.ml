@@ -1,6 +1,7 @@
 type t = {
   assoc : int;
   sets : int;
+  set_mask : int;  (* sets - 1 when [sets] is a power of two, else -1 *)
   shift : int;
   line : int;
   tags : int array;  (* line address or -1 *)
@@ -14,11 +15,12 @@ let log2 v =
   go v 0
 
 let create ~bytes ~assoc ~line =
-  let nlines = max assoc (bytes / line) in
-  let sets = max 1 (nlines / assoc) in
+  let nlines = Int.max assoc (bytes / line) in
+  let sets = Int.max 1 (nlines / assoc) in
   {
     assoc;
     sets;
+    set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
     shift = log2 line;
     line;
     tags = Array.make (sets * assoc) (-1);
@@ -31,7 +33,9 @@ let assoc t = t.assoc
 let sets t = t.sets
 let line_size t = t.line
 
-let set_base t line = line mod t.sets * t.assoc
+(* [line] is never negative, so the mask and [mod] agree *)
+let set_base t line =
+  (if t.set_mask >= 0 then line land t.set_mask else line mod t.sets) * t.assoc
 
 let lookup t ~version ~addr =
   let line = addr lsr t.shift in

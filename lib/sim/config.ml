@@ -52,7 +52,7 @@ let line t = (last_level t).line
 let lp t =
   match t.levels with
   | [] -> 0
-  | ls -> List.fold_left (fun acc l -> min acc l.mshrs) max_int ls
+  | ls -> List.fold_left (fun acc l -> Int.min acc l.mshrs) max_int ls
 
 let base =
   {

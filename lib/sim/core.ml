@@ -14,6 +14,7 @@ type stall = Uncharged | Cpu_stall | Data_stall | Sync_stall
 type t = {
   proc : int;
   trace : Trace.t;
+  len : int;  (* of the trace *)
   sh : shared;
   h : Hierarchy.t;  (* this processor's cache/MSHR stack *)
   ring_mask : int;
@@ -22,6 +23,8 @@ type t = {
          issue scan does it billions of times). Any window-length index
          range still maps to distinct slots. *)
   (* reorder buffer: ring over trace indices [head, tail) *)
+  kinds : Trace.kind array;  (* per slot, decoded once by [fetch] *)
+  auxs : int array;  (* likewise *)
   state : int array;  (* 0 = waiting, 1 = scheduled/completed *)
   done_at : int array;
   mutable head : int;
@@ -95,9 +98,12 @@ let create (sh : shared) ~proc trace =
   {
     proc;
     trace;
+    len = Trace.length trace;
     sh;
     h;
     ring_mask = cap - 1;
+    kinds = Array.make cap Trace.Int_op;
+    auxs = Array.make cap 0;
     state = Array.make cap 0;
     done_at = Array.make cap 0;
     head = 0;
@@ -157,8 +163,11 @@ let drain_wbuf t ~now =
 let wbuf_occupancy t = Queue.length t.wpending + Pqueue.length t.winflight
 
 let barrier_satisfied t aux =
+  let reached = t.sh.reached in
   let ok = ref true in
-  Array.iter (fun r -> if r < aux then ok := false) t.sh.reached;
+  for p = 0 to Array.length reached - 1 do
+    if reached.(p) < aux then ok := false
+  done;
   !ok
 
 let charge t stall w =
@@ -218,9 +227,9 @@ let retire t ~now =
   while !continue_ && !r < width && t.head < t.tail do
     let i = t.head in
     let s = slot t i in
-    match Trace.kind t.trace i with
+    match t.kinds.(s) with
     | Trace.Barrier_op ->
-        let b = Trace.aux t.trace i in
+        let b = t.auxs.(s) in
         if t.sh.reached.(t.proc) < b then begin
           t.sh.reached.(t.proc) <- b;
           (* shared state changed: other processors may now pass the
@@ -334,7 +343,7 @@ let issue t ~now =
     let before = !issued in
     let remove = ref false in
     if t.ready_at.(s) <= now then begin
-      let kind = Trace.kind t.trace i in
+      let kind = t.kinds.(s) in
       let unit_free =
         match kind with
         | Trace.Int_op | Trace.Branch -> !alu < alus
@@ -352,16 +361,16 @@ let issue t ~now =
         | Trace.Branch ->
             incr alu;
             t.done_at.(s) <- now + 1;
-            t.branches <- max 0 (t.branches - 1);
+            if t.branches > 0 then t.branches <- t.branches - 1;
             mark_issued t ~now i s;
             incr issued
         | Trace.Fp_op ->
             incr fpu;
-            t.done_at.(s) <- now + Trace.aux t.trace i;
+            t.done_at.(s) <- now + t.auxs.(s);
             mark_issued t ~now i s;
             incr issued
         | Trace.Load -> (
-            match Hierarchy.read t.h ~now (Trace.aux t.trace i) with
+            match Hierarchy.read t.h ~now t.auxs.(s) with
             | Some ready ->
                 incr mem_u;
                 t.done_at.(s) <- ready;
@@ -381,14 +390,14 @@ let issue t ~now =
             end
             else begin
               incr mem_u;
-              Queue.push (Trace.aux t.trace i) t.wpending;
+              Queue.push t.auxs.(s) t.wpending;
               t.done_at.(s) <- now;
               mark_issued t ~now i s;
               incr issued
             end
         | Trace.Prefetch_op ->
             incr mem_u;
-            Hierarchy.prefetch t.h ~now (Trace.aux t.trace i);
+            Hierarchy.prefetch t.h ~now t.auxs.(s);
             t.done_at.(s) <- now;
             mark_issued t ~now i s;
             incr issued
@@ -432,7 +441,7 @@ let depend t i s k d =
 
 let fetch t ~now =
   let cfg = cfg_of t in
-  let len = Trace.length t.trace in
+  let len = t.len in
   let fetched = ref 0 in
   while
     t.tail < len
@@ -442,6 +451,9 @@ let fetch t ~now =
   do
     let i = t.tail in
     let s = slot t i in
+    let kind = Trace.kind t.trace i in
+    t.kinds.(s) <- kind;
+    t.auxs.(s) <- Trace.aux t.trace i;
     t.state.(s) <- 0;
     t.done_at.(s) <- 0;
     t.wstalled.(s) <- false;
@@ -454,7 +466,7 @@ let fetch t ~now =
     (* [issue] ran earlier this cycle and dropped every retired entry, so
        appending reuses no live link *)
     if t.npend.(s) = 0 then enqueue t ~now ~after:t.pend_last i;
-    (match Trace.kind t.trace i with
+    (match kind with
     | Trace.Branch -> t.branches <- t.branches + 1
     | _ -> ());
     t.tail <- i + 1;
@@ -463,7 +475,7 @@ let fetch t ~now =
   done
 
 let finished t =
-  t.head >= Trace.length t.trace
+  t.head >= t.len
   && Queue.is_empty t.wpending
   && Pqueue.is_empty t.winflight
 
@@ -473,7 +485,7 @@ let step t ~now =
   t.retries <- 0;
   cleanup_mshrs t ~now;
   drain_wbuf t ~now;
-  if t.head < Trace.length t.trace then retire t ~now;
+  if t.head < t.len then retire t ~now;
   issue t ~now;
   fetch t ~now
 

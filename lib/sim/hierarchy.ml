@@ -17,12 +17,74 @@
      coalescing probe at any level finds the same entry.
    - Coherence and memory transfers are at the last level's line size. *)
 
-open Memclust_util
+(* line -> packed version, open addressing with linear probing. Lines are
+   never removed, so a probe stops at the first free cell and there are
+   no tombstones. A free cell holds [free] as its key, which is why that
+   one key cannot be stored. The table is at most half full. *)
+module Versions = struct
+  type t = {
+    mutable keys : int array;
+    mutable vals : int array;
+    mutable count : int;
+    mutable shift : int;  (* 63 - log2 (Array.length keys) *)
+  }
+
+  let free = min_int
+
+  let create size =
+    let rec bits b = if 1 lsl b >= size || b >= 30 then b else bits (b + 1) in
+    let b = bits 3 in
+    {
+      keys = Array.make (1 lsl b) free;
+      vals = Array.make (1 lsl b) 0;
+      count = 0;
+      shift = 63 - b;
+    }
+
+  let length t = t.count
+
+  (* Fibonacci hashing: the top bits of the 63-bit product, so strided
+     lines spread over the table too *)
+  let[@inline] start t k = (k * 0x1E3779B97F4A7C15) lsr t.shift
+
+  (* the cell holding [k], or the free cell where it would go *)
+  let[@inline] cell t k =
+    let keys = t.keys in
+    let mask = Array.length keys - 1 in
+    let i = ref (start t k) in
+    while keys.(!i) <> k && keys.(!i) <> free do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let find t k = if k = free then 0 else t.vals.(cell t k)
+
+  let rec replace t k v =
+    if k = free then invalid_arg "Hierarchy.Versions.replace: key min_int";
+    let i = cell t k in
+    if t.keys.(i) = k then t.vals.(i) <- v
+    else if 2 * (t.count + 1) > Array.length t.keys then begin
+      let keys = t.keys and vals = t.vals in
+      t.keys <- Array.make (2 * Array.length keys) free;
+      t.vals <- Array.make (2 * Array.length keys) 0;
+      t.shift <- t.shift - 1;
+      t.count <- 0;
+      for j = 0 to Array.length keys - 1 do
+        if keys.(j) <> free then replace t keys.(j) vals.(j)
+      done;
+      replace t k v
+    end
+    else begin
+      t.keys.(i) <- k;
+      t.vals.(i) <- v;
+      t.count <- t.count + 1
+    end
+end
 
 type shared = {
   cfg : Config.t;
   mem : Memsys.t;
-  versions : int Int_tbl.t;
+  versions : Versions.t;
   home : int -> int;
   nprocs : int;
 }
@@ -64,7 +126,7 @@ let make_shared cfg ~nprocs ~home =
     invalid_arg
       (Printf.sprintf "Hierarchy.make_shared: %d processors (at most %d)"
          nprocs ((1 lsl writer_bits) - 2));
-  { cfg; mem = Memsys.create cfg ~nprocs; versions = Int_tbl.create 4096; home; nprocs }
+  { cfg; mem = Memsys.create cfg ~nprocs; versions = Versions.create 4096; home; nprocs }
 
 let log2_shift v =
   if v > 0 && v land (v - 1) = 0 then begin
@@ -121,10 +183,7 @@ let pack_version ~version ~writer = (version lsl writer_bits) lor (writer + 1)
 let version_of vw = vw asr writer_bits
 let writer_of vw = (vw land ((1 lsl writer_bits) - 1)) - 1
 
-let version t line =
-  match Int_tbl.find t.sh.versions line with
-  | vw -> vw
-  | exception Not_found -> 0
+let version t line = Versions.find t.sh.versions line
 
 let miss_kind t ~writer ~home =
   if t.sh.nprocs = 1 then Memsys.Local
@@ -135,16 +194,17 @@ let miss_kind t ~writer ~home =
 (* Coalescing probe: an in-flight miss covering [addr] at any level. Line
    sizes are non-decreasing toward memory, so addresses sharing an upper
    line share every line below — all levels hold the same entry set, just
-   under their own keys; probing top-down finds the shared entry. *)
-let rec find_inflight_from t addr k =
-  if k >= Array.length t.levels then None
-  else
-    let lvl = t.levels.(k) in
-    match Mshr.find lvl.mshr (level_line lvl addr) with
-    | Some _ as found -> found
-    | None -> find_inflight_from t addr (k + 1)
-
-let find_inflight t addr = find_inflight_from t addr 0
+   under their own keys; probing top-down finds the shared entry, or
+   {!Mshr.none} when there is none. *)
+let find_inflight t addr =
+  let levels = t.levels in
+  let found = ref Mshr.none and k = ref 0 in
+  while !found == Mshr.none && !k < Array.length levels do
+    let lvl = levels.(!k) in
+    found := Mshr.find lvl.mshr (level_line lvl addr);
+    incr k
+  done;
+  !found
 
 (* A memory-bound miss needs an entry in every file. *)
 let any_full t =
@@ -164,7 +224,9 @@ let allocate t addr ~ready ~has_read ~has_write ~prefetch_only =
 let note_read t (e : Mshr.entry) =
   if not e.Mshr.has_read then begin
     e.Mshr.has_read <- true;
-    Array.iter (fun lvl -> Mshr.note_read lvl.mshr) t.levels
+    for k = 0 to Array.length t.levels - 1 do
+      Mshr.note_read t.levels.(k).mshr
+    done
   end
 
 let fill_above t k ~version ~addr =
@@ -195,41 +257,42 @@ let rec probe t ~version ~addr k =
 
 (* Demand load: [Some ready] or [None] when no MSHR is available. *)
 let read t ~now addr =
-  match find_inflight t addr with
-  | Some e ->
-      if e.Mshr.prefetch_only then begin
-        (* the prefetch launched the line but too late to hide it fully *)
-        t.late_prefetch_count <- t.late_prefetch_count + 1;
-        e.Mshr.prefetch_only <- false
-      end;
-      note_read t e;
-      Some e.Mshr.ready
-  | None -> (
-      let line = coh_line t addr in
-      let vw = version t line in
-      let v = version_of vw and w = writer_of vw in
-      let n = Array.length t.levels in
-      match probe_read t ~version:v ~addr 0 with
-      | k when k < n ->
-          fill_above t k ~version:v ~addr;
-          Some (now + t.levels.(k).lat)
-      | _ ->
-          if any_full t then begin
-            t.mshr_full_count <- t.mshr_full_count + 1;
-            None
-          end
-          else begin
-            let home = t.sh.home addr in
-            let kind = miss_kind t ~writer:w ~home in
-            let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
-            allocate t addr ~ready ~has_read:true ~has_write:false
-              ~prefetch_only:false;
-            fill_all t ~version:v ~addr;
-            t.mem_misses <- t.mem_misses + 1;
-            t.read_misses <- t.read_misses + 1;
-            t.read_miss_lat <- t.read_miss_lat +. float_of_int (ready - now);
-            Some ready
-          end)
+  let e = find_inflight t addr in
+  if e != Mshr.none then begin
+    if e.Mshr.prefetch_only then begin
+      (* the prefetch launched the line but too late to hide it fully *)
+      t.late_prefetch_count <- t.late_prefetch_count + 1;
+      e.Mshr.prefetch_only <- false
+    end;
+    note_read t e;
+    Some e.Mshr.ready
+  end
+  else
+    let line = coh_line t addr in
+    let vw = version t line in
+    let v = version_of vw and w = writer_of vw in
+    let n = Array.length t.levels in
+    match probe_read t ~version:v ~addr 0 with
+    | k when k < n ->
+        fill_above t k ~version:v ~addr;
+        Some (now + t.levels.(k).lat)
+    | _ ->
+        if any_full t then begin
+          t.mshr_full_count <- t.mshr_full_count + 1;
+          None
+        end
+        else begin
+          let home = t.sh.home addr in
+          let kind = miss_kind t ~writer:w ~home in
+          let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
+          allocate t addr ~ready ~has_read:true ~has_write:false
+            ~prefetch_only:false;
+          fill_all t ~version:v ~addr;
+          t.mem_misses <- t.mem_misses + 1;
+          t.read_misses <- t.read_misses + 1;
+          t.read_miss_lat <- t.read_miss_lat +. float_of_int (ready - now);
+          Some ready
+        end
 
 (* Write-buffer drain access (write-allocate). *)
 let write t ~now addr =
@@ -239,63 +302,62 @@ let write t ~now addr =
   (* coherence: a write by a new owner invalidates all other copies *)
   let v' = if w <> t.proc && w >= 0 then v + 1 else v in
   let committed = pack_version ~version:v' ~writer:t.proc in
-  match find_inflight t addr with
-  | Some e ->
-      e.Mshr.has_write <- true;
-      Int_tbl.replace t.sh.versions line committed;
+  let e = find_inflight t addr in
+  if e != Mshr.none then begin
+    e.Mshr.has_write <- true;
+    Versions.replace t.sh.versions line committed;
+    fill_all t ~version:v' ~addr;
+    Some e.Mshr.ready
+  end
+  else
+    let owned = w = t.proc || w < 0 in
+    (* every level is probed (so every copy gets its LRU refresh) even
+       below the first hit, as the fixed two-level model did *)
+    let hit_level = ref (-1) in
+    if owned then
+      for k = 0 to Array.length t.levels - 1 do
+        if Cache.lookup t.levels.(k).cache ~version:v ~addr && !hit_level < 0
+        then hit_level := k
+      done;
+    if !hit_level >= 0 then begin
+      Versions.replace t.sh.versions line committed;
       fill_all t ~version:v' ~addr;
-      Some e.Mshr.ready
-  | None ->
-      let owned = w = t.proc || w < 0 in
-      (* every level is probed (so every copy gets its LRU refresh) even
-         below the first hit, as the fixed two-level model did *)
-      let hit_level = ref (-1) in
-      if owned then
-        for k = 0 to Array.length t.levels - 1 do
-          if Cache.lookup t.levels.(k).cache ~version:v ~addr && !hit_level < 0
-          then hit_level := k
-        done;
-      if !hit_level >= 0 then begin
-        Int_tbl.replace t.sh.versions line committed;
-        fill_all t ~version:v' ~addr;
-        Some (now + t.levels.(!hit_level).lat)
-      end
-      else if any_full t then None
-      else begin
-        let home = t.sh.home addr in
-        let kind = miss_kind t ~writer:w ~home in
-        let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
-        allocate t addr ~ready ~has_read:false ~has_write:true
-          ~prefetch_only:false;
-        Int_tbl.replace t.sh.versions line committed;
-        fill_all t ~version:v' ~addr;
-        t.mem_misses <- t.mem_misses + 1;
-        Some ready
-      end
+      Some (now + t.levels.(!hit_level).lat)
+    end
+    else if any_full t then None
+    else begin
+      let home = t.sh.home addr in
+      let kind = miss_kind t ~writer:w ~home in
+      let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
+      allocate t addr ~ready ~has_read:false ~has_write:true
+        ~prefetch_only:false;
+      Versions.replace t.sh.versions line committed;
+      fill_all t ~version:v' ~addr;
+      t.mem_misses <- t.mem_misses + 1;
+      Some ready
+    end
 
 (* Non-binding prefetch: fills the caches if it can get an MSHR, is
    dropped when the line is already present/in flight or when no MSHR is
    available (as hardware drops hint prefetches under pressure). *)
 let prefetch t ~now addr =
   t.prefetch_count <- t.prefetch_count + 1;
-  match find_inflight t addr with
-  | Some _ -> ()
-  | None ->
-      let line = coh_line t addr in
-      let vw = version t line in
-      let v = version_of vw and w = writer_of vw in
-      let n = Array.length t.levels in
-      let k = probe t ~version:v ~addr 0 in
-      if k < n then fill_above t k ~version:v ~addr
-      else if not (any_full t) then begin
-        let home = t.sh.home addr in
-        let kind = miss_kind t ~writer:w ~home in
-        let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
-        allocate t addr ~ready ~has_read:false ~has_write:false
-          ~prefetch_only:true;
-        fill_all t ~version:v ~addr;
-        t.prefetch_miss_count <- t.prefetch_miss_count + 1
-      end
+  if find_inflight t addr == Mshr.none then
+    let line = coh_line t addr in
+    let vw = version t line in
+    let v = version_of vw and w = writer_of vw in
+    let n = Array.length t.levels in
+    let k = probe t ~version:v ~addr 0 in
+    if k < n then fill_above t k ~version:v ~addr
+    else if not (any_full t) then begin
+      let home = t.sh.home addr in
+      let kind = miss_kind t ~writer:w ~home in
+      let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
+      allocate t addr ~ready ~has_read:false ~has_write:false
+        ~prefetch_only:true;
+      fill_all t ~version:v ~addr;
+      t.prefetch_miss_count <- t.prefetch_miss_count + 1
+    end
 
 (* ------------------------------------------------------------------ *)
 

@@ -14,12 +14,33 @@
     [lp] — and a same-line access at any level coalesces onto the entry.
     Coherence and memory transfers use the last level's line size. *)
 
+(** The shared coherence state: line -> (coherence version, last
+    writer), packed into one int; an absent line reads 0, which is
+    version 0 with no writer. An open-addressing table over int arrays:
+    a lookup neither allocates nor hashes polymorphically. *)
+module Versions : sig
+  type t
+
+  val create : int -> t
+  (** An empty table with room for about half the given number of
+      lines before it first grows. *)
+
+  val find : t -> int -> int
+  (** The value stored under a line, or 0 when there is none. *)
+
+  val replace : t -> int -> int -> unit
+  (** Store a value under a line, growing the table as needed. Raises
+      [Invalid_argument] for the line [min_int], which marks a free
+      cell. *)
+
+  val length : t -> int
+  (** Lines stored. *)
+end
+
 type shared = {
   cfg : Config.t;
   mem : Memsys.t;
-  versions : int Memclust_util.Int_tbl.t;
-      (** line -> (coherence version, last writer), packed into one int;
-          an absent line is version 0 with no writer *)
+  versions : Versions.t;
   home : int -> int;  (** home node of a byte address *)
   nprocs : int;
 }

@@ -176,7 +176,8 @@ let deadlock e ~reason =
        })
 
 let add_weight weights v w =
-  let i = if v < 0 then 0 else min v (Array.length weights - 1) in
+  let last = Array.length weights - 1 in
+  let i = if v < 0 then 0 else if v > last then last else v in
   weights.(i) <- weights.(i) + w
 
 (* Account [w] cycles of core [c]'s current MSHR occupancy in the
@@ -371,7 +372,7 @@ let pp_result ppf r =
      levels: %a@,\
      bus util %.2f, bank util %.2f@]"
     r.cycles r.instructions
-    (float_of_int r.instructions /. float_of_int (max 1 r.cycles))
+    (float_of_int r.instructions /. float_of_int (Int.max 1 r.cycles))
     Breakdown.pp r.breakdown r.l2_misses r.read_misses r.avg_read_miss_latency
     r.mshr_full_events r.wbuf_full_events
     Breakdown.pp_levels r.level_stats

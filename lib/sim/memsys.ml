@@ -3,6 +3,7 @@ type kind = Local | Remote | Dirty_remote
 type t = {
   cfg : Config.t;
   nodes : int;
+  side : int;  (* of the mesh the nodes are laid out on *)
   (* split-transaction bus: the address (request) and data (reply) paths
      arbitrate independently, so replies do not block new requests *)
   abus_free : int array;  (* per node *)
@@ -15,20 +16,22 @@ type t = {
 }
 
 (* 2D-mesh Manhattan distance between two nodes laid out row-major on the
-   smallest square mesh holding them *)
-let mesh_hops ~nprocs a b =
+   smallest square mesh holding them, [side] nodes wide *)
+let mesh_side nprocs =
+  Int.max 1 (int_of_float (Float.ceil (sqrt (float_of_int nprocs))))
+
+let hops ~side a b =
   if a = b then 0
-  else begin
-    let side = int_of_float (Float.ceil (sqrt (float_of_int nprocs))) in
-    let side = max 1 side in
-    abs ((a mod side) - (b mod side)) + abs ((a / side) - (b / side))
-  end
+  else abs ((a mod side) - (b mod side)) + abs ((a / side) - (b / side))
+
+let mesh_hops ~nprocs a b = hops ~side:(mesh_side nprocs) a b
 
 let create (cfg : Config.t) ~nprocs =
   let nodes = if cfg.Config.smp then 1 else nprocs in
   {
     cfg;
     nodes;
+    side = mesh_side nodes;
     abus_free = Array.make nodes 0;
     dbus_free = Array.make nodes 0;
     bank_free = Array.make_matrix nodes cfg.Config.banks 0;
@@ -58,23 +61,23 @@ let request t ~proc ~home ~kind ~line ~now =
   let req_node = if cfg.Config.smp then 0 else proc in
   let home_node = if cfg.Config.smp then 0 else home in
   (* request on the requester's address bus *)
-  let t1 = max now t.abus_free.(req_node) + cfg.Config.bus_req_occ in
+  let t1 = Int.max now t.abus_free.(req_node) + cfg.Config.bus_req_occ in
   t.abus_free.(req_node) <- t1;
   t.bus_busy_total <- t.bus_busy_total + cfg.Config.bus_req_occ;
   (* home bank occupancy (a transient stall keeps the bank busy longer,
      back-pressuring later requests to the same bank) *)
   let b = bank_of t line in
   let bank_occ = cfg.Config.bank_busy + fault.Faults.bank_extra in
-  let t2 = max t1 t.bank_free.(home_node).(b) + bank_occ in
+  let t2 = Int.max t1 t.bank_free.(home_node).(b) + bank_occ in
   t.bank_free.(home_node).(b) <- t2;
   t.bank_busy_total <- t.bank_busy_total + bank_occ;
   (* reply on the requester's data bus *)
-  let t3 = max t2 t.dbus_free.(req_node) + cfg.Config.bus_data_occ in
+  let t3 = Int.max t2 t.dbus_free.(req_node) + cfg.Config.bus_data_occ in
   t.dbus_free.(req_node) <- t3;
   t.bus_busy_total <- t.bus_busy_total + cfg.Config.bus_data_occ;
   let hops =
     if cfg.Config.smp || kind = Local then 0
-    else mesh_hops ~nprocs:t.nodes proc home
+    else hops ~side:t.side proc home
   in
   let total_uncontended =
     match kind with
@@ -85,7 +88,7 @@ let request t ~proc ~home ~kind ~line ~now =
   let occupancies =
     cfg.Config.bus_req_occ + cfg.Config.bank_busy + cfg.Config.bus_data_occ
   in
-  t3 + max 0 (total_uncontended - occupancies) + fault.Faults.fill_delay
+  t3 + Int.max 0 (total_uncontended - occupancies) + fault.Faults.fill_delay
 
 let bus_busy t = t.bus_busy_total
 let bank_busy t = t.bank_busy_total

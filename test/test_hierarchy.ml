@@ -76,9 +76,10 @@ let test_mshr_coalesce () =
   Mshr.insert m ~line:5 (entry ());
   Alcotest.(check int) "one entry" 1 (Mshr.occupancy m);
   Alcotest.(check bool) "coalescing probe finds it" true (Mshr.mem m 5);
-  (match Mshr.find m 5 with
-  | None -> Alcotest.fail "find lost the entry"
-  | Some e -> Alcotest.(check int) "ready preserved" 100 e.Mshr.ready);
+  let e = Mshr.find m 5 in
+  if e == Mshr.none then Alcotest.fail "find lost the entry";
+  Alcotest.(check int) "ready preserved" 100 e.Mshr.ready;
+  Alcotest.(check bool) "absent line finds none" true (Mshr.find m 6 == Mshr.none);
   Alcotest.(check bool) "other lines miss" false (Mshr.mem m 6);
   Alcotest.(check int) "read occupancy" 1 (Mshr.read_occupancy m)
 
@@ -112,6 +113,142 @@ let test_mshr_cleanup_and_read_occ () =
   Alcotest.(check bool) "drained" true (Mshr.is_empty m);
   Alcotest.(check int) "drained: no read occupancy" 0 (Mshr.read_occupancy m);
   Alcotest.(check int) "empty file: no completion" max_int (Mshr.next_ready m)
+
+(* The file against a list model over random sequences: inserts of absent
+   lines while not full, lookups, first demand reads and cleanups at a
+   clock that only moves forward. Completion times are drawn from a short
+   range, so several entries often expire in the same cleanup, and a cap
+   above the file's initial array size makes it grow. *)
+type mshr_op =
+  | Insert of int * int * bool  (* line, cycles until ready, has_read *)
+  | Lookup of int
+  | Note_read of int
+  | Cleanup of int  (* cycles to advance the clock first *)
+
+let pp_mshr_op = function
+  | Insert (l, d, r) -> Printf.sprintf "insert %d +%d%s" l d (if r then " read" else "")
+  | Lookup l -> Printf.sprintf "lookup %d" l
+  | Note_read l -> Printf.sprintf "note_read %d" l
+  | Cleanup d -> Printf.sprintf "cleanup +%d" d
+
+let mshr_op_gen =
+  QCheck.Gen.(
+    let line = int_range 0 23 in
+    frequency
+      [
+        (5, map3 (fun l d r -> Insert (l, d, r)) line (int_range 1 12) bool);
+        (2, map (fun l -> Lookup l) line);
+        (2, map (fun l -> Note_read l) line);
+        (3, map (fun d -> Cleanup d) (int_range 0 6));
+      ])
+
+let prop_mshr_model =
+  QCheck.Test.make ~name:"file matches a list model" ~count:500
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "cap %d: %s" cap (String.concat "; " (List.map pp_mshr_op ops)))
+       QCheck.Gen.(pair (oneofl [ 1; 3; 8; 12; 40 ]) (list_size (1 -- 80) mshr_op_gen)))
+    (fun (cap, ops) ->
+      let m = Mshr.create ~cap in
+      let model = ref [] (* (line, entry), the entry inserted *) in
+      let now = ref 0 in
+      let reads () = List.length (List.filter (fun (_, e) -> e.Mshr.has_read) !model) in
+      let earliest () = List.fold_left (fun a (_, e) -> Int.min a e.Mshr.ready) max_int !model in
+      let agrees () =
+        Mshr.occupancy m = List.length !model
+        && Mshr.read_occupancy m = reads ()
+        && Mshr.next_ready m = earliest ()
+        && Bool.equal (Mshr.is_empty m) (!model = [])
+        && Bool.equal (Mshr.full m) (List.length !model >= cap)
+      in
+      let step = function
+        | Insert (line, d, has_read) ->
+            if (not (List.mem_assoc line !model)) && List.length !model < cap then begin
+              let e = entry ~ready:(!now + d) ~has_read () in
+              Mshr.insert m ~line e;
+              model := (line, e) :: !model
+            end;
+            true
+        | Lookup line ->
+            let found = Mshr.find m line in
+            (match List.assoc_opt line !model with
+            | Some e -> found == e
+            | None -> found == Mshr.none)
+            && Bool.equal (Mshr.mem m line) (List.mem_assoc line !model)
+        | Note_read line ->
+            (match List.assoc_opt line !model with
+            | Some e when not e.Mshr.has_read ->
+                e.Mshr.has_read <- true;
+                Mshr.note_read m
+            | _ -> ());
+            true
+        | Cleanup d ->
+            now := !now + d;
+            let live = List.filter (fun (_, e) -> e.Mshr.ready > !now) !model in
+            let expired = List.length !model - List.length live in
+            model := live;
+            Bool.equal (Mshr.cleanup m ~now:!now) (expired > 0)
+      in
+      List.for_all (fun op -> step op && agrees ()) ops
+      && List.for_all (fun (line, e) -> Mshr.find m line == e) !model)
+
+(* ---------------------------- Version table --------------------------- *)
+
+(* The table against a [Hashtbl] model: small, zero, large and negative
+   keys, from an initial size small enough that the random inserts resize
+   it several times; an absent key reads 0. *)
+let version_key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range 0 300);
+        (1, return 0);
+        (1, map (fun k -> max_int - k) (int_range 0 5));
+        (1, map (fun k -> (1 lsl 40) + (k lsl 20)) (int_range 0 20));
+        (1, map (fun k -> -k) (int_range 1 5));
+      ])
+
+let prop_versions_model =
+  QCheck.Test.make ~name:"version table matches a Hashtbl model" ~count:300
+    (QCheck.make
+       ~print:(fun (size, ops) ->
+         Printf.sprintf "size %d: %s" size
+           (String.concat "; "
+              (List.map
+                 (function
+                   | k, Some v -> Printf.sprintf "replace %d %d" k v
+                   | k, None -> Printf.sprintf "find %d" k)
+                 ops)))
+       QCheck.Gen.(
+         pair (oneofl [ 1; 8; 64 ])
+           (list_size (1 -- 400)
+              (pair version_key_gen (opt ~ratio:0.6 (int_range (-3) 100_000))))))
+    (fun (size, ops) ->
+      let t = Hierarchy.Versions.create size in
+      let model = Hashtbl.create 16 in
+      let read k = Option.value (Hashtbl.find_opt model k) ~default:0 in
+      List.for_all
+        (fun (k, op) ->
+          (match op with
+          | Some v ->
+              Hierarchy.Versions.replace t k v;
+              Hashtbl.replace model k v
+          | None -> ());
+          Hierarchy.Versions.find t k = read k
+          && Hierarchy.Versions.length t = Hashtbl.length model)
+        ops
+      && Hashtbl.fold (fun k v ok -> ok && Hierarchy.Versions.find t k = v) model true
+      && List.for_all
+           (fun k -> Hierarchy.Versions.find t k = read k)
+           [ 0; 1; 301; max_int; min_int; 1 lsl 50; -7 ])
+
+let test_versions_reserved_key () =
+  let t = Hierarchy.Versions.create 8 in
+  Alcotest.(check int) "empty table reads 0" 0 (Hierarchy.Versions.find t 5);
+  Alcotest.check_raises "min_int is reserved"
+    (Invalid_argument "Hierarchy.Versions.replace: key min_int") (fun () ->
+      Hierarchy.Versions.replace t min_int 1);
+  Alcotest.(check int) "nothing stored" 0 (Hierarchy.Versions.length t)
 
 (* ----------------------------- Hierarchy ------------------------------ *)
 
@@ -221,6 +358,49 @@ let test_hierarchy_three_level_stats () =
   | None -> Alcotest.fail "filled line rejected");
   Alcotest.(check int) "single memory miss" 1 (Hierarchy.mem_misses h)
 
+(* Config.three_level's files hold 16, 12 and 10 entries: a memory-bound
+   miss takes an entry at every level, so the smallest, at the memory
+   side, bounds the misses in flight, and every file drains together. *)
+let test_hierarchy_three_level_caps () =
+  let h = mk_hier ~cfg:Config.three_level () in
+  let line = 64 in
+  let readies =
+    List.init 10 (fun i ->
+        match Hierarchy.read h ~now:i (0x40000 + (i * 4096)) with
+        | Some t -> t
+        | None -> Alcotest.failf "miss %d rejected below the smallest cap" i)
+  in
+  Alcotest.(check (array (pair int int)))
+    "each level's file holds all ten"
+    [| (10, 16); (10, 12); (10, 10) |]
+    (Hierarchy.mshr_occupancy_by_level h);
+  Alcotest.(check bool) "the eleventh distinct line is rejected" true
+    (Hierarchy.read h ~now:10 (0x40000 + (10 * 4096)) = None);
+  Alcotest.(check int) "rejection counted" 1 (Hierarchy.mshr_full_events h);
+  Alcotest.(check bool) "prefetch dropped while full" true
+    (Hierarchy.prefetch h ~now:10 0x90000;
+     Hierarchy.prefetch_misses h = 0);
+  (match Hierarchy.read h ~now:10 (0x40000 + (3 * 4096) + (line / 2)) with
+  | Some t -> Alcotest.(check int) "a same-line read coalesces" (List.nth readies 3) t
+  | None -> Alcotest.fail "coalescing must bypass the capacity check");
+  Alcotest.(check int) "read occupancy at the memory side" 10
+    (Hierarchy.read_occupancy h);
+  let first = List.fold_left Int.min max_int readies in
+  Alcotest.(check int) "next completion" first (Hierarchy.next_completion h);
+  Alcotest.(check bool) "nothing completes early" false
+    (Hierarchy.cleanup h ~now:(first - 1));
+  Alcotest.(check bool) "the first completion frees an entry" true
+    (Hierarchy.cleanup h ~now:first);
+  Alcotest.(check bool) "so a new miss fits" true
+    (Hierarchy.read h ~now:first (0x40000 + (10 * 4096)) <> None);
+  let last = List.fold_left Int.max 0 readies in
+  ignore (Hierarchy.cleanup h ~now:(last + 10_000));
+  Alcotest.(check (array (pair int int)))
+    "every file drained"
+    [| (0, 16); (0, 12); (0, 10) |]
+    (Hierarchy.mshr_occupancy_by_level h);
+  Alcotest.(check int) "no completion pending" max_int (Hierarchy.next_completion h)
+
 let test_hierarchy_prefetch_coalesce () =
   let h = mk_hier () in
   Hierarchy.prefetch h ~now:0 0x40000;
@@ -306,6 +486,12 @@ let () =
           Alcotest.test_case "capacity bound" `Quick test_mshr_capacity;
           Alcotest.test_case "cleanup and read occupancy" `Quick
             test_mshr_cleanup_and_read_occ;
+          QCheck_alcotest.to_alcotest prop_mshr_model;
+        ] );
+      ( "versions",
+        [
+          QCheck_alcotest.to_alcotest prop_versions_model;
+          Alcotest.test_case "reserved key" `Quick test_versions_reserved_key;
         ] );
       ( "hierarchy",
         [
@@ -320,6 +506,8 @@ let () =
             test_hierarchy_three_level_stats;
           Alcotest.test_case "late prefetch" `Quick
             test_hierarchy_prefetch_coalesce;
+          Alcotest.test_case "three-level MSHR caps" `Quick
+            test_hierarchy_three_level_caps;
         ] );
       ( "validate",
         [

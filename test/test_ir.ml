@@ -205,6 +205,19 @@ let test_data_copy_equal () =
   Data.set d2 "a" 0 (Vfloat 2.0);
   Alcotest.(check bool) "diverged" false (Data.equal d d2)
 
+let test_data_nan_equal () =
+  let p = simple_program () in
+  let d = Data.create p in
+  Data.set d "a" 3 (Vfloat Float.nan);
+  Alcotest.(check bool) "a store holding a NaN equals its copy" true
+    (Data.equal d (Data.copy d));
+  let d2 = Data.copy d in
+  Data.set d2 "a" 3 (Vfloat (Int64.float_of_bits 0x7ff8_0000_dead_beefL));
+  Alcotest.(check bool) "NaN payloads do not matter" true (Data.equal ~eps:0.0 d d2);
+  Data.set d2 "a" 3 (Vfloat 0.0);
+  Alcotest.(check bool) "NaN against a number" false (Data.equal d d2);
+  Alcotest.(check bool) "number against a NaN" false (Data.equal d2 d)
+
 let test_data_home () =
   let p = simple_program () in
   let d = Data.create p in
@@ -248,9 +261,12 @@ let same_value a b =
   | Vint x, Vint y | Vptr x, Vptr y -> x = y
   | _ -> false
 
-(* the store's documented comparison, on boxed values *)
+(* the store's documented comparison, on boxed values: two NaNs are
+   equal, a NaN and a number are not *)
 let model_value_equal eps a b =
   match (a, b) with
+  | Vfloat x, Vfloat y when Float.is_nan x || Float.is_nan y ->
+      Float.is_nan x && Float.is_nan y
   | Vfloat x, Vfloat y ->
       let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
       Float.abs (x -. y) <= eps *. scale
@@ -776,6 +792,7 @@ let () =
           Alcotest.test_case "values" `Quick test_data_values;
           Alcotest.test_case "region" `Quick test_data_region;
           Alcotest.test_case "copy/equal" `Quick test_data_copy_equal;
+          Alcotest.test_case "NaN equals NaN" `Quick test_data_nan_equal;
           Alcotest.test_case "home" `Quick test_data_home;
           qtest prop_store_model;
         ] );

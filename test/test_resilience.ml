@@ -120,6 +120,35 @@ let final_store (w : Workload.t) p =
   Exec.run p d;
   d
 
+(* A source program whose store ends up holding a NaN: small LU with one
+   more statement, rdiag[0] = inf - inf, which the factorization spreads
+   through A. The semantic guard compares the final stores with
+   [Data.equal], under which two NaNs are equal, so every pass that keeps
+   the semantics is kept. *)
+let test_nan_store_not_degraded () =
+  let w = small_lu () in
+  let nan_stmt =
+    let open Builder in
+    store (aref "rdiag" (cst 0)) (flt Float.infinity - flt Float.infinity)
+  in
+  let program =
+    { w.Workload.program with Ast.body = nan_stmt :: w.Workload.program.Ast.body }
+  in
+  let reference = final_store w (Program.renumber program) in
+  (match Data.get reference "rdiag" 0 with
+  | Ast.Vfloat x when Float.is_nan x -> ()
+  | _ -> Alcotest.fail "rdiag[0] must hold a NaN");
+  let _, report = Driver.run ~init:w.Workload.init program in
+  Alcotest.(check (list string)) "no pass degraded" []
+    (List.map fst (Pass.Pipeline.degraded_passes report.Driver.trace));
+  Alcotest.(check bool) "unroll-and-jam still applied" true
+    (List.exists
+       (fun n ->
+         List.exists
+           (function Driver.Unroll_jam _ -> true | _ -> false)
+           n.Driver.actions)
+       report.Driver.nests)
+
 let sabotageable = [ "analyze"; "unroll-jam"; "window-unroll"; "scalar-replace"; "schedule" ]
 
 (* Under seeded sabotage the fail-safe pipeline must still terminate, ship
@@ -399,6 +428,8 @@ let () =
         [
           Alcotest.test_case "always valid and equivalent" `Slow
             test_chaos_pipeline_stays_correct;
+          Alcotest.test_case "NaN in the store degrades nothing" `Quick
+            test_nan_store_not_degraded;
           Alcotest.test_case "forced failure degrades" `Quick
             test_forced_pass_failure_degrades;
           Alcotest.test_case "failsafe off raises" `Quick
