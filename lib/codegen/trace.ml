@@ -33,9 +33,10 @@ let[@inline] kind_of_code = function
 
    The compiler primitives below read and write the fields in place
    without boxing, whichever module the accessor is inlined into. The
-   helpers are inlined into the accessors, so an accessor called from
-   another module is one call (the dev profile's [-opaque] inlines
-   nothing across modules). *)
+   helpers are inlined into the accessors, so each accessor is one
+   small function: the release build inlines it into its callers in
+   [Core] and [Lower], and a build with [-opaque] (the dev profile)
+   makes it one call. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"

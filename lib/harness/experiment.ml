@@ -95,20 +95,19 @@ let lowered_for (w : Workload.t) ~nprocs program =
    Different figures frequently simulate the same program point — e.g.
    the ablation's "full pipeline" variant is exactly the Clustered
    version of the main tables — and [Machine.result] is only ever read
-   by the reporting code. *)
+   by the reporting code. A config is keyed on its content digest, not
+   its name ([Config.with_mshrs] and the other [with_*] builders keep the
+   name) and not its physical sharing, so equal configs built
+   differently share an entry. *)
 let sim_cache : Machine.result Analysis_cache.t =
   Analysis_cache.create ~cap:512 ~name:"harness-sim" ()
-
-(* configs are keyed on their contents: [Config.with_mshrs] and the other
-   [with_*] builders keep the name *)
-let config_digest (cfg : Config.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string cfg []))
 
 (* the resolved mode is part of the key because it can come from outside
    the config (the MEMCLUST_SIM_MODE environment variable) *)
 let simulate_cached (w : Workload.t) (cfg : Config.t) ~nprocs program =
   let key =
-    Printf.sprintf "%s|%d|%s|%s|%s" w.Workload.name nprocs (config_digest cfg)
+    Printf.sprintf "%s|%d|%s|%s|%s" w.Workload.name nprocs
+      (Analysis_cache.content_digest cfg)
       (Analysis_cache.content_digest program)
       (Machine.mode_to_string (Machine.resolve_mode cfg))
   in
@@ -150,7 +149,9 @@ let outcome_cache : outcome Analysis_cache.t =
 
 let spec_key spec =
   Printf.sprintf "%s|%s#%s|%d|%s|%s" spec.workload.Workload.name
-    spec.config.Config.name (config_digest spec.config) spec.nprocs
+    spec.config.Config.name
+    (Analysis_cache.content_digest spec.config)
+    spec.nprocs
     (match spec.version with
     | Base -> "base"
     | Clustered -> "clust"

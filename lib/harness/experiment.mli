@@ -53,10 +53,10 @@ val execute : spec -> outcome
 
 val spec_key : spec -> string
 (** The memo key: ["workload|config#digest|nprocs|version|mode"], the
-    config keyed on a digest of its contents (its name alone would merge
-    configs that [Config.with_mshrs] and the other [with_*] builders
-    derive). Useful for deduplicating spec lists before fanning out over a
-    domain pool. *)
+    config keyed on its {!Memclust_util.Analysis_cache.content_digest}
+    (its name alone would merge configs that [Config.with_mshrs] and the
+    other [with_*] builders derive). Useful for deduplicating spec lists
+    before fanning out over a domain pool. *)
 
 val execute_cached : spec -> outcome
 (** Like {!execute}, memoized on {!spec_key}; logs

@@ -53,8 +53,11 @@ let slots_equal eps a b =
         if t = tag_float then
           let x = Int64.float_of_bits (get64 a.words o)
           and y = Int64.float_of_bits (get64 b.words o) in
-          let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
-          Float.abs (x -. y) <= eps *. scale || (Float.is_nan x && Float.is_nan y)
+          Float.equal x y
+          || Float.is_finite x && Float.is_finite y
+             &&
+             let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
+             Float.abs (x -. y) <= eps *. scale
         else (get64 a.words o : int64) = get64 b.words o)
     && go (i + 1)
   in

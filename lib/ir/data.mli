@@ -90,11 +90,12 @@ val copy : t -> t
 
 val equal : ?eps:float -> t -> t -> bool
 (** Element-wise comparison of all arrays and regions: the element tags
-    must match, ints and pointers exactly, floats within relative
-    tolerance [eps] (default 1e-9). Two NaNs are equal, whatever their
-    payloads, and a NaN equals no number, so a store holding a NaN equals
-    its own {!copy}. Used by the semantic guard and the
-    semantics-preservation property tests. *)
+    must match, ints and pointers exactly. Two floats are equal if
+    [Float.equal] holds (the same infinity, or two NaNs whatever their
+    payloads) or if both are finite and within relative tolerance [eps]
+    (default 1e-9). So a store holding a NaN or an infinity equals its own
+    {!copy} at any [eps], and an infinity equals no other float. Used by
+    the semantic guard and the semantics-preservation property tests. *)
 
 val home_of_addr : t -> nprocs:int -> int -> int
 (** Home processor of a byte address under block distribution: each array

@@ -109,6 +109,30 @@ let test_cached_keys_on_config_contents () =
   Alcotest.(check bool) "distinct outcomes" true
     (Experiment.exec_cycles a <> Experiment.exec_cycles b)
 
+(* Two configs equal in contents but not in sharing (one string shared by
+   [name] and [sim_mode], or two copies of it) are one simulation: the
+   sim memo keys on contents, not on the sharing a builder produced *)
+let test_sim_memo_ignores_sharing () =
+  let w = tiny () in
+  let mode = "event" in
+  let shared = { Config.base with Config.name = mode; sim_mode = Some mode } in
+  let copied =
+    { shared with Config.sim_mode = Some (String.init (String.length mode) (String.get mode)) }
+  in
+  Alcotest.(check bool) "the configs marshal apart with sharing" true
+    (Marshal.to_string shared [] <> Marshal.to_string copied []);
+  let spec config =
+    { Experiment.workload = w; config; nprocs = 1; version = Experiment.Base }
+  in
+  Alcotest.(check string) "one memo key" (Experiment.spec_key (spec shared))
+    (Experiment.spec_key (spec copied));
+  Experiment.clear_caches ();
+  let a = Experiment.simulate_cached w shared ~nprocs:1 w.Workload.program in
+  let b = Experiment.simulate_cached w copied ~nprocs:1 w.Workload.program in
+  Alcotest.(check int) "one harness-sim entry" 1
+    (List.assoc "harness-sim" (Memclust_util.Analysis_cache.registered ()));
+  Alcotest.(check bool) "the same result" true (a == b)
+
 let test_l2_scaling_applied () =
   let w = tiny () in
   (* scaled config: the workload's small L2 makes the kernel miss more than
@@ -245,6 +269,8 @@ let () =
           Alcotest.test_case "max_procs cap" `Quick test_transform_respects_max_procs;
           Alcotest.test_case "memo keys on config contents" `Quick
             test_cached_keys_on_config_contents;
+          Alcotest.test_case "sim memo ignores config sharing" `Quick
+            test_sim_memo_ignores_sharing;
         ] );
       ( "figures",
         [

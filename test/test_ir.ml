@@ -218,6 +218,20 @@ let test_data_nan_equal () =
   Alcotest.(check bool) "NaN against a number" false (Data.equal d d2);
   Alcotest.(check bool) "number against a NaN" false (Data.equal d2 d)
 
+let test_data_inf_equal () =
+  let p = simple_program () in
+  let d = Data.create p in
+  Data.set d "a" 3 (Vfloat Float.infinity);
+  let d2 = Data.copy d in
+  Alcotest.(check bool) "+inf equals its copy at the default eps" true (Data.equal d d2);
+  Alcotest.(check bool) "+inf equals its copy at eps 0" true (Data.equal ~eps:0.0 d d2);
+  Data.set d2 "a" 3 (Vfloat 5.0);
+  Alcotest.(check bool) "+inf against 5.0" false (Data.equal d d2);
+  Alcotest.(check bool) "5.0 against +inf" false (Data.equal d2 d);
+  Data.set d2 "a" 3 (Vfloat Float.neg_infinity);
+  Alcotest.(check bool) "+inf against -inf" false (Data.equal d d2);
+  Alcotest.(check bool) "+inf against -inf at eps 0" false (Data.equal ~eps:0.0 d d2)
+
 let test_data_home () =
   let p = simple_program () in
   let d = Data.create p in
@@ -261,12 +275,12 @@ let same_value a b =
   | Vint x, Vint y | Vptr x, Vptr y -> x = y
   | _ -> false
 
-(* the store's documented comparison, on boxed values: two NaNs are
-   equal, a NaN and a number are not *)
+(* the store's documented comparison, on boxed values: [Float.equal]
+   (the same infinity, or two NaNs), or two finite floats within eps *)
 let model_value_equal eps a b =
   match (a, b) with
-  | Vfloat x, Vfloat y when Float.is_nan x || Float.is_nan y ->
-      Float.is_nan x && Float.is_nan y
+  | Vfloat x, Vfloat y when Float.equal x y -> true
+  | Vfloat x, Vfloat y when not (Float.is_finite x && Float.is_finite y) -> false
   | Vfloat x, Vfloat y ->
       let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
       Float.abs (x -. y) <= eps *. scale
@@ -793,6 +807,7 @@ let () =
           Alcotest.test_case "region" `Quick test_data_region;
           Alcotest.test_case "copy/equal" `Quick test_data_copy_equal;
           Alcotest.test_case "NaN equals NaN" `Quick test_data_nan_equal;
+          Alcotest.test_case "infinity equals only itself" `Quick test_data_inf_equal;
           Alcotest.test_case "home" `Quick test_data_home;
           qtest prop_store_model;
         ] );

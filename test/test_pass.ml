@@ -329,37 +329,39 @@ let test_summaries_two_domains () =
 (* ------------------------- pinned output --------------------------- *)
 
 (* What the pipeline ships, pinned for every small workload at three MSHR
-   counts: the clustered program's Marshal digest (the digest the harness
-   keys lowering on), the report text's digest and the digest of the
-   trace's per-pass f/α summaries. The summaries are marshalled without
-   sharing, so only their structure is pinned. The guard and the trace
+   counts: the clustered program's content digest
+   ({!Analysis_cache.content_digest}, Marshal without sharing: the digest
+   the harness keys lowering on), the report text's digest and the digest
+   of the trace's per-pass f/α summaries, also marshalled without
+   sharing. Only structure is pinned, never the physical sharing the
+   compiler's optimizations happen to produce. The guard and the trace
    bookkeeping may get cheaper; what they ship must not change. *)
 let pinned_output =
   [
-    ("Latbench", "base", "0dfecc9b2f64bfac75e09b7f9b9e9f84", "81c8536325a9fbe16a5b6ddd7b03e906", "7ac61aa772a9ac379c3bbd2d892c22a5");
-    ("Em3d", "base", "e42fb6fd9ab42bd9c7b4def988713080", "92bacdb202a1bb32896c47d6a99be06c", "2551a1021de335b8657f7f642705e532");
-    ("Erlebacher", "base", "c5f59bca5100cf3b6f5f257a5d0d4127", "940a872a10c83ac1a3e5c7c14e926844", "c2194ef4aede937dacd1dfaffc82bdc3");
-    ("FFT", "base", "3faceae6aae3a808ccb2efd8ceba0391", "fe98fc2fdba690a7955518753e20b82d", "d79d5ee73ef6640d8ede5198dd4962ca");
-    ("LU", "base", "b2ace13a8518c199580484f1f2efd23a", "1755555ed8130f80cc08e40d57da1f56", "3a6134b89548ea3ca8d276060713ab84");
-    ("Mp3d", "base", "facc5f2e85a293f149c01a99ceea96e5", "69c39fc0ef08820bdae541a97772552f", "f190dfc4254382e0e05bbdb7a96bd4f6");
-    ("MST", "base", "78fa553abb1bcd85363f60722d2c152d", "a5a5ee1df2f97b15ef169155834074fe", "582df01de394c11d913ce74047ab759b");
-    ("Ocean", "base", "d40c284a1fc74008b91d4c30fe9c4b1a", "41313c9ac1443ab4b5ef1414e4521f2a", "c3211d352feb5f4c630df03d4f3ee0a3");
-    ("Latbench", "lp1", "2809030ebbc776b12f6b737d4271a1e6", "ab7a62a590bc61736d86872282f4639f", "2ef23a8c2dd5e8c35ac6fe0698299bac");
-    ("Em3d", "lp1", "745a0890c4ec51e70748c16c1a529e63", "e5784f4de746a6e1e6f9e7765e73899b", "b79993ae72bd74dbaacabf876602ce3d");
-    ("Erlebacher", "lp1", "c5f59bca5100cf3b6f5f257a5d0d4127", "680046f9d8c0125e206fec67beba0a55", "c2194ef4aede937dacd1dfaffc82bdc3");
-    ("FFT", "lp1", "1f7dd5264ec64bc35337d2c55266e7b4", "a1950b6e3c9bb0802706cde2af7bb1d8", "d79d5ee73ef6640d8ede5198dd4962ca");
-    ("LU", "lp1", "2533e6f47eb07e13bf5a240f8c86284a", "791a2ccf87b4c25d5d7cb8e504bd3953", "4aa4cb9f9fff023fe55165109ddf704c");
-    ("Mp3d", "lp1", "d38aab28ff6a3af614d526e04c08cf57", "6203b6097ce9e8024a88fffe94cb3022", "c4d983da37702e2b8870beeb12467daf");
-    ("MST", "lp1", "4f7e159e0e6d35dae1b2837e46815072", "ab7a62a590bc61736d86872282f4639f", "2ef23a8c2dd5e8c35ac6fe0698299bac");
-    ("Ocean", "lp1", "b581e79fb11c8b87dfe7c3f6f1de6646", "e7b667f01ee6fc6a612142a21fe7126e", "52bed374400f77caba738974dfc3ece6");
-    ("Latbench", "lp16", "0dfecc9b2f64bfac75e09b7f9b9e9f84", "81c8536325a9fbe16a5b6ddd7b03e906", "7ac61aa772a9ac379c3bbd2d892c22a5");
-    ("Em3d", "lp16", "e42fb6fd9ab42bd9c7b4def988713080", "92bacdb202a1bb32896c47d6a99be06c", "2551a1021de335b8657f7f642705e532");
-    ("Erlebacher", "lp16", "c5f59bca5100cf3b6f5f257a5d0d4127", "940a872a10c83ac1a3e5c7c14e926844", "c2194ef4aede937dacd1dfaffc82bdc3");
-    ("FFT", "lp16", "3faceae6aae3a808ccb2efd8ceba0391", "fe98fc2fdba690a7955518753e20b82d", "d79d5ee73ef6640d8ede5198dd4962ca");
-    ("LU", "lp16", "b2ace13a8518c199580484f1f2efd23a", "1755555ed8130f80cc08e40d57da1f56", "3a6134b89548ea3ca8d276060713ab84");
-    ("Mp3d", "lp16", "942dab25d539420bd2360433c5bf441b", "d4766d7979e2a63965c69fd45e0b3f0b", "030ab4532498d9c0b1baceec6176f9f0");
-    ("MST", "lp16", "78fa553abb1bcd85363f60722d2c152d", "a5a5ee1df2f97b15ef169155834074fe", "582df01de394c11d913ce74047ab759b");
-    ("Ocean", "lp16", "d40c284a1fc74008b91d4c30fe9c4b1a", "41313c9ac1443ab4b5ef1414e4521f2a", "c3211d352feb5f4c630df03d4f3ee0a3");
+    ("Latbench", "base", "e4fd1137a2d49526cc843b61cd6f5497", "81c8536325a9fbe16a5b6ddd7b03e906", "7ac61aa772a9ac379c3bbd2d892c22a5");
+    ("Em3d", "base", "0d19e68ce298a389e00e29315961bad3", "92bacdb202a1bb32896c47d6a99be06c", "2551a1021de335b8657f7f642705e532");
+    ("Erlebacher", "base", "b6647d7bb4052528bf7daadf75ed0497", "940a872a10c83ac1a3e5c7c14e926844", "c2194ef4aede937dacd1dfaffc82bdc3");
+    ("FFT", "base", "07ec93903a8be797f5f899b6e2f1d517", "fe98fc2fdba690a7955518753e20b82d", "d79d5ee73ef6640d8ede5198dd4962ca");
+    ("LU", "base", "235452c9c4866998e2bf2cb1becd85fd", "1755555ed8130f80cc08e40d57da1f56", "3a6134b89548ea3ca8d276060713ab84");
+    ("Mp3d", "base", "be5f7f2f5ea0546b53f63e0bb62993a8", "69c39fc0ef08820bdae541a97772552f", "f190dfc4254382e0e05bbdb7a96bd4f6");
+    ("MST", "base", "8803d20f609c4a8004b61f2697974d03", "a5a5ee1df2f97b15ef169155834074fe", "582df01de394c11d913ce74047ab759b");
+    ("Ocean", "base", "e9a882ba83b6a398f6d412839a0016b3", "41313c9ac1443ab4b5ef1414e4521f2a", "c3211d352feb5f4c630df03d4f3ee0a3");
+    ("Latbench", "lp1", "84fd23ff80ba3b9bd2fdfb27f52642e7", "ab7a62a590bc61736d86872282f4639f", "2ef23a8c2dd5e8c35ac6fe0698299bac");
+    ("Em3d", "lp1", "7a40273a5427f80d783020242eeb5094", "e5784f4de746a6e1e6f9e7765e73899b", "b79993ae72bd74dbaacabf876602ce3d");
+    ("Erlebacher", "lp1", "b6647d7bb4052528bf7daadf75ed0497", "680046f9d8c0125e206fec67beba0a55", "c2194ef4aede937dacd1dfaffc82bdc3");
+    ("FFT", "lp1", "3373e712852107a92571a56a4d501d3b", "a1950b6e3c9bb0802706cde2af7bb1d8", "d79d5ee73ef6640d8ede5198dd4962ca");
+    ("LU", "lp1", "c7063d14c8a4d5469cd7e3a76d884f70", "791a2ccf87b4c25d5d7cb8e504bd3953", "4aa4cb9f9fff023fe55165109ddf704c");
+    ("Mp3d", "lp1", "f13140053672b0c37d4545e322a798dd", "6203b6097ce9e8024a88fffe94cb3022", "c4d983da37702e2b8870beeb12467daf");
+    ("MST", "lp1", "89476651ad10e9e27ec3134dab10b28e", "ab7a62a590bc61736d86872282f4639f", "2ef23a8c2dd5e8c35ac6fe0698299bac");
+    ("Ocean", "lp1", "e6e11f80d87de2b165495a7b21a072f0", "e7b667f01ee6fc6a612142a21fe7126e", "52bed374400f77caba738974dfc3ece6");
+    ("Latbench", "lp16", "e4fd1137a2d49526cc843b61cd6f5497", "81c8536325a9fbe16a5b6ddd7b03e906", "7ac61aa772a9ac379c3bbd2d892c22a5");
+    ("Em3d", "lp16", "0d19e68ce298a389e00e29315961bad3", "92bacdb202a1bb32896c47d6a99be06c", "2551a1021de335b8657f7f642705e532");
+    ("Erlebacher", "lp16", "b6647d7bb4052528bf7daadf75ed0497", "940a872a10c83ac1a3e5c7c14e926844", "c2194ef4aede937dacd1dfaffc82bdc3");
+    ("FFT", "lp16", "07ec93903a8be797f5f899b6e2f1d517", "fe98fc2fdba690a7955518753e20b82d", "d79d5ee73ef6640d8ede5198dd4962ca");
+    ("LU", "lp16", "235452c9c4866998e2bf2cb1becd85fd", "1755555ed8130f80cc08e40d57da1f56", "3a6134b89548ea3ca8d276060713ab84");
+    ("Mp3d", "lp16", "6b483869b2e5195824edbc8efe9680cb", "d4766d7979e2a63965c69fd45e0b3f0b", "030ab4532498d9c0b1baceec6176f9f0");
+    ("MST", "lp16", "8803d20f609c4a8004b61f2697974d03", "a5a5ee1df2f97b15ef169155834074fe", "582df01de394c11d913ce74047ab759b");
+    ("Ocean", "lp16", "e9a882ba83b6a398f6d412839a0016b3", "41313c9ac1443ab4b5ef1414e4521f2a", "c3211d352feb5f4c630df03d4f3ee0a3");
   ]
 
 let hex s = Digest.to_hex (Digest.string s)
@@ -400,11 +402,11 @@ let test_pinned_output () =
       in
       let what = name ^ "@" ^ label in
       Alcotest.(check string) (what ^ " program") program_digest
-        (hex (Marshal.to_string p []));
+        (Memclust_util.Analysis_cache.content_digest p);
       Alcotest.(check string) (what ^ " report") report_digest
         (hex (Format.asprintf "%a" Driver.pp_report report));
       Alcotest.(check string) (what ^ " f/alpha summaries") summaries_digest
-        (hex (Marshal.to_string summaries [ Marshal.No_sharing ])))
+        (Memclust_util.Analysis_cache.content_digest summaries))
     pinned_output
 
 (* Clustering is a function of the program, the store and the machine:
@@ -418,7 +420,7 @@ let test_order_independent () =
       [ "base"; "lp4"; "lp16" ]
   in
   let digest (name, label) =
-    hex (Marshal.to_string (fst (cluster_small name label)) [])
+    Memclust_util.Analysis_cache.content_digest (fst (cluster_small name label))
   in
   let forward = List.map digest points in
   let backward = List.rev (List.map digest (List.rev points)) in

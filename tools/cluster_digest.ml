@@ -1,8 +1,12 @@
 (* Print, for every full-size registry workload on the base machine and
-   at lp 1, 2, 4, 8 and 16, the digest of the clustered program
-   (Marshal) and of its report text (Driver.pp_report). Clustering is a
-   function of the program, its store and the machine (rename stamps are
-   per pipeline run), so each line depends only on its point:
+   at lp 1, 2, 4, 8 and 16, the content digest of the clustered program
+   (Analysis_cache.content_digest, Marshal without sharing, the digest
+   the harness keys lowering on) and the digest of its report text
+   (Driver.pp_report). A digest with sharing would pin the physical
+   sharing the compiler's optimizations happen to produce, not the
+   program. Clustering is a function of the program, its store and the
+   machine (rename stamps are per pipeline run), so each line depends
+   only on its point:
 
      dune exec tools/cluster_digest.exe | diff tools/cluster_digest.expected -
 *)
@@ -34,7 +38,7 @@ let () =
             Driver.run ~options ~init:w.Workload.init w.Workload.program
           in
           Printf.printf "%-10s %-4s program %s report %s\n%!" w.Workload.name cname
-            (digest (Marshal.to_string program []))
+            (Memclust_util.Analysis_cache.content_digest program)
             (digest (Format.asprintf "%a" Driver.pp_report report)))
         configs)
     (Registry.latbench () :: Registry.applications ())
