@@ -211,13 +211,14 @@ let run_cmd =
     apply_sim_mode mode;
     let w = lookup name in
     let nprocs = Option.value ~default:w.Workload.mp_procs procs in
+    let spec version =
+      { Experiment.workload = w; config = Config.base; nprocs; version }
+    in
+    let get = Experiment.execute_all [ spec Experiment.Base; spec Experiment.Clustered ] in
     let go version =
-      match
-        Experiment.execute_result
-          { Experiment.workload = w; config = Config.base; nprocs; version }
-      with
-      | Ok o -> o
-      | Error e ->
+      match get (spec version) with
+      | o -> o
+      | exception Memclust_util.Error.Error e ->
           (* a wedged or crashed simulation must not take the CLI down
              with a backtrace: report what is known and stop cleanly *)
           Format.printf

@@ -28,7 +28,6 @@ type options = Pass.options = {
   machine : Machine_model.t;
   profile_pm : bool;
   scheduler : scheduler;
-  failsafe : bool;
   chaos : chaos option;
 }
 

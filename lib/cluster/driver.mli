@@ -69,9 +69,6 @@ type options = Pass.options = {
           reference ({!Festimate.reads_pm}), the only place Eq. 3 reads
           P_m; elsewhere f does not depend on P_m. *)
   scheduler : scheduler;  (** the [schedule] pass's local scheduler *)
-  failsafe : bool;
-      (** guard the pipeline, rolling back failing passes as degraded
-          (default; see {!Pass.Pipeline.run}) *)
   chaos : chaos option;
       (** sabotage injection (default [None]: {!run} then reads
           {!chaos_of_env}) *)

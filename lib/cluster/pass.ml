@@ -21,7 +21,6 @@ type options = {
   machine : Machine_model.t;
   profile_pm : bool;
   scheduler : scheduler;
-  failsafe : bool;
   chaos : chaos option;
 }
 
@@ -30,7 +29,6 @@ let default_options =
     machine = Machine_model.base;
     profile_pm = true;
     scheduler = Pack_misses;
-    failsafe = true;
     chaos = None;
   }
 
@@ -333,7 +331,6 @@ module Pipeline = struct
   let run ?observe ?source options passes p =
     let t_start = now_ms () in
     let p0 = Program.renumber p in
-    let failsafe = options.failsafe in
     let chaos = options.chaos in
     (* stamps the source already carries (it was clustered before) *)
     let taken =
@@ -388,9 +385,8 @@ module Pipeline = struct
     (* One pass over the pipeline from the source program. Crashes and
        invalid IR are caught after every pass; with [per_pass] each
        candidate is also differentially executed, so the first divergent
-       pass is rolled back (or named, with [failsafe = false]). Returns
-       the last-good program, the trace entries and the accepted
-       [(pass, program)] pairs for [observe]. *)
+       pass is rolled back. Returns the last-good program, the trace
+       entries and the accepted [(pass, program)] pairs for [observe]. *)
     let run_passes ~per_pass =
       (* this run's rename stamps, 1, 2, ... in draw order: the replay
          draws exactly the stamps the first run drew *)
@@ -485,23 +481,12 @@ module Pipeline = struct
                 events;
               }
           in
-          let violation ~events detail =
-            if failsafe then degrade ~validated:false ~events detail
-            else
-              Memclust_util.Error.raise_err
-                (Memclust_util.Error.Legality_violation
-                   { pass = pass.name; detail })
-          in
           match result with
-          | `Crashed reason ->
-              if failsafe then degrade ~validated:true ~events:[] reason
-              else
-                Memclust_util.Error.raise_err
-                  (Memclust_util.Error.Pass_failed { pass = pass.name; reason })
-          | `Invalid (detail, events) -> violation ~events detail
+          | `Crashed reason -> degrade ~validated:true ~events:[] reason
+          | `Invalid (detail, events) -> degrade ~validated:false ~events detail
           | `Valid (p', events) -> (
               match if per_pass then divergence p' else None with
-              | Some detail -> violation ~events detail
+              | Some detail -> degrade ~validated:false ~events detail
               | None ->
                   let f_after = pending p' in
                   current := p';

@@ -41,10 +41,6 @@ type options = {
   machine : Machine_model.t;
   profile_pm : bool;  (** measure P_m by cache profiling (needs [source]) *)
   scheduler : scheduler;  (** the [schedule] pass's local scheduler *)
-  failsafe : bool;
-      (** guard every pass (default): a pass that crashes, produces
-          invalid IR or changes program semantics is rolled back and
-          recorded as degraded instead of failing the pipeline *)
   chaos : chaos option;
       (** sabotage injection (default [None]; {!Driver.run} then consults
           {!Driver.chaos_of_env}) *)
@@ -235,14 +231,11 @@ module Pipeline : sig
       repeats the per-pass rollback decisions exactly (chaos draws
       included); a divergence a later pass masks is not reported.
 
-      With [options.failsafe] (the default) a pass that crashes, produces
-      invalid IR or diverges semantically is rolled back: the trace entry
-      records [degraded] with the reason and the pipeline continues from
-      the last-good IR, so the worst case ships the untransformed program,
-      never a crash or wrong code. With [failsafe = false] the same
-      detections raise [Memclust_util.Error.Error] ([Pass_failed] or
-      [Legality_violation]) naming the pass — for a divergence, the first
-      divergent one.
+      A pass that crashes, produces invalid IR or diverges semantically
+      is rolled back: the trace entry records [degraded] with the reason
+      (for a divergence, on the first divergent pass) and the pipeline
+      continues from the last-good IR, so the worst case ships the
+      untransformed program, never a crash or wrong code.
 
       [observe] is called, once the result is settled, with the pass name
       and the accepted program of each pass of the shipped run that was

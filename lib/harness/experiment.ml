@@ -1,9 +1,9 @@
+open Memclust_util
 open Memclust_ir
 open Memclust_cluster
 open Memclust_codegen
 open Memclust_sim
 open Memclust_workloads
-module Analysis_cache = Memclust_util.Analysis_cache
 
 type version = Base | Clustered | Prefetched | Clustered_prefetched
 
@@ -40,7 +40,7 @@ let machine_of_config (cfg : Config.t) =
    domains of the experiment pool) and bounded, so long bench sweeps can't
    grow memory without bound. Computation runs outside the lock: two
    domains racing on the same key may duplicate (deterministic) work, but
-   Figures deduplicates its spec lists so this stays rare. *)
+   [execute_all] deduplicates its spec list so this stays rare. *)
 let cluster_cache : (Ast.program * Driver.report) Analysis_cache.t =
   Analysis_cache.create ~cap:128 ~name:"harness-cluster" ()
 
@@ -115,38 +115,6 @@ let simulate_cached (w : Workload.t) (cfg : Config.t) ~nprocs program =
       let lowered, home = lowered_for w ~nprocs program in
       Machine.run cfg ~home lowered)
 
-let execute spec =
-  let cfg = scaled_config spec.config spec.workload in
-  let program, cluster_report =
-    match spec.version with
-    | Base -> (Program.renumber spec.workload.Workload.program, None)
-    | Clustered ->
-        let p, r = transform cfg spec.workload in
-        (p, Some r)
-    | Prefetched ->
-        let p, _ =
-          Memclust_transform.Prefetch_pass.insert
-            ~latency:cfg.Config.mem_lat ~issue_width:cfg.Config.issue_width
-            ~line_size:(Config.line cfg)
-            (Program.renumber spec.workload.Workload.program)
-        in
-        (p, None)
-    | Clustered_prefetched ->
-        let p, r = transform cfg spec.workload in
-        let p, _ =
-          Memclust_transform.Prefetch_pass.insert
-            ~latency:cfg.Config.mem_lat ~issue_width:cfg.Config.issue_width
-            ~line_size:(Config.line cfg) p
-        in
-        (p, Some r)
-  in
-  let result = simulate_cached spec.workload cfg ~nprocs:spec.nprocs program in
-  let trace = Option.map (fun (r : Driver.report) -> r.Driver.trace) cluster_report in
-  { spec; result; cluster_report; trace; program }
-
-let outcome_cache : outcome Analysis_cache.t =
-  Analysis_cache.create ~cap:512 ~name:"harness-outcome" ()
-
 let spec_key spec =
   Printf.sprintf "%s|%s#%s|%d|%s|%s" spec.workload.Workload.name
     spec.config.Config.name
@@ -159,19 +127,59 @@ let spec_key spec =
     | Clustered_prefetched -> "clust+pf")
     (Machine.mode_to_string (Machine.resolve_mode spec.config))
 
+(* No memo of its own: the cluster and sim memos serve a repeated point *)
 let execute_cached spec =
-  let key = spec_key spec in
-  match Analysis_cache.find_opt outcome_cache key with
-  | Some o -> o
-  | None ->
-      Printf.eprintf "[run] %s...\n%!" key;
-      let o = execute spec in
-      Analysis_cache.set outcome_cache key o;
-      o
+  Printf.eprintf "[run] %s...\n%!" (spec_key spec);
+  let w = spec.workload in
+  let cfg = scaled_config spec.config w in
+  let prefetched p =
+    fst
+      (Memclust_transform.Prefetch_pass.insert ~latency:cfg.Config.mem_lat
+         ~issue_width:cfg.Config.issue_width ~line_size:(Config.line cfg) p)
+  in
+  let program, cluster_report =
+    match spec.version with
+    | Base -> (Program.renumber w.Workload.program, None)
+    | Prefetched -> (prefetched (Program.renumber w.Workload.program), None)
+    | Clustered ->
+        let p, r = transform cfg w in
+        (p, Some r)
+    | Clustered_prefetched ->
+        let p, r = transform cfg w in
+        (prefetched p, Some r)
+  in
+  let result = simulate_cached w cfg ~nprocs:spec.nprocs program in
+  let trace = Option.map (fun (r : Driver.report) -> r.Driver.trace) cluster_report in
+  { spec; result; cluster_report; trace; program }
 
-let execute_result spec =
-  Memclust_util.Error.guard ~task:(spec_key spec) (fun () ->
-      execute_cached spec)
+let execute_all specs =
+  let seen = Hashtbl.create 16 in
+  let unique =
+    List.filter
+      (fun s ->
+        let k = spec_key s in
+        (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+      specs
+  in
+  let results =
+    Domain_pool.map_result ~task_name:spec_key (Domain_pool.default ())
+      execute_cached unique
+  in
+  let outcomes = Hashtbl.create 16 in
+  List.iter2
+    (fun s r ->
+      let k = spec_key s in
+      (match r with
+      | Ok _ -> ()
+      | Error e -> Printf.eprintf "[degraded] %s: %s\n%!" k (Error.to_string e));
+      Hashtbl.replace outcomes k r)
+    unique results;
+  fun spec ->
+    let k = spec_key spec in
+    match Hashtbl.find_opt outcomes k with
+    | Some (Ok o) -> o
+    | Some (Error e) -> Error.raise_err e
+    | None -> invalid_arg ("Experiment.execute_all: no such spec " ^ k)
 
 let clear_caches () = Analysis_cache.clear_all ()
 

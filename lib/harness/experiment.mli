@@ -46,31 +46,32 @@ val simulate_cached :
     simulation mode). The returned result is shared: treat it as
     read-only. *)
 
-val execute : spec -> outcome
-(** The workload's scaled L2 size is applied to the config when the config
-    has a two-level hierarchy; single-level configs (Exemplar) are used
-    unchanged. *)
-
 val spec_key : spec -> string
-(** The memo key: ["workload|config#digest|nprocs|version|mode"], the
-    config keyed on its {!Memclust_util.Analysis_cache.content_digest}
-    (its name alone would merge configs that [Config.with_mshrs] and the
-    other [with_*] builders derive). Useful for deduplicating spec lists
-    before fanning out over a domain pool. *)
+(** ["workload|config#digest|nprocs|version|mode"], the config keyed on
+    its {!Memclust_util.Analysis_cache.content_digest} (its name alone
+    would merge configs that [Config.with_mshrs] and the other [with_*]
+    builders derive). Two specs with one key are one point. *)
 
 val execute_cached : spec -> outcome
-(** Like {!execute}, memoized on {!spec_key}; logs
-    progress to stderr. Safe to call from multiple domains concurrently
-    (the memo tables are mutex-guarded; racing domains may duplicate
-    deterministic work, never corrupt state). *)
+(** Run one point: cluster (or not), lower and simulate, through the
+    cluster, lowering and simulation memos, so a repeated point costs
+    only the memo lookups. The workload's scaled L2 size is applied to
+    the config when the config has a two-level hierarchy; single-level
+    configs (Exemplar) are used unchanged. Logs the point to stderr.
+    Safe to call from multiple domains concurrently (the memo tables are
+    mutex-guarded; racing domains may duplicate deterministic work,
+    never corrupt state). *)
 
-val execute_result : spec -> (outcome, Memclust_util.Error.t) result
-(** {!execute_cached} with every failure — simulator deadlock, pass
-    pipeline error, crash — caught into a structured error naming the
-    spec, so one wedged point cannot poison a whole figure. *)
+val execute_all : spec list -> spec -> outcome
+(** [execute_all specs] runs every distinct point of [specs] (by
+    {!spec_key}) once, across {!Memclust_util.Domain_pool.default}, and
+    returns its lookup. A point that fails after the pool's retry
+    (simulator deadlock, crash) is logged to stderr and loses only its
+    own slot: looking it up raises its [Memclust_util.Error.Error].
+    Looking up a spec that was not in [specs] raises [Invalid_argument]. *)
 
 val clear_caches : unit -> unit
-(** Drop every memoized clustering, lowering, simulation and outcome
+(** Drop every memoized clustering, lowering and simulation
     (process-wide — clears all registered {!Memclust_util.Analysis_cache}
     tables, including the driver's profile cache). The caches are also
     entry-capped, so calling this is optional even for long sweeps. *)

@@ -12,48 +12,17 @@ let buf_print f =
 let spec ~config ~nprocs ~version w =
   { Experiment.workload = w; config; nprocs; version }
 
-let run ~config ~nprocs ~version w =
-  Experiment.execute_cached (spec ~config ~nprocs ~version w)
-
-(* Each figure's experiment points are independent (workload, config,
-   nprocs, version) simulations: evaluate them across the shared domain
-   pool first, then assemble the tables from the (now warm) memo cache.
-   The fan-out is crash-contained: a point that deadlocks or crashes is
-   logged and dropped here, and only the figure that later reads it
-   (inline, under run_safe's guard) degrades — the others still come
-   from the warm cache. *)
-let prewarm specs =
-  let seen = Hashtbl.create 16 in
-  let unique =
-    List.filter
-      (fun s ->
-        let k = Experiment.spec_key s in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      specs
-  in
-  let results =
-    Domain_pool.map_result ~task_name:Experiment.spec_key
-      (Domain_pool.default ())
-      Experiment.execute_cached unique
-  in
-  List.iter2
-    (fun s r ->
-      match r with
-      | Ok _ -> ()
-      | Error e ->
-          Printf.eprintf "[degraded] %s: %s\n%!" (Experiment.spec_key s)
-            (Memclust_util.Error.to_string e))
-    unique results
-
 let base_and_clustered ~config ~nprocs w =
   [
     spec ~config ~nprocs ~version:Experiment.Base w;
     spec ~config ~nprocs ~version:Experiment.Clustered w;
   ]
+
+(* a point's base and clustered outcomes, from an [Experiment.execute_all]
+   lookup *)
+let pair get ~config ~nprocs w =
+  let b = get (spec ~config ~nprocs ~version:Experiment.Base w) in
+  (b, get (spec ~config ~nprocs ~version:Experiment.Clustered w))
 
 let reduction_pct base clust =
   100.0 *. (1.0 -. (float_of_int clust /. float_of_int base))
@@ -115,9 +84,8 @@ let table2 () =
 
 let latbench_on config label paper_base paper_clust =
   let w = Registry.latbench () in
-  prewarm (base_and_clustered ~config ~nprocs:1 w);
-  let b = run ~config ~nprocs:1 ~version:Experiment.Base w in
-  let c = run ~config ~nprocs:1 ~version:Experiment.Clustered w in
+  let get = Experiment.execute_all (base_and_clustered ~config ~nprocs:1 w) in
+  let b, c = pair get ~config ~nprocs:1 w in
   let ns = Machine.ns_per_cycle config in
   let stall_ns o =
     let r = o.Experiment.result in
@@ -181,18 +149,17 @@ let fig3 ~mp () =
       (fun w -> (not mp) || w.Workload.mp_procs > 1)
       (Registry.applications ())
   in
-  prewarm
-    (List.concat_map
-       (fun w ->
-         let nprocs = if mp then w.Workload.mp_procs else 1 in
-         base_and_clustered ~config:Config.base ~nprocs w)
-       apps);
+  let nprocs w = if mp then w.Workload.mp_procs else 1 in
+  let get =
+    Experiment.execute_all
+      (List.concat_map
+         (fun w -> base_and_clustered ~config:Config.base ~nprocs:(nprocs w) w)
+         apps)
+  in
   let rows =
     List.concat_map
       (fun w ->
-        let nprocs = if mp then w.Workload.mp_procs else 1 in
-        let b = run ~config:Config.base ~nprocs ~version:Experiment.Base w in
-        let c = run ~config:Config.base ~nprocs ~version:Experiment.Clustered w in
+        let b, c = pair get ~config:Config.base ~nprocs:(nprocs w) w in
         let bc = Experiment.exec_cycles b in
         [
           breakdown_row w.Workload.name "base" bc b;
@@ -237,35 +204,28 @@ let table3_mp_ok w =
 
 let table3 () =
   let cfg = Config.exemplar_like in
-  prewarm
-    (List.concat_map
-       (fun w ->
-         base_and_clustered ~config:cfg ~nprocs:1 w
-         @
-         if table3_mp_ok w then
-           base_and_clustered ~config:cfg ~nprocs:w.Workload.mp_procs w
-         else [])
-       (Registry.applications ()));
+  let get =
+    Experiment.execute_all
+      (List.concat_map
+         (fun w ->
+           base_and_clustered ~config:cfg ~nprocs:1 w
+           @
+           if table3_mp_ok w then
+             base_and_clustered ~config:cfg ~nprocs:w.Workload.mp_procs w
+           else [])
+         (Registry.applications ()))
+  in
+  let red nprocs w =
+    let b, c = pair get ~config:cfg ~nprocs w in
+    Table.fmt_float ~decimals:1
+      (reduction_pct (Experiment.exec_cycles b) (Experiment.exec_cycles c))
+  in
   let rows =
     List.map
       (fun w ->
         let name = w.Workload.name in
-        let mp_ok = table3_mp_ok w in
-        let mp =
-          if mp_ok then begin
-            let b = run ~config:cfg ~nprocs:w.Workload.mp_procs ~version:Experiment.Base w in
-            let c = run ~config:cfg ~nprocs:w.Workload.mp_procs ~version:Experiment.Clustered w in
-            Table.fmt_float ~decimals:1
-              (reduction_pct (Experiment.exec_cycles b) (Experiment.exec_cycles c))
-          end
-          else "N/A"
-        in
-        let b = run ~config:cfg ~nprocs:1 ~version:Experiment.Base w in
-        let c = run ~config:cfg ~nprocs:1 ~version:Experiment.Clustered w in
-        let up =
-          Table.fmt_float ~decimals:1
-            (reduction_pct (Experiment.exec_cycles b) (Experiment.exec_cycles c))
-        in
+        let mp = if table3_mp_ok w then red w.Workload.mp_procs w else "N/A" in
+        let up = red 1 w in
         let pmp, pup =
           match
             List.assoc_opt name
@@ -290,15 +250,15 @@ let mshr_curves ~read () =
   let ocean =
     List.find (fun w -> w.Workload.name = "Ocean") (Registry.applications ())
   in
-  prewarm
-    (List.concat_map
-       (fun w ->
-         base_and_clustered ~config:Config.base ~nprocs:w.Workload.mp_procs w)
-       [ lu; ocean ]);
+  let get =
+    Experiment.execute_all
+      (List.concat_map
+         (fun w ->
+           base_and_clustered ~config:Config.base ~nprocs:w.Workload.mp_procs w)
+         [ lu; ocean ])
+  in
   let curve w version =
-    let o =
-      run ~config:Config.base ~nprocs:w.Workload.mp_procs ~version w
-    in
+    let o = get (spec ~config:Config.base ~nprocs:w.Workload.mp_procs ~version w) in
     let h =
       if read then o.Experiment.result.Machine.read_mshr_hist
       else o.Experiment.result.Machine.total_mshr_hist
@@ -350,19 +310,20 @@ let fig4b () =
 
 let ghz () =
   let cfg = Config.ghz Config.base in
-  prewarm
-    (List.concat_map
-       (fun w ->
-         base_and_clustered ~config:cfg ~nprocs:1 w
-         @
-         if w.Workload.mp_procs > 1 then
-           base_and_clustered ~config:cfg ~nprocs:w.Workload.mp_procs w
-         else [])
-       (Registry.applications ()));
+  let get =
+    Experiment.execute_all
+      (List.concat_map
+         (fun w ->
+           base_and_clustered ~config:cfg ~nprocs:1 w
+           @
+           if w.Workload.mp_procs > 1 then
+             base_and_clustered ~config:cfg ~nprocs:w.Workload.mp_procs w
+           else [])
+         (Registry.applications ()))
+  in
   let line w =
     let red nprocs =
-      let b = run ~config:cfg ~nprocs ~version:Experiment.Base w in
-      let c = run ~config:cfg ~nprocs ~version:Experiment.Clustered w in
+      let b, c = pair get ~config:cfg ~nprocs w in
       reduction_pct (Experiment.exec_cycles b) (Experiment.exec_cycles c)
     in
     let mp =
@@ -384,22 +345,24 @@ let ghz () =
 
 (* clustering x software prefetching (paper section 6 / reference [8]) *)
 let prefetch () =
-  prewarm
-    (List.concat_map
-       (fun w ->
-         List.map
-           (fun version -> spec ~config:Config.base ~nprocs:1 ~version w)
-           [
-             Experiment.Base;
-             Experiment.Prefetched;
-             Experiment.Clustered;
-             Experiment.Clustered_prefetched;
-           ])
-       (Registry.applications ()));
+  let get =
+    Experiment.execute_all
+      (List.concat_map
+         (fun w ->
+           List.map
+             (fun version -> spec ~config:Config.base ~nprocs:1 ~version w)
+             [
+               Experiment.Base;
+               Experiment.Prefetched;
+               Experiment.Clustered;
+               Experiment.Clustered_prefetched;
+             ])
+         (Registry.applications ()))
+  in
   let rows =
     List.concat_map
       (fun w ->
-        let go version = run ~config:Config.base ~nprocs:1 ~version w in
+        let go version = get (spec ~config:Config.base ~nprocs:1 ~version w) in
         let b = go Experiment.Base in
         let bc = Experiment.exec_cycles b in
         let line label (o : Experiment.outcome) =
@@ -458,69 +421,54 @@ let ablation () =
     Experiment.simulate_cached w cfg ~nprocs:1 prog
   in
   let workloads = List.filter_map Registry.by_name apps in
-  (* fan the independent (workload x pipeline-variant) points — plus the
-     untransformed baselines — out over the domain pool. Crash-contained:
-     a variant that dies shows a degraded cell, a baseline that dies
+  (* one fan-out over each workload's untransformed base ([None]) followed
+     by its pipeline variants, read back by position. Crash-contained: a
+     variant that dies shows a degraded cell, a baseline that dies
      degrades only that workload's rows. *)
-  let pool = Domain_pool.default () in
-  let bases =
-    List.map2
-      (fun w r -> (w.Workload.name, r))
-      workloads
-      (Domain_pool.map_result
-         ~task_name:(fun w -> "ablation-base " ^ w.Workload.name)
-         pool
-         (fun w ->
-           simulate w (Memclust_ir.Program.renumber w.Workload.program))
-         workloads)
-  in
-  let variant_points =
+  let points =
     List.concat_map
-      (fun w -> List.map (fun so -> (w, so)) stages)
+      (fun w -> (w, None) :: List.map (fun stage -> (w, Some stage)) stages)
       workloads
   in
-  let variants =
-    List.map2
-      (fun (w, (label, _, _)) r -> (w.Workload.name, label, r))
-      variant_points
+  let results =
+    Array.of_list
       (Domain_pool.map_result
-         ~task_name:(fun (w, (label, _, _)) ->
-           Printf.sprintf "ablation %s %s" w.Workload.name label)
-         pool
-         (fun (w, (label, options, only)) ->
-           Printf.eprintf "[run] ablation %s %s...\n%!" w.Workload.name label;
-           let p, _ =
-             Driver.run ~options ~init:w.Workload.init ~only w.Workload.program
-           in
-           simulate w p)
-         variant_points)
+         ~task_name:(fun (w, stage) ->
+           match stage with
+           | None -> "ablation-base " ^ w.Workload.name
+           | Some (label, _, _) ->
+               Printf.sprintf "ablation %s %s" w.Workload.name label)
+         (Domain_pool.default ())
+         (fun (w, stage) ->
+           match stage with
+           | None -> simulate w (Memclust_ir.Program.renumber w.Workload.program)
+           | Some (label, options, only) ->
+               Printf.eprintf "[run] ablation %s %s...\n%!" w.Workload.name label;
+               let p, _ =
+                 Driver.run ~options ~init:w.Workload.init ~only w.Workload.program
+               in
+               simulate w p)
+         points)
   in
+  let per_workload = 1 + List.length stages in
   let rows =
-    List.concat_map
-      (fun w ->
-        let name = w.Workload.name in
-        let base = List.assoc name bases in
-        List.mapi
-          (fun i (label, _, _) ->
-            let r =
-              List.find_map
-                (fun (n, l, r) ->
-                  if String.equal n name && String.equal l label then Some r
-                  else None)
-                variants
-              |> Option.get
-            in
-            let cell =
-              match (base, r) with
-              | Ok base, Ok r ->
-                  Table.fmt_float ~decimals:1
-                    (reduction_pct base.Machine.cycles r.Machine.cycles)
-              | Error e, _ | _, Error e ->
-                  "degraded: " ^ Memclust_util.Error.kind e
-            in
-            [ (if i = 0 then name else ""); label; cell ])
-          stages)
-      workloads
+    List.concat
+      (List.mapi
+         (fun wi w ->
+           let base = results.(wi * per_workload) in
+           List.mapi
+             (fun i (label, _, _) ->
+               let cell =
+                 match (base, results.((wi * per_workload) + 1 + i)) with
+                 | Ok base, Ok r ->
+                     Table.fmt_float ~decimals:1
+                       (reduction_pct base.Machine.cycles r.Machine.cycles)
+                 | Error e, _ | _, Error e ->
+                     "degraded: " ^ Memclust_util.Error.kind e
+               in
+               [ (if i = 0 then w.Workload.name else ""); label; cell ])
+             stages)
+         workloads)
   in
   "Extension: per-stage ablation of the clustering driver (uniprocessor,
    % execution time reduced vs untransformed base).
@@ -539,22 +487,22 @@ let mshr_sweep () =
     ]
   in
   let sweep_config mshrs = Config.with_mshrs mshrs Config.base in
-  prewarm
-    (List.concat_map
-       (fun w ->
-         List.concat_map
-           (fun mshrs ->
-             base_and_clustered ~config:(sweep_config mshrs) ~nprocs:1 w)
-           points)
-       apps);
+  let get =
+    Experiment.execute_all
+      (List.concat_map
+         (fun w ->
+           List.concat_map
+             (fun mshrs ->
+               base_and_clustered ~config:(sweep_config mshrs) ~nprocs:1 w)
+             points)
+         apps)
+  in
   let rows =
     List.concat_map
       (fun w ->
         List.mapi
           (fun i mshrs ->
-            let config = sweep_config mshrs in
-            let b = run ~config ~nprocs:1 ~version:Experiment.Base w in
-            let c = run ~config ~nprocs:1 ~version:Experiment.Clustered w in
+            let b, c = pair get ~config:(sweep_config mshrs) ~nprocs:1 w in
             let factor =
               match c.Experiment.cluster_report with
               | Some r ->

@@ -1,6 +1,7 @@
 (** Reproduction of every table and figure in the paper's evaluation
-    (§4–§5). Each function runs the experiments it needs (memoized) and
-    renders the same rows/series the paper reports. *)
+    (§4–§5). Each function runs the experiment points it needs once,
+    across the domain pool ({!Experiment.execute_all}), and renders the
+    same rows/series the paper reports. *)
 
 val table1 : unit -> string
 (** Table 1: the base simulated configuration. *)
@@ -59,7 +60,8 @@ val all_ids : string list
 val by_id : string -> (unit -> string) option
 
 val run_safe : string -> (string, Memclust_util.Error.t) result
-(** Render one artifact with every failure — watchdog deadlock, pipeline
-    error, worker crash — caught into a structured error, so a batch of
-    artifacts degrades per-artifact instead of aborting wholesale.
-    Unknown ids yield [Config_invalid]. *)
+(** Render one artifact with every failure — a point's watchdog
+    deadlock or crash, as the pool stored it, or any other exception —
+    caught into a structured error, so a batch of artifacts degrades
+    per-artifact instead of aborting wholesale. A failed point is not
+    run again. Unknown ids yield [Config_invalid]. *)

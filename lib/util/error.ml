@@ -1,7 +1,5 @@
 type t =
   | Config_invalid of { config : string; reason : string }
-  | Pass_failed of { pass : string; reason : string }
-  | Legality_violation of { pass : string; detail : string }
   | Sim_deadlock of {
       cycle : int;
       mode : string;
@@ -14,18 +12,12 @@ exception Error of t
 
 let kind = function
   | Config_invalid _ -> "config-invalid"
-  | Pass_failed _ -> "pass-failed"
-  | Legality_violation _ -> "legality-violation"
   | Sim_deadlock _ -> "sim-deadlock"
   | Worker_crashed _ -> "worker-crashed"
 
 let pp ppf = function
   | Config_invalid { config; reason } ->
       Format.fprintf ppf "invalid config %S: %s" config reason
-  | Pass_failed { pass; reason } ->
-      Format.fprintf ppf "pass %S failed: %s" pass reason
-  | Legality_violation { pass; detail } ->
-      Format.fprintf ppf "pass %S produced an illegal program: %s" pass detail
   | Sim_deadlock { cycle; mode; reason; state_dump } ->
       Format.fprintf ppf "simulator deadlock at cycle %d (%s mode): %s" cycle
         mode reason;

@@ -1,22 +1,17 @@
 (** Structured errors for the whole pipeline ("Memclust_error").
 
     Every recoverable failure that crosses an API boundary — invalid
-    configuration, a clustering pass that misbehaves, a wedged simulator,
-    a crashed worker domain — is described by one of these constructors,
-    each carrying enough context to produce an actionable report without
-    re-running anything. Internal invariants (things that can only fail
+    configuration, a wedged simulator, a crashed worker domain — is
+    described by one of these constructors, each carrying enough context
+    to produce an actionable report without re-running anything. (A
+    clustering pass that misbehaves is no error: the pipeline rolls it
+    back and records it as degraded in its trace.) Internal invariants (things that can only fail
     on a programming error) stay as [assert]; these errors are for
     conditions the surrounding system is expected to survive. *)
 
 type t =
   | Config_invalid of { config : string; reason : string }
       (** A [Config.t] failed validation; [config] is its name. *)
-  | Pass_failed of { pass : string; reason : string }
-      (** A clustering pass raised or timed out; [reason] is the
-          rendered exception or diagnostic. *)
-  | Legality_violation of { pass : string; detail : string }
-      (** A pass produced an IR that fails [Program.validate] or whose
-          observable semantics diverge from the source program. *)
   | Sim_deadlock of {
       cycle : int;
       mode : string;

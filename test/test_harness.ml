@@ -47,8 +47,8 @@ let test_execute_base_vs_clustered () =
   let spec version =
     { Experiment.workload = w; config = Config.base; nprocs = 1; version }
   in
-  let b = Experiment.execute (spec Experiment.Base) in
-  let c = Experiment.execute (spec Experiment.Clustered) in
+  let b = Experiment.execute_cached (spec Experiment.Base) in
+  let c = Experiment.execute_cached (spec Experiment.Clustered) in
   Alcotest.(check bool) "base has no cluster report" true
     (b.Experiment.cluster_report = None);
   Alcotest.(check bool) "clustered has report" true
@@ -68,8 +68,8 @@ let test_execute_multiproc () =
       version = Experiment.Base;
     }
   in
-  let up = Experiment.execute (spec 1) in
-  let mp = Experiment.execute (spec 4) in
+  let up = Experiment.execute_cached (spec 1) in
+  let mp = Experiment.execute_cached (spec 4) in
   Alcotest.(check bool) "parallel run is faster" true
     (Experiment.exec_cycles mp < Experiment.exec_cycles up)
 
@@ -85,10 +85,44 @@ let test_cached_is_stable () =
   in
   let a = Experiment.execute_cached spec in
   let b = Experiment.execute_cached spec in
-  Alcotest.(check bool) "same outcome object" true (a == b)
+  Alcotest.(check bool) "one shared sim result" true
+    (a.Experiment.result == b.Experiment.result);
+  Alcotest.(check (list string)) "one memo per layer, no outcome memo"
+    [ "driver-profile-pm"; "harness-cluster"; "harness-lower"; "harness-sim" ]
+    (List.sort String.compare
+       (List.map fst (Memclust_util.Analysis_cache.registered ())))
 
-(* [Config.with_mshrs] keeps the config's name: the outcome memo must key
-   on the contents, or the second spec would get the first one's result *)
+(* [execute_all] runs each point once over the pool: a point whose [init]
+   raises fails in its own slot after the pool's two attempts, and is not
+   run again when it is looked up *)
+let test_execute_all_runs_once () =
+  let good = tiny () in
+  let calls = Atomic.make 0 in
+  let bad =
+    {
+      (tiny ()) with
+      Workload.name = "tiny-bad-init";
+      init = (fun _ -> Atomic.incr calls; failwith "bad init");
+    }
+  in
+  let spec w =
+    { Experiment.workload = w; config = Config.base; nprocs = 1; version = Experiment.Base }
+  in
+  let get = Experiment.execute_all [ spec good; spec bad; spec good ] in
+  let o = get (spec good) in
+  Alcotest.(check string) "good outcome intact" (Experiment.spec_key (spec good))
+    (Experiment.spec_key o.Experiment.spec);
+  Alcotest.(check bool) "good outcome simulated" true (Experiment.exec_cycles o > 0);
+  (match get (spec bad) with
+  | _ -> Alcotest.fail "the bad spec's lookup must raise"
+  | exception Memclust_util.Error.Error (Memclust_util.Error.Worker_crashed { task; attempts; _ }) ->
+      Alcotest.(check string) "names the bad spec" (Experiment.spec_key (spec bad)) task;
+      Alcotest.(check int) "after the pool's attempts" 2 attempts);
+  Alcotest.(check int) "init ran once per pool attempt" 2 (Atomic.get calls)
+
+(* [Config.with_mshrs] keeps the config's name: [spec_key] (which
+   [execute_all] dedupes on) and the memos must key on the contents, or
+   the second spec would get the first one's result *)
 let test_cached_keys_on_config_contents () =
   let w = tiny () in
   let spec mshrs =
@@ -138,7 +172,7 @@ let test_l2_scaling_applied () =
   (* scaled config: the workload's small L2 makes the kernel miss more than
      with the default 64KB *)
   let o =
-    Experiment.execute
+    Experiment.execute_cached
       {
         Experiment.workload = w;
         config = Config.base;
@@ -186,12 +220,12 @@ let test_prefetched_versions () =
   let spec version =
     { Experiment.workload = w; config = Config.base; nprocs = 1; version }
   in
-  let pf = Experiment.execute (spec Experiment.Prefetched) in
+  let pf = Experiment.execute_cached (spec Experiment.Prefetched) in
   Alcotest.(check bool) "hints were issued" true
     (pf.Experiment.result.Machine.prefetches > 0);
   Alcotest.(check bool) "no cluster report" true
     (pf.Experiment.cluster_report = None);
-  let both = Experiment.execute (spec Experiment.Clustered_prefetched) in
+  let both = Experiment.execute_cached (spec Experiment.Clustered_prefetched) in
   Alcotest.(check bool) "clustered and hinted" true
     (both.Experiment.result.Machine.prefetches > 0
     && both.Experiment.cluster_report <> None)
@@ -264,6 +298,8 @@ let () =
           Alcotest.test_case "base vs clustered" `Quick test_execute_base_vs_clustered;
           Alcotest.test_case "multiprocessor" `Quick test_execute_multiproc;
           Alcotest.test_case "memoization" `Quick test_cached_is_stable;
+          Alcotest.test_case "execute_all runs each point once" `Quick
+            test_execute_all_runs_once;
           Alcotest.test_case "l2 scaling" `Quick test_l2_scaling_applied;
           Alcotest.test_case "prefetched versions" `Quick test_prefetched_versions;
           Alcotest.test_case "max_procs cap" `Quick test_transform_respects_max_procs;

@@ -237,27 +237,6 @@ let test_forced_pass_failure_degrades () =
         (Data.equal reference (final_store w p)))
     sabotageable
 
-(* A corrupting pass, the last or one in the middle, raises with
-   failsafe off, naming it: the per-pass replay finds the first divergent
-   pass. *)
-let test_failsafe_off_raises_structured_error () =
-  let w = small_lu () in
-  List.iter
-    (fun forced ->
-      let options =
-        {
-          Driver.default_options with
-          failsafe = false;
-          chaos =
-            Some { Pass.chaos_seed = 0; chaos_rate = 0.0; fail_pass = Some forced };
-        }
-      in
-      match Driver.run ~options ~init:w.Workload.init w.Workload.program with
-      | _ -> Alcotest.failf "sabotaged %s with failsafe off must raise" forced
-      | exception Error.Error (Error.Legality_violation { pass; _ }) ->
-          Alcotest.(check string) "names the pass" forced pass)
-    [ "schedule"; "window-unroll" ]
-
 (* A corrupted candidate whose execution raises (here: it reads a scalar
    whose assignment the corruption dropped) is a divergence like any
    other: the pass rolls back and the run returns the source's
@@ -432,8 +411,6 @@ let () =
             test_nan_store_not_degraded;
           Alcotest.test_case "forced failure degrades" `Quick
             test_forced_pass_failure_degrades;
-          Alcotest.test_case "failsafe off raises" `Quick
-            test_failsafe_off_raises_structured_error;
           Alcotest.test_case "raising candidate rolls back" `Quick
             test_raising_candidate_rolls_back;
           Alcotest.test_case "env spec parses" `Quick test_chaos_of_env_parses;
