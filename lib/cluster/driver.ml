@@ -95,11 +95,11 @@ let uniquify_loops (p : program) =
 (* Profiling interprets the program, so [evaluate] profiles only for an
    inner construct whose scope holds a leading irregular reference:
    everywhere else Eq. 3 never reads P_m. It profiles the program cut
-   after the nest it evaluates ({!Pass.cut_after_nest}): the nest's
-   references run only inside it, after the unchanged statements before
-   it, so their miss rates are exactly the whole program's. The same cut
-   program is still profiled repeatedly — across binary-search steps,
-   across keys and passes that leave it alone, and across machine
+   after the nest at body position [i] ({!Pass.cut_after_nest}): the
+   nest's references run only inside it, after the unchanged statements
+   before it, so their miss rates are exactly the whole program's. The
+   same cut program is still profiled repeatedly — across binary-search
+   steps, across keys and passes that leave it alone, and across machine
    configurations that differ only in parameters the profile doesn't
    depend on (window, MSHR count). Memoize on the line size, a digest of
    the initialized source store and a content digest of the program, so
@@ -108,26 +108,36 @@ let uniquify_loops (p : program) =
    immutable profile, so sharing across domains is safe. Candidates keep
    the source's declarations (the pipeline enforces it), so the shared
    initialized source store is their store too: [Profile.run] executes
-   over a private copy of it. *)
+   over a private copy of it.
+
+   A cut that stops before the program's end leaves its exit state in the
+   pipeline's snapshot table; a later cut whose statements before the
+   nest are exactly that cut (a later nest's candidates, once the earlier
+   nest is settled) resumes from it and executes only its own nest. The
+   snapshots live and die with the pipeline; the resumed profile is the
+   one a run from the start gives, so the memo above never knows. *)
 let pm_cache : (int -> float) Memclust_util.Analysis_cache.t =
   Memclust_util.Analysis_cache.create ~cap:512 ~name:"driver-profile-pm" ()
 
-let make_pm options ~source p =
+let make_pm options ~source p i =
   let line_size = options.machine.Machine_model.line_size in
+  let cut = Pass.cut_after_nest p i in
   let key =
     Printf.sprintf "%d|%s|%s" line_size
       (match source with
       | None -> "-" (* the zero-filled store of [p]'s declarations *)
       | Some s -> Lazy.force s.Pass.digest)
-      (Memclust_util.Analysis_cache.content_digest p)
+      (Memclust_util.Analysis_cache.content_digest cut)
   in
   Memclust_util.Analysis_cache.find_or_compute pm_cache key (fun () ->
-      let data =
+      let prof =
         match source with
-        | Some s -> Lazy.force s.Pass.store
-        | None -> Data.create p
+        | Some s ->
+            Profile.run ~line_size ~snapshots:s.Pass.snapshots
+              ~record:(i + 1 < List.length p.body)
+              cut (Lazy.force s.Pass.store)
+        | None -> Profile.run ~line_size cut (Data.create cut)
       in
-      let prof = Profile.run ~line_size p data in
       fun id -> Profile.miss_rate prof id)
 
 let analyze options p =
@@ -152,7 +162,7 @@ let evaluate options ~source ~loc p ~nest_var ~key =
           let alpha = Depgraph.alpha graph in
           let pm =
             if options.profile_pm && Festimate.reads_pm loc inner then
-              make_pm options ~source (Pass.cut_after_nest p i)
+              make_pm options ~source p i
             else fun _ -> 1.0
           in
           let fest = Festimate.compute options.machine loc ~pm ~graph inner in
@@ -210,12 +220,15 @@ let resolve_recurrences { Pass.options; source; stamp } p ~nest_var ~key parent
     end
   in
   (* f is monotone in the unroll degree: binary-search the largest degree
-     whose f stays within α·lp (the paper's contention-conscious rule) *)
+     whose f stays within α·lp (the paper's contention-conscious rule).
+     Only the candidate's nest changed, and f reads only its references:
+     analyze that nest alone. *)
   let f_of n =
     match try_factor ~stamp p ~nest_var parent enclosing n with
     | Error msg -> Error msg
     | Ok p' -> (
-        match evaluate options ~source ~loc:(analyze options p') p' ~nest_var ~key with
+        let loc = analyze options (Pass.nest_program p' nest_var) in
+        match evaluate options ~source ~loc p' ~nest_var ~key with
         | Some (_, _, _, fest) -> Ok (p', fest.Festimate.f)
         | None -> Error "internal: nest vanished")
   in
@@ -649,7 +662,7 @@ let run ?(options = default_options) ?init ?only ?observe (p : program) =
         let digest =
           lazy (Memclust_util.Analysis_cache.content_digest (Lazy.force store))
         in
-        { Pass.store; digest })
+        { Pass.store; digest; snapshots = Profile.snapshots () })
       init
   in
   let chaos =

@@ -32,7 +32,11 @@ let default_options =
     chaos = None;
   }
 
-type source = { store : Data.t Lazy.t; digest : string Lazy.t }
+type source = {
+  store : Data.t Lazy.t;
+  digest : string Lazy.t;
+  snapshots : Profile.snapshots;
+}
 type ctx = { options : options; source : source option; stamp : unit -> int }
 
 (* ------------------------------------------------------------------ *)
@@ -167,6 +171,12 @@ let find_nest p var =
 
 let cut_after_nest p i = { p with body = List.filteri (fun j _ -> j <= i) p.body }
 
+let nest_program p var =
+  {
+    p with
+    body = List.filter (function Loop l -> String.equal l.var var | _ -> false) p.body;
+  }
+
 let replace_nest p ~var ~repl =
   let found = ref false in
   let body =
@@ -229,6 +239,9 @@ module Pipeline = struct
     entries : entry list;
     total_ms : float;
     check_ms : float;
+    profile_runs : int;
+    profile_resumed : int;
+    profile_ms : float;
   }
 
   let degraded_passes trace =
@@ -528,19 +541,25 @@ module Pipeline = struct
     Option.iter
       (fun f -> List.iter (fun (name, p') -> f name p') accepted)
       observe;
+    let profiles f ~none = match source with Some s -> f s.snapshots | None -> none in
     ( final,
       {
         program_name = p.p_name;
         entries;
         total_ms = now_ms () -. t_start;
         check_ms = !check_ms;
+        profile_runs = profiles Profile.runs ~none:0;
+        profile_resumed = profiles Profile.resumed ~none:0;
+        profile_ms = profiles Profile.run_ms ~none:0.0;
       } )
 
   (* ---------------------------- rendering --------------------------- *)
 
   let pp_trace ppf trace =
-    Format.fprintf ppf "@[<v>pipeline %s (%.2f ms total, %.2f ms check)@,"
-      trace.program_name trace.total_ms trace.check_ms;
+    Format.fprintf ppf
+      "@[<v>pipeline %s (%.2f ms total, %.2f ms check, %d profiles, %d resumed, %.2f ms)@,"
+      trace.program_name trace.total_ms trace.check_ms trace.profile_runs
+      trace.profile_resumed trace.profile_ms;
     List.iter
       (fun e ->
         Format.fprintf ppf
@@ -608,8 +627,9 @@ module Pipeline = struct
 
   let trace_to_json trace =
     Printf.sprintf
-      "{\"program\":\"%s\",\"total_ms\":%s,\"check_ms\":%s,\"passes\":[%s]}"
+      "{\"program\":\"%s\",\"total_ms\":%s,\"check_ms\":%s,\"profile_runs\":%d,\"profile_resumed\":%d,\"profile_ms\":%s,\"passes\":[%s]}"
       (json_escape trace.program_name)
       (json_float trace.total_ms) (json_float trace.check_ms)
+      trace.profile_runs trace.profile_resumed (json_float trace.profile_ms)
       (String.concat ",\n  " (List.map entry_to_json trace.entries))
 end

@@ -55,6 +55,9 @@ type source = {
   digest : string Lazy.t;
       (** a digest of [store]'s contents, computed on first use: the
           miss-rate memo's key for the store *)
+  snapshots : Memclust_locality.Profile.snapshots;
+      (** the nest-entry snapshots of the pipeline's profiles over
+          [store], so a candidate's profile runs only its own nest *)
 }
 (** The initialized source store of one pipeline run (for miss-rate
     profiling and the semantic guard). It is shared: run programs over a
@@ -141,6 +144,14 @@ val cut_after_nest : program -> int -> program
     position [i] (as {!find_nest} returns it). Not renumbered, so every
     kept reference keeps its [ref_id]. *)
 
+val nest_program : program -> string -> program
+(** [nest_program p var]: [p] with only its top-level loops over [var] —
+    the nest and any remainder loop unroll-and-jam split off it at top
+    level — not renumbered. {!Locality} groups references by the
+    variables of their enclosing loops, and after uniquification only
+    these loops share the nest's, so its analysis gives every reference
+    of the nest the info a whole-program analysis gives. *)
+
 val replace_nest : program -> var:string -> repl:stmt list -> program
 (** Splice [repl] in place of the first top-level loop with variable
     [var]. *)
@@ -197,6 +208,14 @@ module Pipeline : sig
         (** the semantic check: the source's reference run, the final
             program's run and, after a divergence, the whole per-pass
             replay *)
+    profile_runs : int;
+        (** P_m profiles run over the source store (none without a
+            source); a memo hit runs none *)
+    profile_resumed : int;
+        (** those of [profile_runs] that resumed from a nest-entry
+            snapshot and ran only their last nest *)
+    profile_ms : float;
+        (** wall time of [profile_runs], part of the passes' [wall_ms] *)
   }
 
   val degraded_passes : trace -> (string * string) list

@@ -65,9 +65,10 @@ val execute_cached : spec -> outcome
 val execute_all : spec list -> spec -> outcome
 (** [execute_all specs] runs every distinct point of [specs] (by
     {!spec_key}) once, across {!Memclust_util.Domain_pool.default}, and
-    returns its lookup. A point that fails after the pool's retry
-    (simulator deadlock, crash) is logged to stderr and loses only its
-    own slot: looking it up raises its [Memclust_util.Error.Error].
+    returns its lookup. A point that fails (a simulator deadlock, which
+    the pool does not retry, or a crash that fails its retry too) is
+    logged to stderr and loses only its own slot: looking it up raises
+    its [Memclust_util.Error.Error].
     Looking up a spec that was not in [specs] raises [Invalid_argument]. *)
 
 val clear_caches : unit -> unit

@@ -37,7 +37,7 @@ let write s i v =
       Bytes.set s.tags i tag_ptr;
       set64 s.words (8 * i) (Int64.of_int a)
 
-(* Tags must match; ints and pointers compare exactly, floats within a
+(* Tags must match; ints and pointers must be identical, floats within a
    relative [eps] or both NaN (so a store holding a NaN equals its own
    copy). A NaN against a number fails the [eps] test. *)
 let slots_equal eps a b =
@@ -259,6 +259,6 @@ let home_of_addr t ~nprocs addr =
     else begin
       let base = t.ext_base.(i) and bytes = t.ext_bytes.(i) in
       let chunk = (bytes + nprocs - 1) / nprocs in
-      min (nprocs - 1) ((addr - base) / max 1 chunk)
+      Int.min (nprocs - 1) ((addr - base) / Int.max 1 chunk)
     end
   end

@@ -510,7 +510,7 @@ and compile_loop env (l : loop) : rt -> unit =
       (* balanced block distribution: every processor gets ⌊total/n⌋ or
          ⌈total/n⌉ consecutive iterations *)
       if distribute && total > 0 then
-        rt.emit.e_set_proc (min (rt.nprocs - 1) (!iter_num * rt.nprocs / total));
+        rt.emit.e_set_proc (Int.min (rt.nprocs - 1) (!iter_num * rt.nprocs / total));
       rt.ivar.(vid) <- !i;
       cbody rt;
       (* loop overhead: induction increment + backward branch *)
@@ -569,8 +569,12 @@ and compile_chase env (c : chase) : rt -> unit =
     rt.stok.(vid) <- saved_t;
     rt.sbound.(vid) <- saved_b
 
-let run ?(emit = null_emitter) ?(nprocs = 1) ?(max_ops = 200_000_000)
-    (p : program) data =
+type state = { scalars : (string * value) list; ops : int }
+
+let start = { scalars = []; ops = 0 }
+
+let run_from ?(emit = null_emitter) ?(nprocs = 1) ?(max_ops = 200_000_000)
+    (st : state) (p : program) data =
   let env =
     {
       ivar_ids = Hashtbl.create 16;
@@ -581,8 +585,9 @@ let run ?(emit = null_emitter) ?(nprocs = 1) ?(max_ops = 200_000_000)
   in
   (* intern parameters first so their slots exist before the body runs *)
   let param_ids = List.map (fun (name, v) -> (ivar_id env name, v)) p.params in
+  let scalar_ids = List.map (fun (name, v) -> (svar_id env name, v)) st.scalars in
   let cbody = compile_stmts env p.body in
-  let ni = max 1 env.n_ivars and ns = max 1 env.n_svars in
+  let ni = Int.max 1 env.n_ivars and ns = Int.max 1 env.n_svars in
   let ivar_name = Array.make ni "" in
   Hashtbl.iter (fun k id -> ivar_name.(id) <- k) env.ivar_ids;
   let svar_name = Array.make ns "" in
@@ -593,7 +598,7 @@ let run ?(emit = null_emitter) ?(nprocs = 1) ?(max_ops = 200_000_000)
       data;
       nprocs;
       max_ops;
-      ops = 0;
+      ops = st.ops;
       ivar = Array.make ni 0;
       ivar_bound = Array.make ni false;
       ivar_name;
@@ -610,4 +615,20 @@ let run ?(emit = null_emitter) ?(nprocs = 1) ?(max_ops = 200_000_000)
       rt.ivar.(id) <- v;
       rt.ivar_bound.(id) <- true)
     param_ids;
-  cbody rt
+  (* a resumed scalar's producer ran in the earlier run: no token *)
+  List.iter
+    (fun (id, v) ->
+      rt.sval.(id) <- v;
+      rt.sbound.(id) <- true)
+    scalar_ids;
+  cbody rt;
+  {
+    scalars =
+      Hashtbl.fold
+        (fun name id acc -> if rt.sbound.(id) then (name, rt.sval.(id)) :: acc else acc)
+        env.svar_ids [];
+    ops = rt.ops;
+  }
+
+let run ?emit ?nprocs ?max_ops p data =
+  ignore (run_from ?emit ?nprocs ?max_ops start p data)

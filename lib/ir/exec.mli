@@ -53,6 +53,37 @@ val run :
     [e_set_proc], and a barrier is emitted after the loop. [max_ops]
     (default 200 million) bounds runaway programs. *)
 
+type state = {
+  scalars : (string * value) list;
+      (** the bound scalar variables, in no particular order *)
+  ops : int;  (** dynamic operations executed so far *)
+}
+(** Where a run of top-level statements stopped: enough to run the
+    statements after them over the same store as if in one run. Loop
+    indices and chase pointers are never bound between top-level
+    statements, so the scalars and the op count are all of it. *)
+
+val start : state
+(** No scalar bound, no operation executed: the state {!run} starts from. *)
+
+val run_from :
+  ?emit:emitter ->
+  ?nprocs:int ->
+  ?max_ops:int ->
+  state ->
+  program ->
+  Data.t ->
+  state
+(** [run_from st p data] executes [p]'s body as {!run} does, but with the
+    scalars of [st] bound (their dependence token is [-1]: the producer
+    ran earlier) and [st.ops] operations already counted against
+    [max_ops], and returns the state it stops in. Running statements
+    [s1] then, from the state returned, [s2] over the same store emits
+    the same operations at the same addresses (only a dependence on a
+    scalar [s1] assigned reads [-1]), raises the same {!Limit_exceeded}
+    and leaves the same store and scalars as running [s1 @ s2] in one
+    go. *)
+
 val fp_latency : binop -> int
 (** Functional-unit latency used for each arithmetic operator (Table 1:
     1 cycle for ALU ops, 3 for most FPU ops, 16 for FP divide). *)

@@ -91,10 +91,14 @@ let run_batch t n run =
 
 let inline_only t = Array.length t.workers = 0 || Domain.DLS.get in_worker
 
+(* A structured [Error.Error] (a simulator deadlock, an invalid config)
+   is deterministic: running the task again would fail the same way, so
+   only other exceptions get the retry. *)
 let attempt ~attempts ~task f x =
   let rec go k =
     match f x with
     | v -> Ok v
+    | exception Error.Error e -> Result.Error e
     | exception e ->
         if k < attempts then go (k + 1)
         else Result.Error (Error.of_exn ~task ~attempts e)

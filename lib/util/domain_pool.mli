@@ -32,12 +32,13 @@ val map_result :
     the same pool) is safe: tasks submitted from inside a worker run
     inline rather than deadlock waiting for a free worker.
 
-    It never raises. Each task gets up to [attempts] tries (default 2,
-    i.e. one retry — transient failures such as an OOM-killed allocation
-    often succeed on retry); a task that still fails yields [Error] in
-    its slot — [Error.t] as-is if it raised [Error.Error], otherwise
-    [Worker_crashed] naming the task (via [task_name], default
-    ["task-<i>"]) — while every other task's result is preserved. *)
+    It never raises. A task that raises [Error.Error] (a deterministic
+    failure such as a simulator deadlock) yields that [Error.t] in its
+    slot at once, without a retry. Any other exception gets up to
+    [attempts] tries (default 2, i.e. one retry — transient failures
+    such as an OOM-killed allocation often succeed on retry); a task that
+    still fails yields [Worker_crashed] naming the task (via [task_name],
+    default ["task-<i>"]). Every other task's result is preserved. *)
 
 val shutdown : t -> unit
 (** Stop and join the workers. Subsequent [map_result] calls run

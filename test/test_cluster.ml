@@ -437,6 +437,92 @@ let test_cut_profile_exact () =
         nests)
     [ ("source", fst (Driver.run ~only:[] w.program)); ("clustered", clustered) ]
 
+(* A profile resumed from a nest-entry snapshot is the profile of a run
+   from the start. Every cut of a random one- or two-nest program is
+   profiled in order against one snapshot table, so each cut after the
+   first resumes from the one before it; each must count the same
+   accesses and misses for every reference as a fresh profile. The
+   resumed execution itself, [Exec.run_from] statement by statement,
+   must leave the store and scalars a run of the whole cut leaves. *)
+let prop_resumed_profile_exact =
+  QCheck.Test.make ~name:"resumed profile = profile from the start" ~count:60
+    Gen_program.arbitrary
+    (fun cfg ->
+      let p = Gen_program.build cfg in
+      let data = Data.create p in
+      Gen_program.init cfg data;
+      let snapshots = Profile.snapshots () in
+      let len = List.length p.Ast.body in
+      let stepped = Data.copy data in
+      let state = ref Exec.start in
+      List.iteri
+        (fun i stmt ->
+          let cut = Pass.cut_after_nest p i in
+          let resumed =
+            Profile.run ~snapshots ~record:(i + 1 < len) cut data
+          in
+          let fresh = Profile.run cut data in
+          if Profile.resumed snapshots <> i then
+            QCheck.Test.fail_reportf "cut %d: %d of %d profiles resumed" i
+              (Profile.resumed snapshots) (Profile.runs snapshots);
+          for id = 0 to Program.max_ref_id p do
+            if
+              Profile.accesses resumed id <> Profile.accesses fresh id
+              || Profile.misses resumed id <> Profile.misses fresh id
+            then
+              QCheck.Test.fail_reportf "cut %d, ref %d: %d/%d resumed, %d/%d fresh" i id
+                (Profile.misses resumed id) (Profile.accesses resumed id)
+                (Profile.misses fresh id) (Profile.accesses fresh id)
+          done;
+          state := Exec.run_from !state { p with Ast.body = [ stmt ] } stepped;
+          let whole = Data.copy data in
+          let st = Exec.run_from Exec.start cut whole in
+          if not (Data.equal ~eps:0.0 whole stepped) then
+            QCheck.Test.fail_reportf "cut %d: resumed store differs" i;
+          let sorted (s : Exec.state) = List.sort compare s.Exec.scalars in
+          if st.Exec.ops <> !state.Exec.ops || sorted st <> sorted !state then
+            QCheck.Test.fail_reportf "cut %d: resumed state differs" i)
+        p.Ast.body;
+      true)
+
+(* [f_of] analyzes a candidate's nest alone ([Pass.nest_program]); every
+   reference of the nest, and of any remainder loop split off it, must
+   get the info the whole-program analysis gives it. Checked for every
+   nest of every registry program, as written (loop variables made
+   unique) and as clustered. *)
+let test_nest_locality_exact () =
+  List.iter
+    (fun (w : Memclust_workloads.Workload.t) ->
+      List.iter
+        (fun (label, p) ->
+          let whole = Locality.analyze ~line_size:64 p in
+          List.iter
+            (fun var ->
+              let _, nest = Option.get (Pass.find_nest p var) in
+              let part = Locality.analyze ~line_size:64 (Pass.nest_program p var) in
+              let what = Printf.sprintf "%s %s nest %s" w.name label var in
+              List.iter
+                (fun (r : Program.ref_info) ->
+                  let id = r.Program.ref_.Ast.ref_id in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: ref %d analyzed" what id)
+                    true
+                    (List.exists (fun (i : Locality.info) -> i.id = id) (Locality.infos part)))
+                (Program.refs_in_stmts [ Ast.Loop nest ]);
+              List.iter
+                (fun (i : Locality.info) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: ref %d as in the whole program" what i.id)
+                    true
+                    (Locality.info whole i.id = i))
+                (Locality.infos part))
+            (Pass.source_nest_vars p))
+        [
+          ("source", fst (Driver.run ~only:[] w.program));
+          ("clustered", fst (Driver.run ~init:w.init w.program));
+        ])
+    (Memclust_workloads.Registry.small ())
+
 (* ------------------------ pipeline fuzzing ------------------------- *)
 
 let exec_equal p1 p2 init =
@@ -499,6 +585,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_reads_pm;
           Alcotest.test_case "memo keys on store contents" `Quick test_pm_keys_on_store;
           Alcotest.test_case "cut profile is exact (Em3d)" `Quick test_cut_profile_exact;
+          QCheck_alcotest.to_alcotest prop_resumed_profile_exact;
+          Alcotest.test_case "per-nest locality is exact" `Quick test_nest_locality_exact;
         ] );
       ( "regressions",
         [

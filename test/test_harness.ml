@@ -120,6 +120,32 @@ let test_execute_all_runs_once () =
       Alcotest.(check int) "after the pool's attempts" 2 attempts);
   Alcotest.(check int) "init ran once per pool attempt" 2 (Atomic.get calls)
 
+(* a point that raises a structured [Error.Error] (deterministic, like a
+   simulator deadlock) is not retried: it runs once and its lookup
+   raises that very error *)
+let test_execute_all_no_retry_on_error () =
+  let calls = Atomic.make 0 in
+  let err =
+    Memclust_util.Error.Config_invalid { config = "tiny-err"; reason = "always fails" }
+  in
+  let bad =
+    {
+      (tiny ()) with
+      Workload.name = "tiny-error-init";
+      init = (fun _ -> Atomic.incr calls; Memclust_util.Error.raise_err err);
+    }
+  in
+  let spec =
+    { Experiment.workload = bad; config = Config.base; nprocs = 1; version = Experiment.Base }
+  in
+  let get = Experiment.execute_all [ spec ] in
+  (match get spec with
+  | _ -> Alcotest.fail "the failing spec's lookup must raise"
+  | exception Memclust_util.Error.Error e ->
+      Alcotest.(check string) "the structured error as raised"
+        (Memclust_util.Error.to_string err) (Memclust_util.Error.to_string e));
+  Alcotest.(check int) "init ran once" 1 (Atomic.get calls)
+
 (* [Config.with_mshrs] keeps the config's name: [spec_key] (which
    [execute_all] dedupes on) and the memos must key on the contents, or
    the second spec would get the first one's result *)
@@ -300,6 +326,8 @@ let () =
           Alcotest.test_case "memoization" `Quick test_cached_is_stable;
           Alcotest.test_case "execute_all runs each point once" `Quick
             test_execute_all_runs_once;
+          Alcotest.test_case "execute_all does not retry Error.Error" `Quick
+            test_execute_all_no_retry_on_error;
           Alcotest.test_case "l2 scaling" `Quick test_l2_scaling_applied;
           Alcotest.test_case "prefetched versions" `Quick test_prefetched_versions;
           Alcotest.test_case "max_procs cap" `Quick test_transform_respects_max_procs;

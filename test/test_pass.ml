@@ -223,6 +223,13 @@ let test_declaration_change_is_invalid () =
   Alcotest.(check bool) "source declarations ship" true
     (shipped.Ast.arrays = p.Ast.arrays)
 
+let contains s needle =
+  let nl = String.length needle in
+  let rec scan i =
+    i + nl <= String.length s && (String.sub s i nl = needle || scan (i + 1))
+  in
+  scan 0
+
 (* [observe] sees only the passes of the run whose result ships: a pass
    rolled back after the final check's replay is not observed, and the
    last observed program is the shipped one. *)
@@ -247,19 +254,37 @@ let test_observe_sees_shipped_run () =
     (match !observed with (_, p) :: _ -> p == shipped | [] -> false);
   let t = report.Driver.trace in
   Alcotest.(check bool) "check time recorded" true (t.Pass.Pipeline.check_ms > 0.0);
-  let json = Pass.Pipeline.trace_to_json t in
-  let needle = "\"check_ms\":" in
   Alcotest.(check bool) "check_ms in the JSON trace" true
-    (let nl = String.length needle in
-     let rec scan i =
-       i + nl <= String.length json && (String.sub json i nl = needle || scan (i + 1))
-     in
-     scan 0)
+    (contains (Pass.Pipeline.trace_to_json t) "\"check_ms\":")
 
 (* --------------------- f/α summaries on demand --------------------- *)
 
 let small name =
   List.find (fun w -> String.equal w.Workload.name name) (Registry.small ())
+
+(* The trace counts the P_m profiles run over the source store. From
+   empty memos Em3d profiles its first nest's cut, then the whole
+   program, whose first nest that cut already ran: each of its second
+   nest's profiles resumes from a snapshot and runs that nest alone.
+   Without a source store nothing is counted. *)
+let test_profile_counters () =
+  let w = small "Em3d" in
+  Memclust_util.Analysis_cache.clear_all ();
+  let _, report = Driver.run ~init:w.Workload.init w.Workload.program in
+  let t = report.Driver.trace in
+  Alcotest.(check (pair int int)) "profiles run, resumed" (7, 4)
+    (t.Pass.Pipeline.profile_runs, t.Pass.Pipeline.profile_resumed);
+  Alcotest.(check bool) "profile time recorded" true (t.Pass.Pipeline.profile_ms > 0.0);
+  let json = Pass.Pipeline.trace_to_json t in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) (needle ^ " in the JSON trace") true (contains json needle))
+    [ "\"profile_runs\":7,"; "\"profile_resumed\":4,"; "\"profile_ms\":" ];
+  Memclust_util.Analysis_cache.clear_all ();
+  let _, unsourced = Driver.run w.Workload.program in
+  Alcotest.(check (pair int int)) "no source, nothing counted" (0, 0)
+    ( unsourced.Driver.trace.Pass.Pipeline.profile_runs,
+      unsourced.Driver.trace.Pass.Pipeline.profile_resumed )
 
 let cluster_observed name =
   let w = small name in
@@ -466,6 +491,7 @@ let () =
             test_declaration_change_is_invalid;
           Alcotest.test_case "observe sees the shipped run" `Quick
             test_observe_sees_shipped_run;
+          Alcotest.test_case "profile counters" `Quick test_profile_counters;
         ] );
       ( "summaries",
         [
