@@ -239,11 +239,9 @@ let run_cmd =
     mix "base     " b;
     mix "clustered" c;
     (match c.Experiment.cluster_report with
-    | Some r -> Format.printf "%a@.@." Memclust_cluster.Driver.pp_report r
-    | None -> ());
-    (match c.Experiment.trace with
-    | Some t -> (
-        match Memclust_cluster.Pass.Pipeline.degraded_passes t with
+    | Some r -> (
+        Format.printf "%a@.@." Memclust_cluster.Driver.pp_report r;
+        match Memclust_cluster.Pass.Pipeline.degraded_passes r.Memclust_cluster.Driver.trace with
         | [] -> ()
         | ds ->
             Format.printf
@@ -497,18 +495,18 @@ let trace_cmd =
           let options =
             { Driver.default_options with Driver.machine = machine_for w }
           in
-          let observe =
-            Option.map
-              (fun target pass p ->
-                if String.equal pass target then
-                  Format.printf "==== %s: IR after %s ====@.%a@.@."
-                    w.Workload.name pass Pretty.pp_program p)
-              dump_after
-          in
           let _, report =
-            Driver.run ~options ~init:w.Workload.init ?only ?observe
-              w.Workload.program
+            Driver.run ~options ~init:w.Workload.init ?only w.Workload.program
           in
+          Option.iter
+            (fun target ->
+              List.iter
+                (fun (pass, p) ->
+                  if String.equal pass target then
+                    Format.printf "==== %s: IR after %s ====@.%a@.@."
+                      w.Workload.name pass Pretty.pp_program p)
+                (Pass.Pipeline.accepted report.Driver.trace))
+            dump_after;
           Format.printf "%a@." Pass.Pipeline.pp_trace report.Driver.trace;
           report.Driver.trace)
         ws

@@ -647,7 +647,7 @@ let select_passes only =
           String.equal p.Pass.name "uniquify" || List.mem p.Pass.name names)
         passes
 
-let run ?(options = default_options) ?init ?only ?observe (p : program) =
+let run ?(options = default_options) ?init ?only (p : program) =
   (* one initialized source store per pipeline, built on first use; the
      profiler and the semantic guard run over copies of it *)
   let source =
@@ -671,7 +671,7 @@ let run ?(options = default_options) ?init ?only ?observe (p : program) =
     | None -> chaos_of_env ()
   in
   let p', trace =
-    Pass.Pipeline.run ?observe ?source { options with chaos } (select_passes only) p
+    Pass.Pipeline.run ?source { options with chaos } (select_passes only) p
   in
   (p', report_of_trace trace)
 

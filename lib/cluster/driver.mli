@@ -96,7 +96,6 @@ val run :
   ?options:options ->
   ?init:(Data.t -> unit) ->
   ?only:string list ->
-  ?observe:(string -> Ast.program -> unit) ->
   Ast.program ->
   Ast.program * report
 (** Transform the program. [init] fills a fresh store with the workload's
@@ -107,9 +106,8 @@ val run :
     structure only. [only] restricts the pipeline to the named passes, in
     pipeline order ([uniquify] always runs; unknown names raise
     [Invalid_argument], as does a [chaos.fail_pass] outside
-    {!fail_pass_names}); the trace lists only the passes that ran. [observe] is called with the pass name and
-    program of every pass of the shipped run that was accepted (see
-    {!Pass.Pipeline.run}). The returned program is renumbered and
-    validated after every pass. *)
+    {!fail_pass_names}); the trace lists only the passes that ran, and
+    {!Pass.Pipeline.accepted} of it gives every accepted pass's program.
+    The returned program is renumbered and validated after every pass. *)
 
 val pp_report : Format.formatter -> report -> unit

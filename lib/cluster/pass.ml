@@ -215,20 +215,11 @@ module Pipeline = struct
   type nest_summary = { ns_inner : string; ns_alpha : float; ns_f : float }
   type ir_size = { stmts : int; static_refs : int }
 
-  (* A once-cell: the program to summarize until the first read, then the
-     summaries. Not a [Lazy.t], which raises when two domains force it at
-     once: racing readers here both compute the same list, and the cell
-     keeps one of them. *)
-  type summary_state = Pending of options * program | Done of nest_summary list
-  and summaries = summary_state Atomic.t
-
   type entry = {
     pass_name : string;
     wall_ms : float;
-    size_before : ir_size;
-    size_after : ir_size;
-    f_before : summaries;
-    f_after : summaries;
+    input : program;
+    output : program;
     validated : bool;
     degraded : string option;
     events : event list;
@@ -236,6 +227,7 @@ module Pipeline = struct
 
   type trace = {
     program_name : string;
+    options : options;
     entries : entry list;
     total_ms : float;
     check_ms : float;
@@ -294,13 +286,10 @@ module Pipeline = struct
               (locate_all nest))
       (source_nest_vars p)
 
-  let summaries cell =
-    match Atomic.get cell with
-    | Done s -> s
-    | Pending (options, p) ->
-        let s = nest_summaries options p in
-        Atomic.set cell (Done s);
-        s
+  let accepted trace =
+    List.filter_map
+      (fun e -> if Option.is_none e.degraded then Some (e.pass_name, e.output) else None)
+      trace.entries
 
   let now_ms () = Unix.gettimeofday () *. 1000.0
 
@@ -341,7 +330,7 @@ module Pipeline = struct
       (* no assignment anywhere: drop whatever statement comes first *)
       match p.body with _ :: rest -> { p with body = rest } | [] -> p
 
-  let run ?observe ?source options passes p =
+  let run ?source options passes p =
     let t_start = now_ms () in
     let p0 = Program.renumber p in
     let chaos = options.chaos in
@@ -398,8 +387,8 @@ module Pipeline = struct
     (* One pass over the pipeline from the source program. Crashes and
        invalid IR are caught after every pass; with [per_pass] each
        candidate is also differentially executed, so the first divergent
-       pass is rolled back. Returns the last-good program, the trace
-       entries and the accepted [(pass, program)] pairs for [observe]. *)
+       pass is rolled back. Returns the last-good program and the trace
+       entries. *)
     let run_passes ~per_pass =
       (* this run's rename stamps, 1, 2, ... in draw order: the replay
          draws exactly the stamps the first run drew *)
@@ -443,17 +432,10 @@ module Pipeline = struct
       in
       let current = ref p0 in
       let entries = ref [] in
-      let accepted = ref [] in
       let record entry = entries := entry :: !entries in
-      (* one cell per program, computed only if read: pass k's "after" is
-         pass k+1's "before" *)
-      let pending prog = Atomic.make (Pending (options, prog)) in
-      let current_summaries = ref (pending p0) in
-      let no_summaries = Atomic.make (Done []) in
       List.iter
         (fun pass ->
-          let size_before = measure !current in
-          let f_before = !current_summaries in
+          let input = !current in
           let t0 = now_ms () in
           let attempt () =
             match sabotage pass.name with
@@ -463,7 +445,7 @@ module Pipeline = struct
             | `Corrupt ->
                 (* ship the real result minus one assignment: still
                    structurally plausible, semantically wrong *)
-                let p', events = pass.rewrite ctx !current in
+                let p', events = pass.rewrite ctx input in
                 (corrupt_program p', events)
           in
           let result =
@@ -485,10 +467,8 @@ module Pipeline = struct
               {
                 pass_name = pass.name;
                 wall_ms;
-                size_before;
-                size_after = size_before;
-                f_before;
-                f_after = no_summaries;
+                input;
+                output = input;
                 validated;
                 degraded = Some reason;
                 events;
@@ -501,24 +481,19 @@ module Pipeline = struct
               match if per_pass then divergence p' else None with
               | Some detail -> degrade ~validated:false ~events detail
               | None ->
-                  let f_after = pending p' in
                   current := p';
-                  current_summaries := f_after;
-                  accepted := (pass.name, p') :: !accepted;
                   record
                     {
                       pass_name = pass.name;
                       wall_ms;
-                      size_before;
-                      size_after = measure p';
-                      f_before;
-                      f_after;
+                      input;
+                      output = p';
                       validated = true;
                       degraded = None;
                       events;
                     }))
         passes;
-      (!current, List.rev !entries, List.rev !accepted)
+      (!current, List.rev !entries)
     in
     let check_ms = ref 0.0 in
     let timed_check f =
@@ -532,19 +507,17 @@ module Pipeline = struct
        when it diverges (or runs away) is the pipeline replayed with the
        per-pass check, which repeats the per-pass rollback decisions
        exactly: same passes, same chaos draws. *)
-    let final, entries, accepted =
-      let ((final, _, _) as once) = run_passes ~per_pass:false in
+    let final, entries =
+      let ((final, _) as once) = run_passes ~per_pass:false in
       if final != p0 && timed_check (fun () -> divergence final) <> None then
         timed_check (fun () -> run_passes ~per_pass:true)
       else once
     in
-    Option.iter
-      (fun f -> List.iter (fun (name, p') -> f name p') accepted)
-      observe;
     let profiles f ~none = match source with Some s -> f s.snapshots | None -> none in
     ( final,
       {
         program_name = p.p_name;
+        options;
         entries;
         total_ms = now_ms () -. t_start;
         check_ms = !check_ms;
@@ -562,10 +535,11 @@ module Pipeline = struct
       trace.profile_resumed trace.profile_ms;
     List.iter
       (fun e ->
+        let before = measure e.input and after = measure e.output in
         Format.fprintf ppf
           "  %-14s %7.2f ms  stmts %d->%d  refs %d->%d  [%s]@," e.pass_name
-          e.wall_ms e.size_before.stmts e.size_after.stmts
-          e.size_before.static_refs e.size_after.static_refs
+          e.wall_ms before.stmts after.stmts before.static_refs
+          after.static_refs
           (match e.degraded with
           | Some _ -> "DEGRADED"
           | None -> if e.validated then "ok" else "INVALID");
@@ -609,27 +583,39 @@ module Pipeline = struct
            l)
     ^ "]"
 
-  let entry_to_json e =
+  let entry_to_json summaries e =
+    let before = measure e.input and after = measure e.output in
     Printf.sprintf
       "{\"name\":\"%s\",\"wall_ms\":%s,\"stmts_before\":%d,\"stmts_after\":%d,\"refs_before\":%d,\"refs_after\":%d,\"validated\":%b,\"degraded\":%s,\"f_before\":%s,\"f_after\":%s,\"events\":[%s]}"
       (json_escape e.pass_name) (json_float e.wall_ms)
-      e.size_before.stmts e.size_after.stmts e.size_before.static_refs
-      e.size_after.static_refs e.validated
+      before.stmts after.stmts before.static_refs after.static_refs
+      e.validated
       (match e.degraded with
       | Some r -> "\"" ^ json_escape r ^ "\""
       | None -> "null")
-      (summaries_to_json (summaries e.f_before))
-      (summaries_to_json (summaries e.f_after))
+      (summaries e.input)
+      (if Option.is_none e.degraded then summaries e.output else "[]")
       (String.concat ","
          (List.map
             (fun ev -> "\"" ^ json_escape (event_label ev) ^ "\"")
             e.events))
 
   let trace_to_json trace =
+    (* an entry's input is physically the previous entry's output (or
+       input, after a rollback): summarize each program once *)
+    let last = ref None in
+    let summaries p =
+      match !last with
+      | Some (q, json) when q == p -> json
+      | _ ->
+          let json = summaries_to_json (nest_summaries trace.options p) in
+          last := Some (p, json);
+          json
+    in
     Printf.sprintf
       "{\"program\":\"%s\",\"total_ms\":%s,\"check_ms\":%s,\"profile_runs\":%d,\"profile_resumed\":%d,\"profile_ms\":%s,\"passes\":[%s]}"
       (json_escape trace.program_name)
       (json_float trace.total_ms) (json_float trace.check_ms)
       trace.profile_runs trace.profile_resumed (json_float trace.profile_ms)
-      (String.concat ",\n  " (List.map entry_to_json trace.entries))
+      (String.concat ",\n  " (List.map (entry_to_json summaries) trace.entries))
 end

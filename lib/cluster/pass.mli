@@ -6,9 +6,10 @@
     gives each stage the shape of classic compiler infrastructure: a
     named {!t} with a rewrite function, run by {!Pipeline.run}, which after {e every} pass renumbers and validates
     the program (failing fast with the offending pass named), checks the
-    final program's semantics against the source once, and records
-    wall-clock time, IR-size deltas and before/after f/α summaries
-    (computed when first read) into a structured {!Pipeline.trace}.
+    final program's semantics against the source once, and records each
+    pass's wall-clock time and the programs it received and shipped into
+    a structured {!Pipeline.trace}, from which IR-size deltas and
+    before/after f/α summaries are computed.
 
     The standard pipeline lives in {!Driver}; this module is the
     machinery plus the nest-traversal helpers the passes share. *)
@@ -166,30 +167,17 @@ module Pipeline : sig
   type nest_summary = { ns_inner : string; ns_alpha : float; ns_f : float }
   type ir_size = { stmts : int; static_refs : int }
 
-  type summaries
-  (** The f/α summaries of one program, {!nest_summaries} of it, computed
-      the first time {!summaries} reads them and kept from then on. Until
-      then the cell holds the program. *)
-
-  val summaries : summaries -> nest_summary list
-  (** Read (computing on the first read) the summaries. A first read costs
-      one whole-program locality analysis plus the dependence graph and f
-      of every innermost construct; later reads are free. Safe to call
-      from several domains at once: racing first reads compute equal lists
-      and raise nothing. *)
-
   type entry = {
     pass_name : string;
     wall_ms : float;
         (** the rewrite plus renumbering and validation; the semantic check
-            is timed in {!trace.check_ms}, the f/α summaries not at all *)
-    size_before : ir_size;
-    size_after : ir_size;
-    f_before : summaries;
-        (** of the program the pass received; physically the previous
-            accepted pass's [f_after] *)
-    f_after : summaries;
-        (** of the accepted program; empty when the pass was rolled back *)
+            is timed in {!trace.check_ms} *)
+    input : program;
+        (** the program the pass received: the renumbered source for the
+            first entry, physically the previous entry's [output] after *)
+    output : program;
+        (** the accepted program, or [input] itself when the pass was
+            rolled back *)
     validated : bool;
         (** false only on a degraded entry whose candidate failed
             validation or differential execution *)
@@ -202,6 +190,7 @@ module Pipeline : sig
 
   type trace = {
     program_name : string;
+    options : options;  (** the options the pipeline ran with *)
     entries : entry list;
     total_ms : float;
     check_ms : float;
@@ -221,6 +210,10 @@ module Pipeline : sig
   val degraded_passes : trace -> (string * string) list
   (** [(pass, reason)] for every degraded entry, in pipeline order. *)
 
+  val accepted : trace -> (string * program) list
+  (** [(pass, output)] for every entry that was not rolled back, in
+      pipeline order: the last output is the shipped program. *)
+
   val measure : program -> ir_size
 
   val nest_summaries : options -> program -> nest_summary list
@@ -229,7 +222,6 @@ module Pipeline : sig
       trace). *)
 
   val run :
-    ?observe:(string -> program -> unit) ->
     ?source:source ->
     options ->
     t list ->
@@ -254,17 +246,16 @@ module Pipeline : sig
       is rolled back: the trace entry records [degraded] with the reason
       (for a divergence, on the first divergent pass) and the pipeline
       continues from the last-good IR, so the worst case ships the
-      untransformed program, never a crash or wrong code.
-
-      [observe] is called, once the result is settled, with the pass name
-      and the accepted program of each pass of the shipped run that was
-      not rolled back. The entries' f/α summaries are not
-      computed here: a caller that never reads them never pays for them. *)
+      untransformed program, never a crash or wrong code. The trace is
+      that of the shipped run. *)
 
   val pp_trace : Format.formatter -> trace -> unit
+  (** Per pass: wall time, IR sizes ({!measure} of [input] and [output])
+      and status. *)
 
   val trace_to_json : trace -> string
   (** The trace as a self-contained JSON object (name, wall time, IR
-      deltas, validation status and f/α summaries per pass); reads, and so
-      computes, every entry's summaries. *)
+      sizes, validation status and, per pass, {!nest_summaries} of
+      [input] and of [output] — [[]] for a degraded entry's [output]).
+      The summaries are computed here, once per distinct program. *)
 end

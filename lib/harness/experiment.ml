@@ -18,7 +18,6 @@ type outcome = {
   spec : spec;
   result : Machine.result;
   cluster_report : Driver.report option;
-  trace : Pass.Pipeline.trace option;
   program : Ast.program;
 }
 
@@ -149,8 +148,7 @@ let execute_cached spec =
         (prefetched p, Some r)
   in
   let result = simulate_cached w cfg ~nprocs:spec.nprocs program in
-  let trace = Option.map (fun (r : Driver.report) -> r.Driver.trace) cluster_report in
-  { spec; result; cluster_report; trace; program }
+  { spec; result; cluster_report; program }
 
 let execute_all specs =
   let seen = Hashtbl.create 16 in

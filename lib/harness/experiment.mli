@@ -23,10 +23,9 @@ type spec = {
 type outcome = {
   spec : spec;
   result : Machine.result;
-  cluster_report : Driver.report option;  (** None for unclustered versions *)
-  trace : Pass.Pipeline.trace option;
-      (** the clustering pipeline's per-pass instrumentation (None for
-          unclustered versions) *)
+  cluster_report : Driver.report option;
+      (** None for unclustered versions; its [trace] is the clustering
+          pipeline's per-pass instrumentation *)
   program : Ast.program;  (** the program actually simulated *)
 }
 

@@ -35,15 +35,8 @@ let arr a i = ld (aref a i)
 let assign v e = Assign (Lscalar v, e)
 let store r e = Assign (Lmem r, e)
 
-let incr_mem r e =
-  (* the load and store are distinct static references; clone the ref *)
-  let load_ref = { r with ref_id = 0 } in
-  Assign (Lmem r, Binop (Add, Load load_ref, e))
-
 let loop ?(parallel = false) ?(step = 1) var lo hi body =
   Loop { var; lo; hi; step; parallel; body }
-
-let loop_c ?parallel var lo hi body = loop ?parallel var (cst lo) (cst hi) body
 
 let chase cvar ~init ~region ~next ?count cbody =
   Chase

@@ -61,12 +61,8 @@ val arr : string -> Affine.t -> expr
 
 val assign : string -> expr -> stmt
 val store : mem_ref -> expr -> stmt
-val incr_mem : mem_ref -> expr -> stmt
-(** [incr_mem r e] is [r := r + e] (introduces a load and a store). *)
 
 val loop : ?parallel:bool -> ?step:int -> string -> Affine.t -> Affine.t -> stmt list -> stmt
-val loop_c : ?parallel:bool -> string -> int -> int -> stmt list -> stmt
-(** Constant-bound convenience wrapper. *)
 
 val chase : string -> init:expr -> region:string -> next:int -> ?count:Affine.t -> stmt list -> stmt
 val if_ : expr -> stmt list -> stmt list -> stmt

@@ -51,21 +51,6 @@ let rec map_stmt f stmt =
   in
   f stmt
 
-let rec iter_exprs_in_stmt f stmt =
-  match stmt with
-  | Assign (_, e) -> f e
-  | Loop l -> List.iter (iter_exprs_in_stmt f) l.body
-  | Chase c ->
-      f c.init;
-      List.iter (iter_exprs_in_stmt f) c.cbody
-  | If (cond, t, e) ->
-      f cond;
-      List.iter (iter_exprs_in_stmt f) t;
-      List.iter (iter_exprs_in_stmt f) e
-  | Use e -> f e
-  | Barrier -> ()
-  | Prefetch _ -> () (* hint only: its subexpressions carry no dataflow *)
-
 (* ------------------------------------------------------------------ *)
 (* Renumbering                                                         *)
 (* ------------------------------------------------------------------ *)

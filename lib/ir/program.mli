@@ -11,15 +11,6 @@ val renumber : program -> program
 
 val max_ref_id : program -> int
 
-val map_refs : (mem_ref -> mem_ref) -> stmt -> stmt
-(** Rewrite every memory reference in a statement, including those nested
-    in expressions and left-hand sides. *)
-
-val iter_exprs_in_stmt : (expr -> unit) -> stmt -> unit
-(** Apply to every top-level expression of the statement and recursively in
-    children statements (the callback receives whole expressions; walk
-    inside them yourself if needed). *)
-
 (** A static reference together with its syntactic context. *)
 type ref_info = {
   ref_ : mem_ref;
@@ -40,8 +31,6 @@ val find_array : program -> string -> array_decl
 (** Raises [Not_found] for unknown arrays. *)
 
 val find_region : program -> string -> region_decl
-
-val array_exists : program -> string -> bool
 
 val validate : program -> (unit, string) result
 (** Structural checks: declared arrays/regions, positive steps and sizes,

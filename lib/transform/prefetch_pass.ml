@@ -26,6 +26,7 @@ and shift_ref var k r =
       { ref_id = 0; target = Indirect { array; index = shift_expr var k index } }
   | Field _ -> { r with ref_id = 0 }
 
+(* The per-loop worker: the new body and the number of prefetches added. *)
 let insert_in_body loc ~distance (l : loop) =
   let added = ref 0 in
   let hints =

@@ -19,7 +19,6 @@
     iterations, Mowry's rule with our static body size estimate. *)
 
 open Memclust_ir
-open Memclust_locality
 open Ast
 
 val distance_for : latency:int -> issue_width:int -> stmt list -> int
@@ -34,7 +33,3 @@ val insert :
 (** Insert prefetches into every innermost counted loop; returns the
     renumbered program and the number of prefetch statements added.
     Defaults: latency 85, issue width 4, 64-byte lines. *)
-
-val insert_in_body :
-  Locality.t -> distance:int -> loop -> stmt list * int
-(** The per-loop worker (exposed for tests): returns the new body. *)

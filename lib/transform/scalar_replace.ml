@@ -124,6 +124,7 @@ and sub_block env stmts =
     List.rev child.out
   end
 
+(* The rewritten body and the number of loads eliminated. *)
 let apply_body stmts =
   if has_irregular_store stmts then (stmts, 0)
   else begin

@@ -10,10 +10,8 @@
 open Memclust_ir
 open Ast
 
-val apply_body : stmt list -> stmt list * int
-(** Returns the rewritten body and the number of loads eliminated
-    (forwarded or deduplicated). Nested loops are processed recursively,
-    each with a fresh value map. *)
-
 val apply_innermost : program -> program * int
-(** Apply to every innermost loop body of the program and renumber. *)
+(** Apply to every innermost loop body of the program and renumber;
+    returns the number of loads eliminated (forwarded or deduplicated).
+    Nested loops are processed recursively, each with a fresh value
+    map. *)

@@ -6,7 +6,7 @@
 
     Works at statement granularity on a dependence graph built from scalar
     def/use chains and conservative memory conflicts (same array, same
-    region, or any irregular store). Run {!Scalar_replace.apply_body}
+    region, or any irregular store). Run {!Scalar_replace.apply_innermost}
     first so leading loads are exposed as [tmp = load] statements. *)
 
 open Memclust_ir

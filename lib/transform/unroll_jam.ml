@@ -56,6 +56,9 @@ let first_accesses stmts =
   List.iter stmt stmts;
   first
 
+(* All scalars written in the loop body are written before read (looking
+   only at the loop's own level of statements and descending through
+   conditionals): the condition for per-copy renaming to be sound. *)
 let scalars_privatizable (l : loop) =
   let first = first_accesses l.body in
   let written = Program.scalars_written l.body in

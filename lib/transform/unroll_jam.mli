@@ -38,8 +38,3 @@ val apply :
     [parallel] skips the array-dependence test but still requires its
     written scalars to be privatizable. [interchange_postlude] defaults to
     true. The caller must renumber the enclosing program afterwards. *)
-
-val scalars_privatizable : loop -> bool
-(** All scalars written in the loop body are written before read (looking
-    only at the loop's own level of statements and descending through
-    conditionals) — the condition for per-copy renaming to be sound. *)

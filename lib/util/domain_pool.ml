@@ -91,10 +91,12 @@ let run_batch t n run =
 
 let inline_only t = Array.length t.workers = 0 || Domain.DLS.get in_worker
 
-(* A structured [Error.Error] (a simulator deadlock, an invalid config)
-   is deterministic: running the task again would fail the same way, so
-   only other exceptions get the retry. *)
-let attempt ~attempts ~task f x =
+(* Tries per task: one retry. A structured [Error.Error] (a simulator
+   deadlock, an invalid config) is deterministic: running the task again
+   would fail the same way, so only other exceptions get the retry. *)
+let attempts = 2
+
+let attempt ~task f x =
   let rec go k =
     match f x with
     | v -> Ok v
@@ -105,8 +107,7 @@ let attempt ~attempts ~task f x =
   in
   go 1
 
-let map_result ?(attempts = 2) ?task_name t f xs =
-  let attempts = max 1 attempts in
+let map_result ?task_name t f xs =
   let name i x =
     match task_name with
     | Some g -> g x
@@ -115,14 +116,14 @@ let map_result ?(attempts = 2) ?task_name t f xs =
   match xs with
   | [] -> []
   | _ when inline_only t ->
-      List.mapi (fun i x -> attempt ~attempts ~task:(name i x) f x) xs
+      List.mapi (fun i x -> attempt ~task:(name i x) f x) xs
   | _ ->
       let args = Array.of_list xs in
       let n = Array.length args in
       let results = Array.make n None in
       run_batch t n (fun i ->
           results.(i) <-
-            Some (attempt ~attempts ~task:(name i args.(i)) f args.(i)));
+            Some (attempt ~task:(name i args.(i)) f args.(i)));
       Array.to_list
         (Array.mapi
            (fun i r ->

@@ -19,7 +19,6 @@ val size : t -> int
 (** Number of worker domains (0 means [map_result] runs inline). *)
 
 val map_result :
-  ?attempts:int ->
   ?task_name:('a -> string) ->
   t ->
   ('a -> 'b) ->
@@ -34,9 +33,9 @@ val map_result :
 
     It never raises. A task that raises [Error.Error] (a deterministic
     failure such as a simulator deadlock) yields that [Error.t] in its
-    slot at once, without a retry. Any other exception gets up to
-    [attempts] tries (default 2, i.e. one retry — transient failures
-    such as an OOM-killed allocation often succeed on retry); a task that
+    slot at once, without a retry. Any other exception gets two tries
+    (one retry — transient failures such as an OOM-killed allocation
+    often succeed on retry); a task that
     still fails yields [Worker_crashed] naming the task (via [task_name],
     default ["task-<i>"]). Every other task's result is preserved. *)
 

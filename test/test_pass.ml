@@ -173,16 +173,13 @@ let test_differential_passes () =
       let d0 = Data.create base in
       w.Workload.init d0;
       Exec.run base d0;
-      let observed = ref [] in
-      let (_ : Ast.program * Driver.report) =
-        Driver.run ~options:no_profile ~init:w.Workload.init
-          ~observe:(fun pass p -> observed := (pass, p) :: !observed)
-          w.Workload.program
+      let _, report =
+        Driver.run ~options:no_profile ~init:w.Workload.init w.Workload.program
       in
+      let accepted = Pass.Pipeline.accepted report.Driver.trace in
       Alcotest.(check bool)
-        (w.Workload.name ^ ": observe fired")
-        true
-        (!observed <> []);
+        (w.Workload.name ^ ": passes accepted")
+        true (accepted <> []);
       List.iter
         (fun (pass, p) ->
           let d = Data.create p in
@@ -193,7 +190,7 @@ let test_differential_passes () =
               (Printf.sprintf
                  "%s: program after pass %S diverges from the base semantics"
                  w.Workload.name pass))
-        (List.rev !observed))
+        accepted)
     (Registry.small ())
 
 (* ----------------------------- guard ------------------------------- *)
@@ -230,10 +227,10 @@ let contains s needle =
   in
   scan 0
 
-(* [observe] sees only the passes of the run whose result ships: a pass
-   rolled back after the final check's replay is not observed, and the
-   last observed program is the shipped one. *)
-let test_observe_sees_shipped_run () =
+(* The trace is the shipped run's: a pass rolled back after the final
+   check's replay is not accepted, and the last accepted program is the
+   shipped one. *)
+let test_accepted_is_shipped_run () =
   let w = Lu.make ~n:16 ~block:8 () in
   let options =
     {
@@ -241,23 +238,17 @@ let test_observe_sees_shipped_run () =
       chaos = Some { Pass.chaos_seed = 0; chaos_rate = 0.0; fail_pass = Some "unroll-jam" };
     }
   in
-  let observed = ref [] in
-  let shipped, report =
-    Driver.run ~options ~init:w.Workload.init
-      ~observe:(fun pass p -> observed := (pass, p) :: !observed)
-      w.Workload.program
-  in
+  let shipped, report = Driver.run ~options ~init:w.Workload.init w.Workload.program in
+  let t = report.Driver.trace in
+  let accepted = Pass.Pipeline.accepted t in
   Alcotest.(check (list string)) "accepted passes, in order"
     [ "uniquify"; "analyze"; "window-unroll"; "scalar-replace"; "schedule" ]
-    (List.rev_map fst !observed);
-  Alcotest.(check bool) "last observed program ships" true
-    (match !observed with (_, p) :: _ -> p == shipped | [] -> false);
-  let t = report.Driver.trace in
+    (List.map fst accepted);
+  Alcotest.(check bool) "last accepted program ships" true
+    (match List.rev accepted with (_, p) :: _ -> p == shipped | [] -> false);
   Alcotest.(check bool) "check time recorded" true (t.Pass.Pipeline.check_ms > 0.0);
   Alcotest.(check bool) "check_ms in the JSON trace" true
     (contains (Pass.Pipeline.trace_to_json t) "\"check_ms\":")
-
-(* --------------------- f/α summaries on demand --------------------- *)
 
 let small name =
   List.find (fun w -> String.equal w.Workload.name name) (Registry.small ())
@@ -286,70 +277,49 @@ let test_profile_counters () =
     ( unsourced.Driver.trace.Pass.Pipeline.profile_runs,
       unsourced.Driver.trace.Pass.Pipeline.profile_resumed )
 
-let cluster_observed name =
-  let w = small name in
-  let observed = ref [] in
-  let _, report =
-    Driver.run ~init:w.Workload.init
-      ~observe:(fun pass p -> observed := (pass, p) :: !observed)
-      w.Workload.program
-  in
-  (w, report.Driver.trace, !observed)
+(* ------------------------- entries chain --------------------------- *)
 
-(* Each entry's summaries, read after the run, are [nest_summaries] of the
-   program that pass shipped; the "before" of an accepted pass is
-   physically the "after" of the previous accepted one. *)
-let test_summaries_on_first_read () =
-  let options = Driver.default_options in
+(* Each entry holds the program its pass received and the one it shipped:
+   the first input is the renumbered source, every later input is
+   physically the previous output, a rolled-back pass ships its input,
+   and the last output is the shipped program. LU with unroll-jam
+   sabotaged covers a degraded entry. *)
+let test_entries_chain () =
+  let fail_uj =
+    {
+      Driver.default_options with
+      chaos = Some { Pass.chaos_seed = 0; chaos_rate = 0.0; fail_pass = Some "unroll-jam" };
+    }
+  in
   List.iter
-    (fun name ->
-      let w, trace, observed = cluster_observed name in
-      let same what expected cell =
-        Alcotest.(check bool) (name ^ " " ^ what) true
-          (compare expected (Pass.Pipeline.summaries cell) = 0)
-      in
-      let previous = ref None in
-      List.iter
-        (fun (e : Pass.Pipeline.entry) ->
-          if e.Pass.Pipeline.degraded = None then begin
+    (fun (name, options, degraded) ->
+      let w = small name in
+      let shipped, report = Driver.run ~options ~init:w.Workload.init w.Workload.program in
+      let check what b = Alcotest.(check bool) (name ^ " " ^ what) true b in
+      Alcotest.(check (list string)) (name ^ " degraded passes") degraded
+        (List.map fst (Pass.Pipeline.degraded_passes report.Driver.trace));
+      let last =
+        List.fold_left
+          (fun input (e : Pass.Pipeline.entry) ->
             let pass = e.Pass.Pipeline.pass_name in
-            (match !previous with
+            (match input with
             | None ->
-                same "source summaries"
-                  (Pass.Pipeline.nest_summaries options (Program.renumber w.Workload.program))
-                  e.Pass.Pipeline.f_before
-            | Some cell ->
-                Alcotest.(check bool) (name ^ " " ^ pass ^ " before is the previous after")
-                  true (e.Pass.Pipeline.f_before == cell));
-            same (pass ^ " after")
-              (Pass.Pipeline.nest_summaries options (List.assoc pass observed))
-              e.Pass.Pipeline.f_after;
-            previous := Some e.Pass.Pipeline.f_after
-          end)
-        trace.Pass.Pipeline.entries;
-      Alcotest.(check bool) (name ^ " summaries not empty") true
-        (match !previous with
-        | Some cell -> Pass.Pipeline.summaries cell <> []
-        | None -> false))
-    [ "Latbench"; "Em3d"; "FFT"; "LU" ]
-
-(* Two domains read one trace's unread summaries at once: equal lists, no
-   exception (a [Lazy.t] shared between domains would raise). *)
-let test_summaries_two_domains () =
-  let _, trace, observed = cluster_observed "FFT" in
-  let cells =
-    List.concat_map
-      (fun (e : Pass.Pipeline.entry) -> [ e.Pass.Pipeline.f_before; e.Pass.Pipeline.f_after ])
-      trace.Pass.Pipeline.entries
-  in
-  let read () = List.map Pass.Pipeline.summaries cells in
-  let d1 = Domain.spawn read and d2 = Domain.spawn read in
-  let r1 = Domain.join d1 and r2 = Domain.join d2 in
-  Alcotest.(check bool) "both domains read equal lists" true (compare r1 r2 = 0);
-  Alcotest.(check bool) "and the shipped program's summaries" true
-    (compare (List.nth r1 (List.length r1 - 1))
-       (Pass.Pipeline.nest_summaries Driver.default_options (List.assoc "schedule" observed))
-    = 0)
+                check "first input is the renumbered source"
+                  (e.Pass.Pipeline.input = Program.renumber w.Workload.program)
+            | Some p -> check (pass ^ " input is the previous output") (e.Pass.Pipeline.input == p));
+            if Option.is_some e.Pass.Pipeline.degraded then
+              check (pass ^ " rolled back ships its input")
+                (e.Pass.Pipeline.output == e.Pass.Pipeline.input);
+            Some e.Pass.Pipeline.output)
+          None report.Driver.trace.Pass.Pipeline.entries
+      in
+      check "last output ships" (match last with Some p -> p == shipped | None -> false))
+    [
+      ("Latbench", Driver.default_options, []);
+      ("Em3d", Driver.default_options, []);
+      ("FFT", Driver.default_options, []);
+      ("LU", fail_uj, [ "unroll-jam" ]);
+    ]
 
 (* ------------------------- pinned output --------------------------- *)
 
@@ -417,13 +387,16 @@ let test_pinned_output () =
   List.iter
     (fun (name, label, program_digest, report_digest, summaries_digest) ->
       let p, report = cluster_small name label in
+      let trace = report.Driver.trace in
+      let summarize = Pass.Pipeline.nest_summaries trace.Pass.Pipeline.options in
       let summaries =
         List.map
           (fun (e : Pass.Pipeline.entry) ->
             ( e.Pass.Pipeline.pass_name,
-              Pass.Pipeline.summaries e.Pass.Pipeline.f_before,
-              Pass.Pipeline.summaries e.Pass.Pipeline.f_after ))
-          report.Driver.trace.Pass.Pipeline.entries
+              summarize e.Pass.Pipeline.input,
+              if Option.is_some e.Pass.Pipeline.degraded then []
+              else summarize e.Pass.Pipeline.output ))
+          trace.Pass.Pipeline.entries
       in
       let what = name ^ "@" ^ label in
       Alcotest.(check string) (what ^ " program") program_digest
@@ -489,17 +462,12 @@ let () =
         [
           Alcotest.test_case "declaration change is invalid IR" `Quick
             test_declaration_change_is_invalid;
-          Alcotest.test_case "observe sees the shipped run" `Quick
-            test_observe_sees_shipped_run;
+          Alcotest.test_case "accepted is the shipped run" `Quick
+            test_accepted_is_shipped_run;
           Alcotest.test_case "profile counters" `Quick test_profile_counters;
         ] );
-      ( "summaries",
-        [
-          Alcotest.test_case "computed on first read" `Quick
-            test_summaries_on_first_read;
-          Alcotest.test_case "read from two domains" `Quick
-            test_summaries_two_domains;
-        ] );
+      ( "trace",
+        [ Alcotest.test_case "entries chain" `Quick test_entries_chain ] );
       ( "traversal",
         [
           Alcotest.test_case "postlude-shifted nests" `Quick

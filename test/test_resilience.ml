@@ -53,6 +53,34 @@ let test_watchdog_reports_deadlock () =
         && String.index_opt d.state_dump 'p' <> None)
   | exception e -> raise e
 
+let contains s needle =
+  let nl = String.length needle in
+  let rec scan i =
+    i + nl <= String.length s && (String.sub s i nl = needle || scan (i + 1))
+  in
+  scan 0
+
+(* The wall-clock budget, read every 8192 loop iterations, stops a run
+   that outlives it, whether set by [?time_budget] or by
+   MEMCLUST_TIME_BUDGET_S (restored to "0", disabled, afterwards). *)
+let test_time_budget_stops_long_run () =
+  let l = lowered (Registry.latbench ()) ~nprocs:1 in
+  let expect_budget what run =
+    match run () with
+    | (_ : Machine.result) -> Alcotest.fail (what ^ ": a 1 us budget must stop the run")
+    | exception Error.Error (Error.Sim_deadlock d) ->
+        Alcotest.(check bool) (what ^ ": reason names the wall-clock budget") true
+          (contains d.reason "wall-clock budget")
+  in
+  let run ?time_budget () =
+    Machine.run ?time_budget ~mode:Machine.Cycle Config.base ~home:(fun _ -> 0) l
+  in
+  expect_budget "?time_budget" (run ~time_budget:1e-6);
+  Unix.putenv "MEMCLUST_TIME_BUDGET_S" "1e-6";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "MEMCLUST_TIME_BUDGET_S" "0")
+    (fun () -> expect_budget "MEMCLUST_TIME_BUDGET_S" (run ?time_budget:None))
+
 (* --------------------------- fault injection ---------------------------- *)
 
 let run_with_faults ?plan () =
@@ -390,6 +418,8 @@ let () =
         [
           Alcotest.test_case "silent on healthy runs (all modes)" `Slow
             test_watchdog_silent_on_healthy_runs;
+          Alcotest.test_case "wall-clock budget stops a long run" `Quick
+            test_time_budget_stops_long_run;
           Alcotest.test_case "reports deadlock with state dump" `Quick
             test_watchdog_reports_deadlock;
         ] );

@@ -761,6 +761,9 @@ let schedule_matches_oracle loc body =
   done;
   same && permutation && !ordered && !relation
 
+let accepted report =
+  Memclust_cluster.Pass.Pipeline.accepted report.Memclust_cluster.Driver.trace
+
 (* Random nests, as generated, scalar-replaced and clustered up to the
    schedule pass (unroll-and-jam and inner unrolling make the bodies
    long). *)
@@ -769,17 +772,19 @@ let prop_schedule_oracle =
     Gen_program.arbitrary
     (fun cfg ->
       let p = Gen_program.build cfg in
-      let clustered = ref p in
-      ignore
-        (Memclust_cluster.Driver.run
-           ~options:{ Memclust_cluster.Driver.default_options with profile_pm = false }
-           ~observe:(fun name q -> if String.equal name "scalar-replace" then clustered := q)
-           p);
+      let _, report =
+        Memclust_cluster.Driver.run
+          ~options:{ Memclust_cluster.Driver.default_options with profile_pm = false }
+          p
+      in
+      let clustered =
+        Option.value ~default:p (List.assoc_opt "scalar-replace" (accepted report))
+      in
       List.for_all
         (fun q ->
           let loc = Memclust_locality.Locality.analyze ~line_size:64 q in
           List.for_all (schedule_matches_oracle loc) (innermost_bodies q))
-        [ p; fst (Scalar_replace.apply_innermost p); !clustered ])
+        [ p; fst (Scalar_replace.apply_innermost p); clustered ])
 
 (* Same-array accesses: same shape, different constants never alias; a
    different shape may alias; irregular accesses alias everything in
@@ -817,12 +822,8 @@ let test_schedule_oracle_fft () =
   in
   List.iter
     (fun (w : Memclust_workloads.Workload.t) ->
-      let jammed = ref None in
-      ignore
-        (Memclust_cluster.Driver.run ~init:w.init
-           ~observe:(fun name q -> if String.equal name "scalar-replace" then jammed := Some q)
-           w.program);
-      let q = Option.get !jammed in
+      let _, report = Memclust_cluster.Driver.run ~init:w.init w.program in
+      let q = List.assoc "scalar-replace" (accepted report) in
       let loc = Memclust_locality.Locality.analyze ~line_size:64 q in
       let bodies = innermost_bodies q in
       Alcotest.(check bool)
