@@ -211,6 +211,8 @@ let run_cmd =
     apply_sim_mode mode;
     let w = lookup name in
     let nprocs = Option.value ~default:w.Workload.mp_procs procs in
+    (try Lower.check_nprocs nprocs
+     with Invalid_argument m -> prerr_endline m; exit 1);
     let spec version =
       { Experiment.workload = w; config = Config.base; nprocs; version }
     in

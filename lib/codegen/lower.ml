@@ -7,8 +7,14 @@ type t = { traces : Trace.t array; barriers : int }
 let proc_bits = 6
 let proc_mask = (1 lsl proc_bits) - 1
 
+let check_nprocs nprocs =
+  if nprocs < 1 || nprocs > proc_mask then
+    invalid_arg
+      (Printf.sprintf "Lower.build: %d processors (must be in [1, %d])" nprocs
+         proc_mask)
+
 let build ?(nprocs = 1) (p : Ast.program) data =
-  assert (nprocs >= 1 && nprocs <= proc_mask);
+  check_nprocs nprocs;
   let traces = Array.init nprocs (fun _ -> Trace.create ()) in
   let cur = ref 0 in
   let barriers = ref 0 in

@@ -18,6 +18,12 @@ type t = {
 val build : ?nprocs:int -> Ast.program -> Data.t -> t
 (** Executes the program (mutating [data]) and returns the traces.
     Parallel loop iterations are block-distributed over [nprocs]
-    (default 1). *)
+    (default 1). Raises [Invalid_argument] (see {!check_nprocs}) unless
+    [nprocs] is in [\[1, 63\]]: a dependence token packs the processor
+    into 6 bits. *)
+
+val check_nprocs : int -> unit
+(** Raises [Invalid_argument], naming the valid range [\[1, 63\]], for a
+    processor count {!build} rejects; does nothing otherwise. *)
 
 val total_instructions : t -> int

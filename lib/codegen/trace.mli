@@ -2,10 +2,13 @@
 
     The lowering pass runs the IR executor once and records every dynamic
     operation with its register dataflow (up to two producer indices).
-    The trace is one [Bytes] buffer of 24-byte records (aux as a 64-bit
-    integer; each dependence as a 32-bit distance back, 0 for none; the
-    reference id as a 32-bit integer; the kind as one byte), doubled as
-    it fills. The buffer is never scanned by the GC, so
+    The trace is a table of [Bytes] chunks of 2^16 24-byte records each
+    (aux as a 64-bit integer; each dependence as a 32-bit distance back,
+    0 for none; the reference id as a 32-bit integer; the kind as one
+    byte). Records are written in place: a chunk is allocated when the
+    length reaches a multiple of 2^16, only the small table of chunk
+    pointers is doubled, no record is ever copied, and only the last
+    chunk is partly filled. The chunks are never scanned by the GC, so
     multi-million-instruction traces stay cheap to build and to hold. The
     out-of-order core consumes a trace by index. *)
 
@@ -37,8 +40,14 @@ val dep2 : t -> int -> int
 val ref_id : t -> int -> int
 
 val count_kind : t -> kind -> int
+(** The number of instructions of that kind pushed so far, counted by
+    {!push}: O(1). *)
 
 (**/**)
+
+val chunk : int
+(** Records per chunk, so a test can place lengths and dependences
+    around chunk boundaries. *)
 
 val set_length_for_testing : t -> int -> unit
 (** Claim that [n] instructions have been pushed, without storing them,

@@ -23,25 +23,27 @@ let empty =
     distinct_lines = 0;
   }
 
-let add_trace ?(line_size = 64) lines acc trace =
-  let acc = ref acc in
+(* the kind totals are the traces' push-time counts; only the distinct
+   lines need a scan *)
+let add_trace ~line_size lines acc trace =
+  let n k = Trace.count_kind trace k in
   for i = 0 to Trace.length trace - 1 do
-    let a = !acc in
-    (match Trace.kind trace i with
-    | Trace.Int_op -> acc := { a with int_ops = a.int_ops + 1 }
-    | Trace.Fp_op -> acc := { a with fp_ops = a.fp_ops + 1 }
-    | Trace.Load ->
-        Hashtbl.replace lines (Trace.aux trace i / line_size) ();
-        acc := { a with loads = a.loads + 1 }
-    | Trace.Store ->
-        Hashtbl.replace lines (Trace.aux trace i / line_size) ();
-        acc := { a with stores = a.stores + 1 }
-    | Trace.Branch -> acc := { a with branches = a.branches + 1 }
-    | Trace.Barrier_op -> acc := { a with barriers = a.barriers + 1 }
-    | Trace.Prefetch_op -> acc := { a with prefetches = a.prefetches + 1 });
-    acc := { !acc with total = !acc.total + 1 }
+    match Trace.kind trace i with
+    | Trace.Load | Trace.Store ->
+        Hashtbl.replace lines (Trace.aux trace i / line_size) ()
+    | _ -> ()
   done;
-  !acc
+  {
+    acc with
+    total = acc.total + Trace.length trace;
+    int_ops = acc.int_ops + n Trace.Int_op;
+    fp_ops = acc.fp_ops + n Trace.Fp_op;
+    loads = acc.loads + n Trace.Load;
+    stores = acc.stores + n Trace.Store;
+    branches = acc.branches + n Trace.Branch;
+    barriers = acc.barriers + n Trace.Barrier_op;
+    prefetches = acc.prefetches + n Trace.Prefetch_op;
+  }
 
 let of_lowered ?(line_size = 64) (l : Lower.t) =
   let lines = Hashtbl.create 1024 in

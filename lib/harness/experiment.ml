@@ -74,7 +74,8 @@ let scaled_config (cfg : Config.t) (w : Workload.t) =
    transformation) hash together. The trace and the home map are
    immutable once built, so sharing across runs is safe. Lowered traces
    are the largest values we memoize (24 bytes per instruction, in
-   buffers the GC never scans), so this cache has the smallest cap. *)
+   chunks of 2^16 instructions the GC never scans, with at most one
+   partly filled chunk per trace), so this cache has the smallest cap. *)
 let lower_cache : (Lower.t * (int -> int)) Analysis_cache.t =
   Analysis_cache.create ~cap:32 ~name:"harness-lower" ()
 

@@ -121,15 +121,7 @@ let create (sh : shared) ~proc trace =
     wpending = Queue.create ();
     winflight = Pqueue.create ();
     wstalled = Array.make cap false;
-    has_barriers =
-      (let n = Trace.length trace in
-       let rec scan i =
-         i < n
-         && (match Trace.kind trace i with
-            | Trace.Barrier_op -> true
-            | _ -> scan (i + 1))
-       in
-       scan 0);
+    has_barriers = Trace.count_kind trace Trace.Barrier_op > 0;
     progressed = false;
     stall = Uncharged;
     retries = 0;

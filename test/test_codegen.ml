@@ -119,9 +119,10 @@ let gen_instr =
     (fun (k, a, (d1, d2), r) -> (k, a, d1, d2, r))
     (quad (int_range 0 6) aux (pair dist dist) ref_)
 
-(* Every field reads back as pushed, across the trace's doublings (4096,
-   8192 on a bare trace; 65536 behind a 61440-instruction prefix, which
-   also makes distances above 65536 reachable). *)
+(* Every field reads back as pushed, within the first chunk on a bare
+   trace and across the first chunk boundary (65536) behind a
+   61440-instruction prefix, which also makes distances above 65536
+   reachable. *)
 let prop_trace_fields_roundtrip =
   QCheck.Test.make ~name:"trace fields round-trip through the packed records"
     ~count:10
@@ -164,6 +165,78 @@ let prop_trace_fields_roundtrip =
         && (prefix = 0 || !far > 0)
       in
       check ~prefix:0 && check ~prefix:61_440)
+
+(* Lengths of k chunks - 1, k chunks and k chunks + 1 for k = 1..3, with
+   dependences reaching back to the start of the current chunk, just
+   across the previous boundary, and more than a chunk back. The first
+   record of every chunk depends on the last of the one before, and the
+   last record of a trace longer than a chunk reaches back more than a
+   chunk, so every case crosses the boundaries it has. Every field reads
+   back as pushed and [count_kind] equals a scan. *)
+let prop_trace_chunk_boundaries =
+  let c = Trace.chunk in
+  let check rs n =
+    let t = Trace.create () in
+    let kinds = Array.make n 0 and auxs = Array.make n 0 in
+    let d1s = Array.make n (-1) and d2s = Array.make n (-1) in
+    let refs = Array.make n 0 in
+    let dep i =
+      let d =
+        match Random.State.int rs 8 with
+        | 0 -> 0
+        | 1 -> 1
+        | 2 -> 1 + Random.State.int rs 64
+        | 3 -> (i land (c - 1)) + 1 (* the previous chunk's last record *)
+        | 4 -> i land (c - 1) (* the current chunk's first record *)
+        | 5 -> c
+        | 6 -> c + 1 + Random.State.int rs c
+        | _ -> 1 + Random.State.int rs (2 * c)
+      in
+      if d = 0 || d > i then -1 else i - d
+    in
+    for i = 0 to n - 1 do
+      kinds.(i) <- Random.State.int rs 7;
+      auxs.(i) <-
+        (match Random.State.int rs 5 with
+        | 0 -> min_int
+        | 1 -> max_int
+        | 2 -> -1
+        | _ -> Random.State.bits rs lxor (Random.State.bits rs lsl 33));
+      d1s.(i) <- (if i > 0 && i land (c - 1) = 0 then i - 1 else dep i);
+      d2s.(i) <- (if i = n - 1 && i > c then i - c - 1 else dep i);
+      refs.(i) <- (Random.State.bits rs * 2) + Random.State.int rs 2;
+      let j =
+        Trace.push t ~kind:(Trace.kind_of_code kinds.(i)) ~aux:auxs.(i)
+          ~dep1:d1s.(i) ~dep2:d2s.(i) ~ref_:refs.(i)
+      in
+      assert (j = i)
+    done;
+    let fields_ok = ref (Trace.length t = n) in
+    let scan = Array.make 7 0 in
+    for i = 0 to n - 1 do
+      let k = Trace.kind_code (Trace.kind t i) in
+      scan.(k) <- scan.(k) + 1;
+      if
+        k <> kinds.(i)
+        || Trace.aux t i <> auxs.(i)
+        || Trace.dep1 t i <> d1s.(i)
+        || Trace.dep2 t i <> d2s.(i)
+        || Trace.ref_id t i <> refs.(i)
+      then fields_ok := false
+    done;
+    !fields_ok
+    && List.for_all
+         (fun k -> Trace.count_kind t (Trace.kind_of_code k) = scan.(k))
+         [ 0; 1; 2; 3; 4; 5; 6 ]
+  in
+  QCheck.Test.make ~name:"trace fields and kind counts across chunk boundaries"
+    ~count:2
+    (QCheck.make ~print:string_of_int QCheck.Gen.int)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      List.for_all
+        (fun k -> List.for_all (fun d -> check rs ((k * c) + d)) [ -1; 0; 1 ])
+        [ 1; 2; 3 ])
 
 (* ------------------------------ Lower ------------------------------- *)
 
@@ -294,6 +367,21 @@ let test_lower_cross_proc_deps_dropped () =
   Alcotest.(check bool) "deps are local and backward" true !ok
 
 
+(* a dependence token packs the processor into 6 bits *)
+let test_lower_rejects_nprocs () =
+  let p = stream_program 4 in
+  List.iter
+    (fun nprocs ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d processors" nprocs)
+        (Invalid_argument
+           (Printf.sprintf "Lower.build: %d processors (must be in [1, 63])"
+              nprocs))
+        (fun () -> ignore (Lower.build ~nprocs p (Data.create p))))
+    [ 0; -1; 64 ];
+  Alcotest.(check int) "63 processors accepted" 63
+    (Array.length (Lower.build ~nprocs:63 p (Data.create p)).Lower.traces)
+
 let test_tracestats () =
   let n = 8 in
   let p = stream_program n in
@@ -329,6 +417,7 @@ let () =
           Alcotest.test_case "rejects out-of-range ref and length" `Quick
             test_trace_rejects_out_of_range;
           qtest prop_trace_fields_roundtrip;
+          qtest prop_trace_chunk_boundaries;
         ] );
       ( "lower",
         [
@@ -338,5 +427,7 @@ let () =
           Alcotest.test_case "multiprocessor split" `Quick test_lower_multiproc;
           Alcotest.test_case "cross-proc deps dropped" `Quick test_lower_cross_proc_deps_dropped;
           Alcotest.test_case "tracestats" `Quick test_tracestats;
+          Alcotest.test_case "rejects processor counts outside [1, 63]" `Quick
+            test_lower_rejects_nprocs;
         ] );
     ]
