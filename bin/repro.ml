@@ -233,9 +233,7 @@ let run_cmd =
     let c = go Experiment.Clustered in
     Format.printf "== %s on %d processor(s) ==@." w.Workload.name nprocs;
     let mix label (o : Experiment.outcome) =
-      let data = Data.create o.Experiment.program in
-      w.Workload.init data;
-      let lowered = Lower.build ~nprocs o.Experiment.program data in
+      let lowered, _ = Experiment.lowered_for w ~nprocs o.Experiment.program in
       Format.printf "%s mix: %a@." label Tracestats.pp (Tracestats.of_lowered lowered)
     in
     mix "base     " b;

@@ -208,16 +208,11 @@ let resolve_recurrences { Pass.options; source; stamp } p ~nest_var ~key parent
       outside enclosing
     in
     if not distributed then u
-    else begin
-      let env v =
-        match List.assoc_opt v p.params with Some k -> k | None -> raise Exit
-      in
-      match (Affine.eval env parent.lo, Affine.eval env parent.hi) with
-      | lo, hi ->
-          let trip = max 1 ((hi - lo + parent.step - 1) / parent.step) in
-          min u (max 1 (trip / options.machine.Machine_model.max_procs))
-      | exception Exit -> u
-    end
+    else
+      match Legality.trip ~params:p.params parent with
+      | Some (_, count) ->
+          min u (max 1 (count / options.machine.Machine_model.max_procs))
+      | None -> u
   in
   (* f is monotone in the unroll degree: binary-search the largest degree
      whose f stays within α·lp (the paper's contention-conscious rule).

@@ -37,6 +37,14 @@ val transform : Config.t -> Workload.t -> Ast.program * Driver.report
     name and analysis-side machine parameters — transformation is
     deterministic). *)
 
+val lowered_for :
+  Workload.t -> nprocs:int -> Ast.program -> Memclust_codegen.Lower.t * (int -> int)
+(** The program lowered for [nprocs] processors over a fresh store set up
+    by the workload's [init], with its address-to-home-node map; memoized
+    on the workload, [nprocs] and a content digest of the program (the
+    [harness-lower] memo, which {!simulate_cached} reads too). Shared:
+    treat it as read-only. *)
+
 val simulate_cached :
   Workload.t -> Config.t -> nprocs:int -> Ast.program -> Machine.result
 (** Lower (memoized on a structural program digest — one lowering serves

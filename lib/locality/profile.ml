@@ -11,8 +11,10 @@ type cache = {
   mutable clock : int;
 }
 
-let cache ~cache_bytes ~assoc ~line_size =
-  let nlines = Int.max assoc (cache_bytes / line_size) in
+(* the paper's scaled L2: 64 KB, 4-way *)
+let cache ~line_size =
+  let assoc = 4 in
+  let nlines = Int.max assoc (64 * 1024 / line_size) in
   let sets = Int.max 1 (nlines / assoc) in
   let line_shift =
     let rec log2 v acc = if v <= 1 then acc else log2 (v lsr 1) (acc + 1) in
@@ -69,17 +71,14 @@ let runs s = s.runs
 let resumed s = s.resumed
 let run_ms s = s.ms
 
-let run ?(cache_bytes = 64 * 1024) ?(assoc = 4) ?(line_size = 64) ?snapshots
-    ?(record = false) p data =
+let run ?(line_size = 64) ?snapshots ?(record = false) p data =
   let t0 = Unix.gettimeofday () in
   let n = Program.max_ref_id p + 1 in
   let t = { acc = Array.make n 0; mis = Array.make n 0 } in
-  let c = cache ~cache_bytes ~assoc ~line_size in
-  (* the cache geometry and the whole program: its statements, and the
+  let c = cache ~line_size in
+  (* the line size and the whole program: its statements, and the
      parameters and declarations its loop bounds and layout depend on *)
-  let key q =
-    Memclust_util.Analysis_cache.content_digest (cache_bytes, assoc, line_size, q)
-  in
+  let key q = Memclust_util.Analysis_cache.content_digest (line_size, q) in
   let resume_from =
     match (snapshots, List.rev p.Ast.body) with
     | Some s, last :: (_ :: _ as before) ->

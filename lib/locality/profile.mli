@@ -15,7 +15,7 @@ type snapshots
     the state of a run just before one top-level statement — a copy of
     the store, the bound scalars and op count ({!Exec.state}), the cache
     and the per-reference counts — keyed by a content digest of the
-    statements before it (with the cache geometry and the program's
+    statements before it (with the line size and the program's
     parameters and declarations). Not a memo: a profile resumed from a
     snapshot is exactly the profile of a run from the start. *)
 
@@ -32,8 +32,6 @@ val run_ms : snapshots -> float
 (** Wall time of {!runs}, in ms. *)
 
 val run :
-  ?cache_bytes:int ->
-  ?assoc:int ->
   ?line_size:int ->
   ?snapshots:snapshots ->
   ?record:bool ->
@@ -41,8 +39,8 @@ val run :
   Data.t ->
   t
 (** Execute the program over a private copy of [data] (the caller's store
-    is not modified) and profile it. Defaults: 64 KB, 4-way, 64 B lines —
-    the paper's scaled L2.
+    is not modified) and profile it through the paper's scaled L2: 64 KB,
+    4-way, with [line_size]-byte lines (default 64).
 
     With [snapshots] (which must hold only snapshots over [data]), if the
     table has the state of a run just before the program's last top-level

@@ -4,8 +4,9 @@ open Ast
 (* Scalars whose first access in the body is a write are privatizable:
    renaming them per copy removes false dependences between copies so the
    miss-packing scheduler can interleave them. Loop-carried scalars (read
-   before written) keep their shared name, preserving semantics. *)
-let privatizable_scalars stmts =
+   before written) keep their shared name, preserving semantics. A
+   pre-order walk visits the accesses in the body's execution order. *)
+let write_first_scalars stmts =
   let first : (string, [ `Read | `Write ]) Hashtbl.t = Hashtbl.create 8 in
   let note v kind = if not (Hashtbl.mem first v) then Hashtbl.add first v kind in
   let rec expr e =
@@ -49,55 +50,46 @@ let privatizable_scalars stmts =
     (fun v -> Hashtbl.find_opt first v = Some `Write)
     (Program.scalars_written stmts)
 
-let const_bounds ~params (l : loop) =
-  let env v =
-    match List.assoc_opt v params with Some k -> k | None -> raise Exit
-  in
-  match (Affine.eval env l.lo, Affine.eval env l.hi) with
-  | lo, hi -> Some (lo, hi)
-  | exception Exit -> None
+let unroll ~params ~tag ~stamp ~factor ~renamed ~combine (l : loop) =
+  match Legality.trip ~params l with
+  | None -> Error "loop bounds are not constant under the parameters"
+  | Some (_, count) when count < factor ->
+      Error "fewer iterations than the unroll factor"
+  | Some (first, count) ->
+      let s = l.step in
+      let copy k =
+        let rename st =
+          if k = 0 then st
+          else
+            Subst.rename_scalars
+              (fun v ->
+                if List.mem v renamed then Subst.copy_name ~tag ~stamp ~copy:k v
+                else v)
+              st
+        in
+        List.map (fun st -> rename (Subst.shift_var l.var (k * s) st)) l.body
+      in
+      let main =
+        {
+          l with
+          step = s * factor;
+          hi = Affine.sub l.hi (Affine.const ((factor - 1) * s));
+          body = combine (List.init factor copy);
+        }
+      in
+      let rem = count mod factor in
+      Ok
+        ( main,
+          if rem = 0 then None
+          else Some { l with lo = Affine.const (first + ((count - rem) * s)) } )
 
 let apply ?(params = []) ~stamp ~factor (l : loop) =
   if factor <= 1 then Ok [ Loop l ]
-  else begin
-    match const_bounds ~params l with
-    | None -> Error "loop bounds are not constant under the parameters"
-    | Some (lo, hi) ->
-        let s = l.step in
-        let count = if hi > lo then (hi - lo + s - 1) / s else 0 in
-        if count < factor then Error "fewer iterations than the unroll factor"
-        else begin
-          let to_rename = privatizable_scalars l.body in
-          let body =
-            List.concat
-              (List.init factor (fun k ->
-                   let rename st =
-                     if k = 0 then st
-                     else
-                       Subst.rename_scalars
-                         (fun v ->
-                           if List.mem v to_rename then
-                             Subst.copy_name ~tag:'k' ~stamp ~copy:k v
-                           else v)
-                         st
-                   in
-                   List.map (fun st -> rename (Subst.shift_var l.var (k * s) st)) l.body))
-          in
-          let main =
-            Loop
-              {
-                l with
-                step = s * factor;
-                hi = Affine.sub l.hi (Affine.const ((factor - 1) * s));
-                body;
-              }
-          in
-          let rem = count mod factor in
-          let postlude =
-            if rem = 0 then []
-            else
-              [ Loop { l with lo = Affine.const (lo + ((count - rem) * s)) } ]
-          in
-          Ok (main :: postlude)
-        end
-  end
+  else
+    match
+      unroll ~params ~tag:'k' ~stamp ~factor ~renamed:(write_first_scalars l.body)
+        ~combine:List.concat l
+    with
+    | Error msg -> Error msg
+    | Ok (main, None) -> Ok [ Loop main ]
+    | Ok (main, Some leftover) -> Ok [ Loop main; Loop leftover ]

@@ -43,6 +43,14 @@ let ranges_of_nest ~params nest =
   let env = List.map (fun (v, k) -> (v, { r_lo = k; r_hi = k })) params in
   ranges_of_nest_env ~env nest
 
+let trip ~params (l : loop) =
+  let env v =
+    match List.assoc_opt v params with Some k -> k | None -> raise Exit
+  in
+  match (Affine.eval env l.lo, Affine.eval env l.hi) with
+  | lo, hi -> Some (lo, if hi > lo then (hi - lo + l.step - 1) / l.step else 0)
+  | exception Exit -> None
+
 (* ---------------- dependence equation -------------------------------- *)
 
 type equation = { terms : (string * int * var_range) list; const : int }

@@ -18,6 +18,11 @@ val ranges_of_nest :
 (** Interval bounds of each loop variable in a nest (outermost first),
     propagating outer intervals into inner bounds. *)
 
+val trip : params:(string * int) list -> loop -> (int * int) option
+(** [trip ~params l] is [Some (first, count)], [l]'s first index value
+    and its number of iterations, when both bounds are constant under
+    [params]; [None] when a bound names a variable [params] lacks. *)
+
 val unroll_jam_legal :
   params:(string * int) list ->
   outer_ranges:(string * var_range) list ->

@@ -1,22 +1,13 @@
 open Memclust_ir
 open Ast
 
-let const_bounds ~params (l : loop) =
-  let env v =
-    match List.assoc_opt v params with Some k -> k | None -> raise Exit
-  in
-  match (Affine.eval env l.lo, Affine.eval env l.hi) with
-  | lo, hi -> Some (lo, hi)
-  | exception Exit -> None
-
 let strip ?(params = []) ~size (l : loop) =
   if size <= 1 then Ok (Loop l)
   else begin
-    match const_bounds ~params l with
+    match Legality.trip ~params l with
     | None -> Error "loop bounds are not constant under the parameters"
-    | Some (lo, hi) ->
+    | Some (_, count) ->
         let s = l.step in
-        let count = if hi > lo then (hi - lo + s - 1) / s else 0 in
         if count mod size <> 0 then
           Error "trip count is not divisible by the strip size"
         else begin

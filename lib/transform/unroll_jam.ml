@@ -8,63 +8,6 @@ let pp_error ppf = function
   | Illegal m -> Format.fprintf ppf "illegal: %s" m
 
 (* ------------------------------------------------------------------ *)
-(* Scalar privatizability                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* First dynamic access to each scalar in a pre-order walk: a scalar whose
-   first access is a write is privatizable (each unrolled copy can own a
-   renamed instance). *)
-let first_accesses stmts =
-  let first : (string, [ `Read | `Write ]) Hashtbl.t = Hashtbl.create 8 in
-  let note v kind = if not (Hashtbl.mem first v) then Hashtbl.add first v kind in
-  let rec expr e =
-    match e with
-    | Const _ | Ivar _ -> ()
-    | Scalar v -> note v `Read
-    | Load r -> ref_ r
-    | Unop (_, a) -> expr a
-    | Binop (_, a, b) ->
-        expr a;
-        expr b
-  and ref_ r =
-    match r.target with
-    | Direct _ -> ()
-    | Indirect { index; _ } -> expr index
-    | Field { ptr; _ } -> expr ptr
-  in
-  let rec stmt s =
-    match s with
-    | Assign (Lscalar v, e) ->
-        expr e;
-        note v `Write
-    | Assign (Lmem r, e) ->
-        expr e;
-        ref_ r
-    | Use e -> expr e
-    | Barrier -> ()
-    | Prefetch r -> ref_ r
-    | If (c, t, e) ->
-        expr c;
-        List.iter stmt t;
-        List.iter stmt e
-    | Loop l -> List.iter stmt l.body
-    | Chase c ->
-        expr c.init;
-        note c.cvar `Write;
-        List.iter stmt c.cbody
-  in
-  List.iter stmt stmts;
-  first
-
-(* All scalars written in the loop body are written before read (looking
-   only at the loop's own level of statements and descending through
-   conditionals): the condition for per-copy renaming to be sound. *)
-let scalars_privatizable (l : loop) =
-  let first = first_accesses l.body in
-  let written = Program.scalars_written l.body in
-  List.for_all (fun v -> Hashtbl.find_opt first v = Some `Write) written
-
-(* ------------------------------------------------------------------ *)
 (* Jamming                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -165,94 +108,33 @@ let chase_cvars stmts =
   List.iter walk stmts;
   !acc
 
-let const_bounds ~params (l : loop) =
-  let env v =
-    match List.assoc_opt v params with Some k -> k | None -> raise Exit
-  in
-  match (Affine.eval env l.lo, Affine.eval env l.hi) with
-  | lo, hi -> Some (lo, hi)
-  | exception Exit -> None
-
-let apply ?(params = []) ?(outer_ranges = []) ?(interchange_postlude = true)
-    ~stamp ~factor (l : loop) =
+let apply ?(params = []) ?(outer_ranges = []) ~stamp ~factor (l : loop) =
   if factor <= 1 then Ok [ Loop l ]
-  else if not (scalars_privatizable l) then
-    Error
-      (Not_unrollable
-         "a scalar written in the body is read before written (loop-carried)")
-  else if not (Legality.unroll_jam_legal ~params ~outer_ranges ~target:l ~factor)
-  then Error (Illegal "a data dependence is carried by the unrolled loop")
-  else begin
-    match const_bounds ~params l with
-    | None ->
-        Error (Not_unrollable "loop bounds are not constant under the parameters")
-    | Some (lo, hi) ->
-        let s = l.step in
-        let count = if hi > lo then (hi - lo + s - 1) / s else 0 in
-        if count < factor then
-          Error (Not_unrollable "fewer iterations than the unroll factor")
-        else begin
-          let to_rename =
-            List.sort_uniq String.compare
-              (Program.scalars_written l.body @ chase_cvars l.body)
+  else
+    (* per-copy renaming is sound only when every written scalar is
+       written before it is read *)
+    let written = Program.scalars_written l.body in
+    if not (List.equal String.equal (Inner_unroll.write_first_scalars l.body) written)
+    then
+      Error
+        (Not_unrollable
+           "a scalar written in the body is read before written (loop-carried)")
+    else if not (Legality.unroll_jam_legal ~params ~outer_ranges ~target:l ~factor)
+    then Error (Illegal "a data dependence is carried by the unrolled loop")
+    else
+      let renamed = List.sort_uniq String.compare (written @ chase_cvars l.body) in
+      match
+        Inner_unroll.unroll ~params ~tag:'u' ~stamp ~factor ~renamed ~combine:jam l
+      with
+      | exception Jam_fail msg -> Error (Not_unrollable msg)
+      | Error msg -> Error (Not_unrollable msg)
+      | Ok (main, None) -> Ok [ Loop main ]
+      | Ok (main, Some leftover) ->
+          (* a perfect nest's leftover iterations are interchanged so they
+             still cluster some misses (paper §2.2) *)
+          let postlude =
+            match Interchange.apply ~params ~outer_ranges leftover with
+            | Ok (Loop swapped) -> Loop { swapped with parallel = false }
+            | Ok _ | Error _ -> Loop leftover
           in
-          let copy k =
-            let shift st = Subst.shift_var l.var (k * s) st in
-            let rename st =
-              if k = 0 then st
-              else
-                Subst.rename_scalars
-                  (fun v ->
-                    if List.mem v to_rename then
-                      Subst.copy_name ~tag:'u' ~stamp ~copy:k v
-                    else v)
-                  st
-            in
-            List.map (fun st -> rename (shift st)) l.body
-          in
-          let copies = List.init factor copy in
-          match jam copies with
-          | exception Jam_fail msg -> Error (Not_unrollable msg)
-          | jammed ->
-              let main =
-                Loop
-                  {
-                    l with
-                    step = s * factor;
-                    hi = Affine.sub l.hi (Affine.const ((factor - 1) * s));
-                    body = jammed;
-                  }
-              in
-              let rem = count mod factor in
-              let postlude =
-                if rem = 0 then []
-                else begin
-                  let start = lo + ((count - rem) * s) in
-                  let post = { l with lo = Affine.const start } in
-                  let interchanged =
-                    if not interchange_postlude then None
-                    else
-                      match post.body with
-                      | [ Loop inner ]
-                        when (not (List.mem l.var (Affine.vars inner.lo)))
-                             && (not (List.mem l.var (Affine.vars inner.hi)))
-                             && Legality.interchange_legal ~params ~outer_ranges
-                                  ~outer:post ~inner ->
-                          Some
-                            (Loop
-                               {
-                                 inner with
-                                 parallel = false;
-                                 body =
-                                   [ Loop { post with parallel = false; body = inner.body } ];
-                               })
-                      | _ -> None
-                  in
-                  match interchanged with
-                  | Some st -> [ st ]
-                  | None -> [ Loop post ]
-                end
-              in
-              Ok (main :: postlude)
-        end
-  end
+          Ok [ Loop main; postlude ]

@@ -290,37 +290,38 @@ let test_invariant_group_all () =
   Alcotest.(check bool) "all invariant" true
     (List.for_all (fun (i : Locality.info) -> i.kind = Locality.Inner_invariant) c_infos)
 
-let test_profile_direct_mapped_conflict () =
-  (* two streams 4 KB apart thrash a 4 KB direct-mapped cache *)
-  let p =
+let test_profile_way_conflicts () =
+  (* streams 16 KB apart share the sets of the profiler's 64 KB 4-way
+     cache: four streams fit a set's ways and miss once per line, a fifth
+     evicts each line before its next element is read *)
+  let streams n =
+    let names = List.init n (Printf.sprintf "a%d") in
     let open Builder in
-    program "dmc"
-      ~arrays:[ array_decl "a" 512; array_decl "b" 512; array_decl "o" 1 ]
+    program "conflicts"
+      ~arrays:(List.map (fun a -> array_decl a 2048) names @ [ array_decl "o" 1 ])
       [
         assign "s" (flt 0.0);
-        loop "t" (cst 0) (cst 4)
-          [
-            loop "i" (cst 0) (cst 512)
-              [ assign "s" (sc "s" + arr "a" (ix "i") + arr "b" (ix "i")) ];
-          ];
+        loop "i" (cst 0) (cst 2048)
+          [ assign "s" (List.fold_left (fun e a -> e + arr a (ix "i")) (sc "s") names) ];
         store (aref "o" (cst 0)) (sc "s");
       ]
   in
-  let d = Data.create p in
-  let direct = Profile.run ~cache_bytes:4096 ~assoc:1 ~line_size:64 p d in
-  let assoc2 = Profile.run ~cache_bytes:4096 ~assoc:2 ~line_size:64 p d in
-  let total t =
+  let total p =
+    let t = Profile.run p (Data.create p) in
     List.fold_left
-      (fun acc (r : Program.ref_info) -> acc + Profile.misses t r.ref_.ref_id)
+      (fun acc (r : Program.ref_info) ->
+        match r.ref_.target with
+        | Ast.Direct { array = "o"; _ } -> acc
+        | _ -> acc + Profile.misses t r.ref_.ref_id)
       0 (Program.refs p)
   in
-  Alcotest.(check bool) "associativity removes conflict misses" true
-    (total assoc2 < total direct)
+  Alcotest.(check int) "four streams: one miss per line" (4 * 2048 / 8) (total (streams 4));
+  Alcotest.(check int) "five streams: every access misses" (5 * 2048) (total (streams 5))
 
 (* ---------------------------- Profile ------------------------------ *)
 
 let test_profile_stream () =
-  (* streaming over 64KB with a 4KB cache: miss once per line *)
+  (* streaming over 64 KB: miss once per line *)
   let p =
     let open Builder in
     program "stream"
@@ -332,7 +333,7 @@ let test_profile_stream () =
       ]
   in
   let d = Data.create p in
-  let prof = Profile.run ~cache_bytes:4096 ~assoc:4 ~line_size:64 p d in
+  let prof = Profile.run p d in
   let a_ref =
     (List.find
        (fun (r : Program.ref_info) ->
@@ -358,7 +359,7 @@ let test_profile_resident () =
       ]
   in
   let d = Data.create p in
-  let prof = Profile.run ~cache_bytes:4096 ~assoc:4 ~line_size:64 p d in
+  let prof = Profile.run p d in
   let a_ref =
     (List.find
        (fun (r : Program.ref_info) ->
@@ -419,7 +420,7 @@ let () =
           Alcotest.test_case "stream" `Quick test_profile_stream;
           Alcotest.test_case "resident" `Quick test_profile_resident;
           Alcotest.test_case "unexecuted" `Quick test_profile_unexecuted;
-          Alcotest.test_case "direct-mapped conflicts" `Quick test_profile_direct_mapped_conflict;
+          Alcotest.test_case "way conflicts" `Quick test_profile_way_conflicts;
           qtest prop_profile_doesnt_mutate;
         ] );
     ]

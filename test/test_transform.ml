@@ -401,6 +401,98 @@ let test_inner_unroll_privatizes_temps () =
                written)
       | _ -> Alcotest.fail "no loop")
 
+(* ----------------- The unroll core both transformations share ------------- *)
+
+(* both transformations refuse through Inner_unroll.unroll, with one message *)
+let refusals l ~factor =
+  let uj =
+    match Unroll_jam.apply ~stamp:1 ~factor l with
+    | Error (Unroll_jam.Not_unrollable m) -> m
+    | Error e -> Alcotest.failf "unroll-and-jam: unexpected %a" Unroll_jam.pp_error e
+    | Ok _ -> Alcotest.fail "unroll-and-jam must refuse"
+  in
+  let inner =
+    match Inner_unroll.apply ~stamp:1 ~factor l with
+    | Error m -> m
+    | Ok _ -> Alcotest.fail "inner unrolling must refuse"
+  in
+  Alcotest.(check string) "one message" uj inner;
+  uj
+
+let test_core_unbound_bound () =
+  let l =
+    let open Builder in
+    outer_of
+      (program "unbound" ~arrays:[ array_decl "a" 64 ]
+         [ loop ~parallel:true "j" (cst 0) (ix "n") [ store (aref "a" (ix "j")) (flt 1.0) ] ])
+  in
+  Alcotest.(check string) "message" "loop bounds are not constant under the parameters"
+    (refusals l ~factor:2)
+
+let test_core_too_few_iterations () =
+  let l =
+    let open Builder in
+    outer_of
+      (program "short" ~arrays:[ array_decl "a" 64 ]
+         [ loop ~parallel:true "j" (cst 0) (cst 3) [ store (aref "a" (ix "j")) (flt 1.0) ] ])
+  in
+  Alcotest.(check string) "message" "fewer iterations than the unroll factor"
+    (refusals l ~factor:4)
+
+let test_core_inner_renames_write_first_only () =
+  (* [t] is written before it is read, [s] is carried: only [t] gets a
+     name per copy *)
+  let open Builder in
+  let p =
+    program "acc_tmp"
+      ~arrays:[ array_decl "a" 64; array_decl "o" 1 ]
+      [
+        assign "s" (flt 0.0);
+        loop "i" (cst 0) (cst 63)
+          [ assign "t" (arr "a" (ix "i") * flt 2.0); assign "s" (sc "s" + sc "t") ];
+        store (aref "o" (cst 0)) (sc "s");
+      ]
+  in
+  let l = match p.Ast.body with [ _; Ast.Loop l; _ ] -> l | _ -> assert false in
+  match Inner_unroll.apply ~stamp:1 ~factor:4 l with
+  | Error e -> Alcotest.fail e
+  | Ok stmts ->
+      (match stmts with
+      | [ Ast.Loop main; Ast.Loop _ ] ->
+          let copy k = Subst.copy_name ~tag:'k' ~stamp:1 ~copy:k "t" in
+          Alcotest.(check (list string)) "written in the main loop"
+            (List.sort String.compare [ "s"; "t"; copy 1; copy 2; copy 3 ])
+            (List.sort String.compare (Program.scalars_written main.Ast.body))
+      | _ -> Alcotest.fail "expected a main loop and a leftover loop");
+      let p' =
+        Program.renumber
+          { p with Ast.body = (List.hd p.Ast.body :: stmts) @ [ List.nth p.Ast.body 2 ] }
+      in
+      Alcotest.(check bool) "semantics" true (semantics_equal p p' (float_init [ "a" ] 64))
+
+let test_core_parallel_postlude_sequential () =
+  (* a parallel perfect nest keeps its main loop parallel; its leftover
+     rows run interchanged, both loops sequential *)
+  let p = fig2a ~rows:23 ~cols:17 () in
+  let l = { (outer_of p) with Ast.parallel = true } in
+  match Unroll_jam.apply ~stamp:1 ~factor:4 l with
+  | Error e -> Alcotest.failf "failed: %a" Unroll_jam.pp_error e
+  | Ok stmts -> (
+      (match stmts with
+      | [ Ast.Loop main; Ast.Loop post ] -> (
+          Alcotest.(check bool) "main loop parallel" true main.Ast.parallel;
+          Alcotest.(check string) "postlude outer var" "i" post.Ast.var;
+          Alcotest.(check bool) "postlude outer sequential" false post.Ast.parallel;
+          match post.Ast.body with
+          | [ Ast.Loop inner ] ->
+              Alcotest.(check string) "postlude inner var" "j" inner.Ast.var;
+              Alcotest.(check bool) "postlude inner sequential" false inner.Ast.parallel
+          | _ -> Alcotest.fail "postlude is not a perfect nest")
+      | _ -> Alcotest.fail "expected a main loop and a postlude");
+      let p' = replace_nest p stmts in
+      Alcotest.(check bool) "semantics" true
+        (semantics_equal p p' (float_init [ "a" ] (23 * 17))))
+
 (* --------------------------- Strip-mining -------------------------- *)
 
 let test_strip_mine_semantics () =
@@ -986,6 +1078,15 @@ let () =
         [
           Alcotest.test_case "accumulator" `Quick test_inner_unroll_semantics;
           Alcotest.test_case "privatizes temps" `Quick test_inner_unroll_privatizes_temps;
+        ] );
+      ( "unroll core",
+        [
+          Alcotest.test_case "unbound bound refused" `Quick test_core_unbound_bound;
+          Alcotest.test_case "too few iterations" `Quick test_core_too_few_iterations;
+          Alcotest.test_case "inner renames write-first only" `Quick
+            test_core_inner_renames_write_first_only;
+          Alcotest.test_case "parallel postlude sequential" `Quick
+            test_core_parallel_postlude_sequential;
         ] );
       ( "strip-mine",
         [

@@ -56,11 +56,11 @@ let test_registry () =
   Alcotest.(check bool) "unknown none" true (Registry.by_name "nope" = None)
 
 let test_latbench_all_miss () =
-  (* shuffled chains: virtually every dereference misses a 4KB cache *)
+  (* shuffled chains: virtually every dereference misses *)
   let w = Latbench.make ~chains:8 ~derefs:64 () in
   let d = Data.create w.Workload.program in
   w.Workload.init d;
-  let prof = Profile.run ~cache_bytes:4096 w.Workload.program d in
+  let prof = Profile.run w.Workload.program d in
   let c = List.hd (Program.chases w.Workload.program) in
   Alcotest.(check bool) "miss rate ~1" true
     (Profile.miss_rate prof c.Ast.next_ref_id > 0.95)
