@@ -11,13 +11,20 @@ open Memclust_sim
 open Memclust_harness
 
 let run_experiments ids =
+  (* every id is looked up before any runs, so a typo fails the command *)
+  let figures =
+    List.map
+      (fun id ->
+        match Figures.by_id id with
+        | Some f -> (id, f)
+        | None ->
+            Printf.eprintf "unknown experiment id %s (valid: %s)\n" id
+              (String.concat ", " Figures.all_ids);
+            exit 1)
+      ids
+  in
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun id ->
-      match Figures.by_id id with
-      | Some f -> Printf.printf "==== %s ====\n%s\n\n%!" id (f ())
-      | None -> Printf.eprintf "unknown experiment id %s\n" id)
-    ids;
+  List.iter (fun (id, f) -> Printf.printf "==== %s ====\n%s\n\n%!" id (f ())) figures;
   Printf.printf
     "==== sweep wall-clock: %.1f s (%d experiments, sim mode %s, %d pool \
      domains) ====\n\

@@ -264,12 +264,8 @@ let run_cmd =
     Term.(
       const run $ resilience_term $ workload_arg $ procs_arg $ sim_mode_arg)
 
-(* lp / line-size sensitivity sweep: re-cluster and re-simulate the
-   workload for every (MSHR count, line size) point. The clustering
-   pipeline keys on the analysis machine model, so each point gets a
-   transformation tuned to its lp — the paper's f >= alpha * lp rule
-   means the base/clustered speedup should saturate once lp reaches the
-   loop's achievable parallelism. *)
+(* lp / line-size sensitivity sweep: X3's grid ([Figures.sweep]) over the
+   given workloads at their [mp_procs], as a table and a JSON file *)
 let sweep_cmd =
   let doc =
     "Sweep MSHR count (the outstanding-miss bound lp) and line size, \
@@ -305,39 +301,35 @@ let sweep_cmd =
     let ws =
       match names with [] -> [ Registry.latbench () ] | ns -> List.map lookup ns
     in
-    let points =
-      List.concat_map
-        (fun m -> List.map (fun l -> (m, l)) lines)
-        mshrs
-    in
-    let configs =
-      List.map
-        (fun (m, l) ->
-          let cfg = Config.base |> Config.with_mshrs m |> Config.with_line l in
-          (match Config.validate cfg with
-          | Ok () -> ()
-          | Error e ->
-              Printf.eprintf "invalid sweep point (mshrs=%d, line=%d): %s\n" m l
-                (Memclust_util.Error.to_string e);
-              exit 1);
-          (m, l, cfg))
-        points
+    List.iter
+      (fun m ->
+        List.iter
+          (fun l ->
+            match Config.validate (Config.base |> Config.with_mshrs m |> Config.with_line l) with
+            | Ok () -> ()
+            | Error e ->
+                Printf.eprintf "invalid sweep point (mshrs=%d, line=%d): %s\n" m l
+                  (Memclust_util.Error.to_string e);
+                exit 1)
+          lines)
+      mshrs;
+    let groups =
+      try
+        Figures.sweep ~mshrs ~lines
+          (List.map (fun (w : Workload.t) -> (w, max 1 w.Workload.mp_procs)) ws)
+      with Memclust_util.Error.Error e ->
+        (* a wedged point fails the sweep cleanly, with no partial JSON *)
+        Format.eprintf "sweep aborted: %a@." Memclust_util.Error.pp e;
+        exit 1
     in
     let rows =
       List.concat_map
-        (fun (w : Workload.t) ->
-          let nprocs = max 1 w.Workload.mp_procs in
+        (fun ((w : Workload.t), rows) ->
           Printf.printf "== %s ==\n%-6s %-6s %10s %10s %8s %10s %10s\n%!"
             w.Workload.name "mshrs" "line" "base" "clustered" "speedup"
             "b.full" "c.full";
           List.map
-            (fun (m, l, cfg) ->
-              let go version =
-                Experiment.execute_cached
-                  { Experiment.workload = w; config = cfg; nprocs; version }
-              in
-              let b = go Experiment.Base in
-              let c = go Experiment.Clustered in
+            (fun { Figures.mshrs = m; line = l; base = b; clustered = c } ->
               let bc = Experiment.exec_cycles b
               and cc = Experiment.exec_cycles c in
               let speedup = float_of_int bc /. float_of_int cc in
@@ -355,8 +347,8 @@ let sweep_cmd =
                 c.Experiment.result.Machine.mshr_full_events
                 b.Experiment.result.Machine.avg_read_miss_latency
                 c.Experiment.result.Machine.avg_read_miss_latency)
-            configs)
-        ws
+            rows)
+        groups
     in
     let oc = open_out out in
     output_string oc "[\n";
@@ -431,12 +423,6 @@ let analyze_cmd =
   in
   Cmd.v (Cmd.info "analyze" ~doc) Term.(const run $ workload_arg)
 
-let machine_for (w : Workload.t) =
-  {
-    (Experiment.machine_of_config Config.base) with
-    Memclust_cluster.Machine_model.max_procs = max 1 w.Workload.mp_procs;
-  }
-
 let passes_arg =
   let doc =
     "Comma-separated pass names to run instead of the default pipeline \
@@ -455,10 +441,7 @@ let show_cmd =
     Format.printf "==== %s: base ====@.%a@.@." w.Workload.name Pretty.pp_program
       w.Workload.program;
     let open Memclust_cluster in
-    let options = { Driver.default_options with Driver.machine = machine_for w } in
-    let p, report =
-      Driver.run ~options ~init:w.Workload.init ?only w.Workload.program
-    in
+    let p, report = Experiment.transform ?passes:only Config.base w in
     Format.printf "==== clustering decisions ====@.%a@.@." Driver.pp_report
       report;
     Format.printf "==== %s: clustered ====@.%a@." w.Workload.name
@@ -492,12 +475,7 @@ let trace_cmd =
     let traces =
       List.map
         (fun (w : Workload.t) ->
-          let options =
-            { Driver.default_options with Driver.machine = machine_for w }
-          in
-          let _, report =
-            Driver.run ~options ~init:w.Workload.init ?only w.Workload.program
-          in
+          let _, report = Experiment.transform ?passes:only Config.base w in
           Option.iter
             (fun target ->
               List.iter

@@ -6,6 +6,7 @@ open Memclust_sim
 open Memclust_workloads
 
 type version = Base | Clustered | Prefetched | Clustered_prefetched
+  | Ablated of { passes : string list; scheduler : Driver.scheduler }
 
 type spec = {
   workload : Workload.t;
@@ -32,8 +33,9 @@ let machine_of_config (cfg : Config.t) =
     max_procs = 16;
   }
 
-(* Clustering is deterministic: memoize per (workload, config) so the
-   multiprocessor and uniprocessor runs share one transformation.
+(* Clustering is deterministic: memoize per (workload, analysis machine,
+   pipeline) so the multiprocessor and uniprocessor runs, and every
+   caller that names the default pipeline, share one transformation.
 
    All memo tables are [Analysis_cache]s: mutex-guarded (shared across the
    domains of the experiment pool) and bounded, so long bench sweeps can't
@@ -43,7 +45,15 @@ let machine_of_config (cfg : Config.t) =
 let cluster_cache : (Ast.program * Driver.report) Analysis_cache.t =
   Analysis_cache.create ~cap:128 ~name:"harness-cluster" ()
 
-let transform (cfg : Config.t) (w : Workload.t) =
+(* the driver runs passes in pipeline order whatever order they are named in *)
+let pipeline_key passes scheduler =
+  Printf.sprintf "%s/%s"
+    (String.concat "," (List.sort_uniq String.compare passes))
+    (match scheduler with Driver.Pack_misses -> "pack" | Driver.Balanced -> "balanced")
+
+let transform ?(passes = Driver.pass_names)
+    ?(scheduler = Driver.default_options.Driver.scheduler) (cfg : Config.t)
+    (w : Workload.t) =
   let machine =
     { (machine_of_config cfg) with
       Machine_model.max_procs = max 1 w.Workload.mp_procs
@@ -53,13 +63,14 @@ let transform (cfg : Config.t) (w : Workload.t) =
      configs that differ only in latencies/clock (e.g. the 1 GHz point)
      share one clustering *)
   let key =
-    Printf.sprintf "%s@w%d.m%d.l%d.p%d" w.Workload.name
+    Printf.sprintf "%s@w%d.m%d.l%d.p%d|%s" w.Workload.name
       machine.Machine_model.window machine.Machine_model.mshrs
       machine.Machine_model.line_size machine.Machine_model.max_procs
+      (pipeline_key passes scheduler)
   in
   Analysis_cache.find_or_compute cluster_cache key (fun () ->
-      let options = { Driver.default_options with machine } in
-      Driver.run ~options ~init:w.Workload.init w.Workload.program)
+      let options = { Driver.default_options with machine; scheduler } in
+      Driver.run ~options ~init:w.Workload.init ~only:passes w.Workload.program)
 
 let scaled_config (cfg : Config.t) (w : Workload.t) =
   (* single-level hierarchies (Exemplar) keep their cache; multi-level
@@ -92,9 +103,9 @@ let lowered_for (w : Workload.t) ~nprocs program =
 
 (* One more memo on top of [lowered_for]: the simulation result itself,
    keyed by (workload, nprocs, full config contents, program digest).
-   Different figures frequently simulate the same program point — e.g.
-   the ablation's "full pipeline" variant is exactly the Clustered
-   version of the main tables — and [Machine.result] is only ever read
+   Different specs frequently simulate the same program — e.g. an
+   ablation variant that leaves out a pass which changed nothing ships
+   the Clustered program — and [Machine.result] is only ever read
    by the reporting code. A config is keyed on its content digest, not
    its name ([Config.with_mshrs] and the other [with_*] builders keep the
    name) and not its physical sharing, so equal configs built
@@ -124,7 +135,8 @@ let spec_key spec =
     | Base -> "base"
     | Clustered -> "clust"
     | Prefetched -> "pf"
-    | Clustered_prefetched -> "clust+pf")
+    | Clustered_prefetched -> "clust+pf"
+    | Ablated { passes; scheduler } -> "clust[" ^ pipeline_key passes scheduler ^ "]")
     (Machine.mode_to_string (Machine.resolve_mode spec.config))
 
 (* No memo of its own: the cluster and sim memos serve a repeated point *)
@@ -137,16 +149,19 @@ let execute_cached spec =
       (Memclust_transform.Prefetch_pass.insert ~latency:cfg.Config.mem_lat
          ~issue_width:cfg.Config.issue_width ~line_size:(Config.line cfg) p)
   in
+  let clustered ?passes ?scheduler () =
+    let p, r = transform ?passes ?scheduler cfg w in
+    (p, Some r)
+  in
   let program, cluster_report =
     match spec.version with
     | Base -> (Program.renumber w.Workload.program, None)
     | Prefetched -> (prefetched (Program.renumber w.Workload.program), None)
-    | Clustered ->
-        let p, r = transform cfg w in
-        (p, Some r)
+    | Clustered -> clustered ()
+    | Ablated { passes; scheduler } -> clustered ~passes ~scheduler ()
     | Clustered_prefetched ->
-        let p, r = transform cfg w in
-        (prefetched p, Some r)
+        let p, r = clustered () in
+        (prefetched p, r)
   in
   let result = simulate_cached w cfg ~nprocs:spec.nprocs program in
   { spec; result; cluster_report; program }

@@ -12,6 +12,10 @@ type version =
   | Clustered
   | Prefetched  (** software prefetching only (extension) *)
   | Clustered_prefetched  (** clustering then prefetching (extension) *)
+  | Ablated of { passes : string list; scheduler : Driver.scheduler }
+      (** clustering by another pipeline: only the named passes
+          ([uniquify] always runs), with the given scheduler (the
+          driver-stage ablation, an extension) *)
 
 type spec = {
   workload : Workload.t;
@@ -32,10 +36,18 @@ type outcome = {
 val machine_of_config : Config.t -> Machine_model.t
 (** The analysis-side machine parameters implied by a simulator config. *)
 
-val transform : Config.t -> Workload.t -> Ast.program * Driver.report
-(** Cluster the workload for the given machine (memoized per workload
-    name and analysis-side machine parameters — transformation is
-    deterministic). *)
+val transform :
+  ?passes:string list ->
+  ?scheduler:Driver.scheduler ->
+  Config.t ->
+  Workload.t ->
+  Ast.program * Driver.report
+(** Cluster the workload for the given machine ([max_procs] the
+    workload's [mp_procs]) with the named passes (default all, see
+    {!Driver.run}'s [only]) and scheduler (default [Pack_misses]).
+    Memoized per workload name, analysis-side machine parameters, pass
+    set and scheduler, so the default pipeline named explicitly shares
+    the [Clustered] version's entry. *)
 
 val lowered_for :
   Workload.t -> nprocs:int -> Ast.program -> Memclust_codegen.Lower.t * (int -> int)

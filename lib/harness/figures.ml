@@ -202,30 +202,29 @@ let table3_mp_ok w =
      machine *)
   w.Workload.mp_procs > 1 && not (String.equal w.Workload.name "Mp3d")
 
-let table3 () =
-  let cfg = Config.exemplar_like in
+(* each application's "MP %" and "UP %" cells, execution time reduced on
+   [config]: "N/A" for MP unless [mp_ok] *)
+let reductions ~config ~mp_ok =
+  let apps = Registry.applications () in
+  let procs w = 1 :: (if mp_ok w then [ w.Workload.mp_procs ] else []) in
   let get =
     Experiment.execute_all
       (List.concat_map
-         (fun w ->
-           base_and_clustered ~config:cfg ~nprocs:1 w
-           @
-           if table3_mp_ok w then
-             base_and_clustered ~config:cfg ~nprocs:w.Workload.mp_procs w
-           else [])
-         (Registry.applications ()))
+         (fun w -> List.concat_map (fun nprocs -> base_and_clustered ~config ~nprocs w) (procs w))
+         apps)
   in
   let red nprocs w =
-    let b, c = pair get ~config:cfg ~nprocs w in
+    let b, c = pair get ~config ~nprocs w in
     Table.fmt_float ~decimals:1
       (reduction_pct (Experiment.exec_cycles b) (Experiment.exec_cycles c))
   in
+  List.map (fun w -> (w, (if mp_ok w then red w.Workload.mp_procs w else "N/A"), red 1 w)) apps
+
+let table3 () =
   let rows =
     List.map
-      (fun w ->
+      (fun (w, mp, up) ->
         let name = w.Workload.name in
-        let mp = if table3_mp_ok w then red w.Workload.mp_procs w else "N/A" in
-        let up = red 1 w in
         let pmp, pup =
           match
             List.assoc_opt name
@@ -235,7 +234,7 @@ let table3 () =
           | None -> ("-", "-")
         in
         [ name; mp; up; pmp; pup ])
-      (Registry.applications ())
+      (reductions ~config:Config.exemplar_like ~mp_ok:table3_mp_ok)
   in
   "Table 3: % execution time reduced on the Exemplar-like system\n\
    (paper: 9-38% for 6 of 7 applications; multiprocessor Ocean degrades)\n\n"
@@ -309,31 +308,11 @@ let fig4b () =
 (* ------------------------------------------------------------------ *)
 
 let ghz () =
-  let cfg = Config.ghz Config.base in
-  let get =
-    Experiment.execute_all
-      (List.concat_map
-         (fun w ->
-           base_and_clustered ~config:cfg ~nprocs:1 w
-           @
-           if w.Workload.mp_procs > 1 then
-             base_and_clustered ~config:cfg ~nprocs:w.Workload.mp_procs w
-           else [])
-         (Registry.applications ()))
+  let rows =
+    List.map
+      (fun ((w : Workload.t), mp, up) -> [ w.Workload.name; mp; up ])
+      (reductions ~config:(Config.ghz Config.base) ~mp_ok:(fun w -> w.Workload.mp_procs > 1))
   in
-  let line w =
-    let red nprocs =
-      let b, c = pair get ~config:cfg ~nprocs w in
-      reduction_pct (Experiment.exec_cycles b) (Experiment.exec_cycles c)
-    in
-    let mp =
-      if w.Workload.mp_procs > 1 then
-        Table.fmt_float ~decimals:1 (red w.Workload.mp_procs)
-      else "N/A"
-    in
-    [ w.Workload.name; mp; Table.fmt_float ~decimals:1 (red 1) ]
-  in
-  let rows = List.map line (Registry.applications ()) in
   "Section 5.2: 1 GHz processors, memory system unchanged in ns\n\
    (paper: 5-36% multiprocessor reductions averaging 21%; 12-50%\n\
    uniprocessor averaging 33%; memory parallelism matters more)\n\n"
@@ -398,77 +377,51 @@ let prefetch () =
         [ "app"; "version"; "reduction %"; "pf issued"; "pf misses"; "late"; "data stall" ]
       rows
 
-(* which driver stage buys what (DESIGN.md ablation) *)
+(* which driver stage buys what (DESIGN.md ablation): each variant is a
+   version, so its clustering, lowering and simulation go through the
+   harness memos like every other point, and "full" is the Clustered
+   point of Figure 3(b) *)
 let ablation () =
   let open Memclust_cluster in
   let without name = List.filter (fun n -> not (String.equal n name)) Driver.pass_names in
-  let default = Driver.default_options in
-  (* each variant is a pass list; only "balanced sched." changes an option *)
+  let ablated ?(scheduler = Driver.Pack_misses) passes = Experiment.Ablated { passes; scheduler } in
   let stages =
     [
-      ("full", default, Driver.pass_names);
-      ("no scalar-replace", default, without "scalar-replace");
-      ("no scheduling", default, without "schedule");
-      ("balanced sched.", { default with scheduler = Driver.Balanced }, Driver.pass_names);
-      ("no unroll-and-jam", default, without "unroll-jam");
-      ("no window stage", default, without "window-unroll");
-      ("analysis only", default, [ "analyze" ]);
+      ("full", Experiment.Clustered);
+      ("no scalar-replace", ablated (without "scalar-replace"));
+      ("no scheduling", ablated (without "schedule"));
+      ("balanced sched.", ablated ~scheduler:Driver.Balanced Driver.pass_names);
+      ("no unroll-and-jam", ablated (without "unroll-jam"));
+      ("no window stage", ablated (without "window-unroll"));
+      ("analysis only", ablated [ "analyze" ]);
     ]
   in
-  let apps = [ "Em3d"; "LU"; "Mp3d"; "Ocean" ] in
-  let simulate w prog =
-    let cfg = Config.with_l2 w.Workload.l2_bytes Config.base in
-    Experiment.simulate_cached w cfg ~nprocs:1 prog
-  in
-  let workloads = List.filter_map Registry.by_name apps in
-  (* one fan-out over each workload's untransformed base ([None]) followed
-     by its pipeline variants, read back by position. Crash-contained: a
-     variant that dies shows a degraded cell, a baseline that dies
-     degrades only that workload's rows. *)
-  let points =
-    List.concat_map
-      (fun w -> (w, None) :: List.map (fun stage -> (w, Some stage)) stages)
-      workloads
-  in
-  let results =
-    Array.of_list
-      (Domain_pool.map_result
-         ~task_name:(fun (w, stage) ->
-           match stage with
-           | None -> "ablation-base " ^ w.Workload.name
-           | Some (label, _, _) ->
-               Printf.sprintf "ablation %s %s" w.Workload.name label)
-         (Domain_pool.default ())
-         (fun (w, stage) ->
-           match stage with
-           | None -> simulate w (Memclust_ir.Program.renumber w.Workload.program)
-           | Some (label, options, only) ->
-               Printf.eprintf "[run] ablation %s %s...\n%!" w.Workload.name label;
-               let p, _ =
-                 Driver.run ~options ~init:w.Workload.init ~only w.Workload.program
-               in
-               simulate w p)
-         points)
-  in
-  let per_workload = 1 + List.length stages in
-  let rows =
-    List.concat
-      (List.mapi
-         (fun wi w ->
-           let base = results.(wi * per_workload) in
-           List.mapi
-             (fun i (label, _, _) ->
-               let cell =
-                 match (base, results.((wi * per_workload) + 1 + i)) with
-                 | Ok base, Ok r ->
-                     Table.fmt_float ~decimals:1
-                       (reduction_pct base.Machine.cycles r.Machine.cycles)
-                 | Error e, _ | _, Error e ->
-                     "degraded: " ^ Memclust_util.Error.kind e
-               in
-               [ (if i = 0 then w.Workload.name else ""); label; cell ])
-             stages)
+  let workloads = List.filter_map Registry.by_name [ "Em3d"; "LU"; "Mp3d"; "Ocean" ] in
+  let point version w = spec ~config:Config.base ~nprocs:1 ~version w in
+  let get =
+    Experiment.execute_all
+      (List.concat_map
+         (fun w -> List.map (fun v -> point v w) (Experiment.Base :: List.map snd stages))
          workloads)
+  in
+  (* crash-contained: a variant that dies shows a degraded cell, a
+     baseline that dies degrades only that workload's rows *)
+  let cell w version =
+    match
+      let base = get (point Experiment.Base w) in
+      reduction_pct (Experiment.exec_cycles base) (Experiment.exec_cycles (get (point version w)))
+    with
+    | r -> Table.fmt_float ~decimals:1 r
+    | exception Error.Error e -> "degraded: " ^ Error.kind e
+  in
+  let rows =
+    List.concat_map
+      (fun w ->
+        List.mapi
+          (fun i (label, version) ->
+            [ (if i = 0 then w.Workload.name else ""); label; cell w version ])
+          stages)
+      workloads
   in
   "Extension: per-stage ablation of the clustering driver (uniprocessor,
    % execution time reduced vs untransformed base).
@@ -476,59 +429,67 @@ let ablation () =
 "
   ^ Table.render ~header:[ "app"; "pipeline"; "reduction %" ] rows
 
+type sweep_row = {
+  mshrs : int;
+  line : int;
+  base : Experiment.outcome;
+  clustered : Experiment.outcome;
+}
+
+let sweep ~mshrs ~lines points =
+  let config m l = Config.base |> Config.with_mshrs m |> Config.with_line l in
+  let grid = List.concat_map (fun m -> List.map (fun l -> (m, l)) lines) mshrs in
+  let get =
+    Experiment.execute_all
+      (List.concat_map
+         (fun (w, nprocs) ->
+           List.concat_map
+             (fun (m, l) -> base_and_clustered ~config:(config m l) ~nprocs w)
+             grid)
+         points)
+  in
+  List.map
+    (fun (w, nprocs) ->
+      ( w,
+        List.map
+          (fun (m, l) ->
+            let base, clustered = pair get ~config:(config m l) ~nprocs w in
+            { mshrs = m; line = l; base; clustered })
+          grid ))
+    points
+
 (* how much miss parallelism the hardware must offer before clustering
    pays off: sweep the MSHR count, re-deriving the transformation for
    each lp (the framework picks a degree matched to the resources) *)
 let mshr_sweep () =
-  let points = [ 1; 2; 4; 6; 8; 10; 12; 16 ] in
-  let apps =
-    [ Registry.latbench ();
-      List.find (fun w -> w.Workload.name = "LU") (Registry.applications ());
-    ]
-  in
-  let sweep_config mshrs = Config.with_mshrs mshrs Config.base in
-  let get =
-    Experiment.execute_all
-      (List.concat_map
-         (fun w ->
-           List.concat_map
-             (fun mshrs ->
-               base_and_clustered ~config:(sweep_config mshrs) ~nprocs:1 w)
-             points)
-         apps)
+  let open Memclust_cluster in
+  let degree (o : Experiment.outcome) =
+    match o.Experiment.cluster_report with
+    | Some r ->
+        List.fold_left
+          (fun acc -> function Driver.Unroll_jam { factor; _ } -> max acc factor | _ -> acc)
+          0
+          (List.concat_map (fun n -> n.Driver.actions) r.Driver.nests)
+    | None -> 0
   in
   let rows =
     List.concat_map
-      (fun w ->
+      (fun ((w : Workload.t), rows) ->
         List.mapi
-          (fun i mshrs ->
-            let b, c = pair get ~config:(sweep_config mshrs) ~nprocs:1 w in
-            let factor =
-              match c.Experiment.cluster_report with
-              | Some r ->
-                  List.fold_left
-                    (fun acc n ->
-                      List.fold_left
-                        (fun acc a ->
-                          match a with
-                          | Memclust_cluster.Driver.Unroll_jam { factor; _ } ->
-                              max acc factor
-                          | _ -> acc)
-                        acc n.Memclust_cluster.Driver.actions)
-                    0 r.Memclust_cluster.Driver.nests
-              | None -> 0
-            in
+          (fun i r ->
             [
               (if i = 0 then w.Workload.name else "");
-              string_of_int mshrs;
-              string_of_int factor;
+              string_of_int r.mshrs;
+              string_of_int (degree r.clustered);
               Table.fmt_float
-                (float_of_int (Experiment.exec_cycles b)
-                /. float_of_int (Experiment.exec_cycles c))
+                (float_of_int (Experiment.exec_cycles r.base)
+                /. float_of_int (Experiment.exec_cycles r.clustered))
               ^ "x";
             ])
-          points)
-      apps
+          rows)
+      (sweep ~mshrs:[ 1; 2; 4; 6; 8; 10; 12; 16 ] ~lines:[ Config.line Config.base ]
+         (List.filter_map (fun n -> Option.map (fun w -> (w, 1)) (Registry.by_name n))
+            [ "Latbench"; "LU" ]))
   in
   "Extension: clustering speedup vs available MSHRs (uniprocessor). The
    driver re-derives the unroll degree for each lp; with one MSHR there

@@ -43,11 +43,31 @@ val prefetch : unit -> string
 
 val ablation : unit -> string
 (** Extension: per-stage ablation of the driver (unroll-and-jam, window
-    resolution, scalar replacement, scheduling). *)
+    resolution, scalar replacement, scheduling), one
+    {!Experiment.Ablated} version per variant. *)
+
+type sweep_row = {
+  mshrs : int;
+  line : int;
+  base : Experiment.outcome;
+  clustered : Experiment.outcome;
+}
+
+val sweep :
+  mshrs:int list ->
+  lines:int list ->
+  (Memclust_workloads.Workload.t * int) list ->
+  (Memclust_workloads.Workload.t * sweep_row list) list
+(** Base and clustered outcomes on the base system with every MSHR file
+    and line size set, for each (workload, processor count) × [mshrs] ×
+    [lines], run in one {!Experiment.execute_all}; rows in grid order
+    ([lines] innermost). A failed point raises its
+    [Memclust_util.Error.Error]. *)
 
 val mshr_sweep : unit -> string
 (** Extension: clustering speedup and chosen unroll degree as the MSHR
-    count (lp) varies. *)
+    count (lp) varies ({!sweep} of Latbench and LU on one processor,
+    64-byte lines). *)
 
 val paper_ids : string list
 (** The nine artifacts of the paper's evaluation. *)

@@ -315,6 +315,84 @@ let test_profiles_only_irregular () =
     "profiles per workload" pinned
     (List.map (fun (w : Workload.t) -> (w.Workload.name, profiles w)) (Registry.small ()))
 
+(* [Figures.sweep] is X3's and [repro sweep]'s one grid: rows in grid
+   order (mshrs outer, lines inner), each outcome the one [execute_cached]
+   gives for the same spec *)
+let test_sweep_grid () =
+  (* the cluster memo keys on the workload name, which the small Latbench
+     shares with the full one *)
+  Experiment.clear_caches ();
+  let w = List.hd (Registry.small ()) in
+  Alcotest.(check string) "small Latbench" "Latbench" w.Workload.name;
+  match Figures.sweep ~mshrs:[ 1; 2 ] ~lines:[ 32; 64 ] [ (w, 1) ] with
+  | [ (w', rows) ] ->
+      Alcotest.(check bool) "the workload swept" true (w' == w);
+      Alcotest.(check (list (pair int int)))
+        "grid order" [ (1, 32); (1, 64); (2, 32); (2, 64) ]
+        (List.map (fun r -> (r.Figures.mshrs, r.Figures.line)) rows);
+      List.iter
+        (fun r ->
+          let config =
+            Config.base |> Config.with_mshrs r.Figures.mshrs |> Config.with_line r.Figures.line
+          in
+          List.iter
+            (fun (version, (o : Experiment.outcome)) ->
+              let want =
+                Experiment.execute_cached
+                  { Experiment.workload = w; config; nprocs = 1; version }
+              in
+              let what = Experiment.spec_key want.Experiment.spec in
+              Alcotest.(check string) what what (Experiment.spec_key o.Experiment.spec);
+              Alcotest.(check string) (what ^ " result")
+                (Memclust_util.Analysis_cache.content_digest want.Experiment.result)
+                (Memclust_util.Analysis_cache.content_digest o.Experiment.result);
+              Alcotest.(check string) (what ^ " program")
+                (Memclust_util.Analysis_cache.content_digest want.Experiment.program)
+                (Memclust_util.Analysis_cache.content_digest o.Experiment.program))
+            [ (Experiment.Base, r.Figures.base); (Experiment.Clustered, r.Figures.clustered) ])
+        rows
+  | groups -> Alcotest.failf "one group expected, got %d" (List.length groups)
+
+let cluster_entries () =
+  List.assoc "harness-cluster" (Memclust_util.Analysis_cache.registered ())
+
+(* the ablation's variants: a pass list or a scheduler alone makes a
+   distinct point with its own clustering *)
+let test_ablated_keys () =
+  let open Memclust_cluster in
+  let w = tiny () in
+  let spec version = { Experiment.workload = w; config = Config.base; nprocs = 1; version } in
+  let all = Driver.pass_names in
+  let variants =
+    [
+      Experiment.Ablated { passes = all; scheduler = Driver.Pack_misses };
+      Experiment.Ablated
+        { passes = List.filter (fun n -> n <> "schedule") all; scheduler = Driver.Pack_misses };
+      Experiment.Ablated { passes = all; scheduler = Driver.Balanced };
+    ]
+  in
+  let keys = List.map (fun v -> Experiment.spec_key (spec v)) variants in
+  Alcotest.(check int) "distinct spec keys" 3
+    (List.length (List.sort_uniq String.compare keys));
+  Experiment.clear_caches ();
+  List.iter (fun v -> ignore (Experiment.execute_cached (spec v))) variants;
+  Alcotest.(check int) "one clustering each" 3 (cluster_entries ())
+
+(* the default pipeline, named or not, is the Clustered version's
+   clustering: one [harness-cluster] entry *)
+let test_default_pipeline_shared () =
+  let open Memclust_cluster in
+  let w = tiny () in
+  Experiment.clear_caches ();
+  let c =
+    Experiment.execute_cached
+      { Experiment.workload = w; config = Config.base; nprocs = 1; version = Experiment.Clustered }
+  in
+  let p, _ = Experiment.transform ~passes:Driver.pass_names ~scheduler:Driver.Pack_misses Config.base w in
+  let q, _ = Experiment.transform ~passes:(List.rev Driver.pass_names) Config.base w in
+  Alcotest.(check int) "one harness-cluster entry" 1 (cluster_entries ());
+  Alcotest.(check bool) "the Clustered program" true (p == c.Experiment.program && q == p)
+
 let () =
   Alcotest.run "harness"
     [
@@ -335,12 +413,16 @@ let () =
             test_cached_keys_on_config_contents;
           Alcotest.test_case "sim memo ignores config sharing" `Quick
             test_sim_memo_ignores_sharing;
+          Alcotest.test_case "ablation variants keyed apart" `Quick test_ablated_keys;
+          Alcotest.test_case "default pipeline shares Clustered's memo" `Quick
+            test_default_pipeline_shared;
         ] );
       ( "figures",
         [
           Alcotest.test_case "registry" `Quick test_figures_registry;
           Alcotest.test_case "table1" `Quick test_table1_contents;
           Alcotest.test_case "table2" `Quick test_table2_contents;
+          Alcotest.test_case "sweep grid" `Quick test_sweep_grid;
         ] );
       ( "profile-pm",
         [
