@@ -61,9 +61,12 @@ let transform ?(passes = Driver.pass_names)
   in
   (* key on the analysis-side machine projection, not the config name:
      configs that differ only in latencies/clock (e.g. the 1 GHz point)
-     share one clustering *)
+     share one clustering; and on the source program's contents, since
+     two workloads can share a name (Registry.small's and the full
+     Latbench) *)
   let key =
-    Printf.sprintf "%s@w%d.m%d.l%d.p%d|%s" w.Workload.name
+    Printf.sprintf "%s|%s@w%d.m%d.l%d.p%d|%s" w.Workload.name
+      (Analysis_cache.content_digest w.Workload.program)
       machine.Machine_model.window machine.Machine_model.mshrs
       machine.Machine_model.line_size machine.Machine_model.max_procs
       (pipeline_key passes scheduler)
@@ -90,10 +93,10 @@ let scaled_config (cfg : Config.t) (w : Workload.t) =
 let lower_cache : (Lower.t * (int -> int)) Analysis_cache.t =
   Analysis_cache.create ~cap:32 ~name:"harness-lower" ()
 
-let lowered_for (w : Workload.t) ~nprocs program =
-  let key =
-    Printf.sprintf "%s|%d|%s" w.Workload.name nprocs (Analysis_cache.content_digest program)
-  in
+(* [digest] is [program]'s content digest, which [simulate_cached] has
+   already computed *)
+let lowered_digest (w : Workload.t) ~nprocs ~digest program =
+  let key = Printf.sprintf "%s|%d|%s" w.Workload.name nprocs digest in
   Analysis_cache.find_or_compute lower_cache key (fun () ->
       let data = Data.create program in
       w.Workload.init data;
@@ -101,30 +104,90 @@ let lowered_for (w : Workload.t) ~nprocs program =
       let home = Data.home_of_addr data ~nprocs in
       (lowered, home))
 
-(* One more memo on top of [lowered_for]: the simulation result itself,
-   keyed by (workload, nprocs, full config contents, program digest).
-   Different specs frequently simulate the same program — e.g. an
-   ablation variant that leaves out a pass which changed nothing ships
-   the Clustered program — and [Machine.result] is only ever read
-   by the reporting code. A config is keyed on its content digest, not
-   its name ([Config.with_mshrs] and the other [with_*] builders keep the
-   name) and not its physical sharing, so equal configs built
-   differently share an entry. *)
-let sim_cache : Machine.result Analysis_cache.t =
+let lowered_for w ~nprocs program =
+  lowered_digest w ~nprocs ~digest:(Analysis_cache.content_digest program) program
+
+let lp_of caps = List.fold_left Int.min max_int caps
+
+(* A run reads the same at any capacities that refuse no allocation it
+   made. Every level's file holds the same entries (a memory-bound miss
+   inserts one shared entry at each, and it expires at one [ready]), so
+   all levels share one occupancy, and within a step it only grows after
+   the step's cleanup: the sample taken after each step is that step's
+   peak. A run whose peak [p] stayed below its own lp was never refused
+   an entry, and each allocation found at most [p] - 1 entries, so
+   capacities of at least [p] refuse nothing either and the run is
+   identical cycle for cycle; only the histograms, of lp + 1 buckets,
+   change size. *)
+let reuse_run ran (r : Machine.result) caps =
+  let lp = lp_of ran and lp' = lp_of caps in
+  let rec peak k =
+    if k = 0 || Stats.Histogram.bucket r.Machine.total_mshr_hist k > 0.0 then k
+    else peak (k - 1)
+  in
+  let p = peak lp in
+  (* the weights are whole numbers, so the re-bucketed totals are the
+     ones [Machine] adds up *)
+  let rebucket h =
+    let h' = Stats.Histogram.create (lp' + 1) in
+    for v = 0 to p do
+      Stats.Histogram.add_weighted h' v (Stats.Histogram.bucket h v)
+    done;
+    h'
+  in
+  if p < lp && p <= lp' then
+    Some
+      { r with
+        Machine.read_mshr_hist = rebucket r.Machine.read_mshr_hist;
+        total_mshr_hist = rebucket r.Machine.total_mshr_hist }
+  else None
+
+(* One more memo on top of [lowered_for]: the simulation result itself.
+   Different specs frequently simulate the same program — an ablation
+   variant that leaves out a pass which changed nothing ships the
+   Clustered program, and an lp sweep's points differ only in MSHR
+   counts — and [Machine.result] is only ever read by the reporting code.
+   The key is (workload, nprocs, config contents but for its name and
+   MSHR counts, program digest, resolved mode); under it sit the runs
+   done so far, each with its per-level MSHR capacities, so a request at
+   other capacities can reuse a run that [reuse_run] admits. A config is
+   keyed on its content digest, not its name ([Config.with_mshrs] and the
+   other [with_*] builders keep the name) and not its physical sharing,
+   so equal configs built differently share an entry. *)
+let sim_cache : (int list * Machine.result) list Analysis_cache.t =
   Analysis_cache.create ~cap:512 ~name:"harness-sim" ()
+
+(* makes reading a key's runs and adding one a single step, so domains
+   that finish runs under one key together keep them all; simulations
+   run outside it *)
+let sim_lock = Mutex.create ()
 
 (* the resolved mode is part of the key because it can come from outside
    the config (the MEMCLUST_SIM_MODE environment variable) *)
 let simulate_cached (w : Workload.t) (cfg : Config.t) ~nprocs program =
+  let digest = Analysis_cache.content_digest program in
   let key =
     Printf.sprintf "%s|%d|%s|%s|%s" w.Workload.name nprocs
-      (Analysis_cache.content_digest cfg)
-      (Analysis_cache.content_digest program)
+      (Analysis_cache.content_digest (Config.with_mshrs 0 { cfg with Config.name = "" }))
+      digest
       (Machine.mode_to_string (Machine.resolve_mode cfg))
   in
-  Analysis_cache.find_or_compute sim_cache key (fun () ->
-      let lowered, home = lowered_for w ~nprocs program in
-      Machine.run cfg ~home lowered)
+  let caps = List.map (fun l -> l.Config.mshrs) cfg.Config.levels in
+  let runs () = Option.value ~default:[] (Analysis_cache.find_opt sim_cache key) in
+  let stored = runs () in
+  match List.assoc_opt caps stored with
+  | Some r -> r
+  | None ->
+      let r =
+        match List.find_map (fun (ran, r) -> reuse_run ran r caps) stored with
+        | Some r -> r
+        | None ->
+            let lowered, home = lowered_digest w ~nprocs ~digest program in
+            Machine.run cfg ~home lowered
+      in
+      Mutex.protect sim_lock (fun () ->
+          Analysis_cache.set sim_cache key ((caps, r) :: runs ()));
+      r
 
 let spec_key spec =
   Printf.sprintf "%s|%s#%s|%d|%s|%s" spec.workload.Workload.name

@@ -45,9 +45,10 @@ val transform :
 (** Cluster the workload for the given machine ([max_procs] the
     workload's [mp_procs]) with the named passes (default all, see
     {!Driver.run}'s [only]) and scheduler (default [Pack_misses]).
-    Memoized per workload name, analysis-side machine parameters, pass
-    set and scheduler, so the default pipeline named explicitly shares
-    the [Clustered] version's entry. *)
+    Memoized per workload name, source program contents, analysis-side
+    machine parameters, pass set and scheduler, so the default pipeline
+    named explicitly shares the [Clustered] version's entry, and two
+    workloads of one name over different programs do not share one. *)
 
 val lowered_for :
   Workload.t -> nprocs:int -> Ast.program -> Memclust_codegen.Lower.t * (int -> int)
@@ -60,10 +61,28 @@ val lowered_for :
 val simulate_cached :
   Workload.t -> Config.t -> nprocs:int -> Ast.program -> Machine.result
 (** Lower (memoized on a structural program digest — one lowering serves
-    every config simulating the same program) and simulate (memoized on
-    workload, nprocs, config contents, program digest and resolved
-    simulation mode). The returned result is shared: treat it as
+    every config simulating the same program) and simulate. The
+    [harness-sim] memo keys on the workload, nprocs, the config's
+    contents but for its name and MSHR counts, the program digest and
+    the resolved simulation mode, and holds every run done under that
+    key with its per-level MSHR capacities. A request at capacities
+    already run returns that run's result; otherwise a run that
+    {!reuse_run} admits is re-bucketed and stored under the new
+    capacities; only when none does is the program simulated. So once
+    an lp sweep has run a point whose MSHR files never filled, every lp
+    at or above that run's peak occupancy reads it instead of
+    simulating again. The returned result is shared: treat it as
     read-only. *)
+
+val reuse_run : int list -> Machine.result -> int list -> Machine.result option
+(** [reuse_run ran r caps] is [r], a run at per-level MSHR capacities
+    [ran] (processor side first), as a run of the same machine and
+    program at capacities [caps] reads, when [r] shows it must read so:
+    its peak MSHR occupancy [p] (the last non-empty bucket of
+    [total_mshr_hist]) is below [ran]'s lp and at most [caps]'s. Then
+    no allocation was ever refused, and none would be at [caps], so
+    the runs are identical but for the MSHR histograms' sizes (lp + 1
+    buckets), which the result gets re-bucketed to. [None] otherwise. *)
 
 val spec_key : spec -> string
 (** ["workload|config#digest|nprocs|version|mode"], the config keyed on

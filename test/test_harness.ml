@@ -319,9 +319,6 @@ let test_profiles_only_irregular () =
    order (mshrs outer, lines inner), each outcome the one [execute_cached]
    gives for the same spec *)
 let test_sweep_grid () =
-  (* the cluster memo keys on the workload name, which the small Latbench
-     shares with the full one *)
-  Experiment.clear_caches ();
   let w = List.hd (Registry.small ()) in
   Alcotest.(check string) "small Latbench" "Latbench" w.Workload.name;
   match Figures.sweep ~mshrs:[ 1; 2 ] ~lines:[ 32; 64 ] [ (w, 1) ] with
@@ -393,6 +390,165 @@ let test_default_pipeline_shared () =
   Alcotest.(check int) "one harness-cluster entry" 1 (cluster_entries ());
   Alcotest.(check bool) "the Clustered program" true (p == c.Experiment.program && q == p)
 
+(* The small and the full Latbench share a name: the cluster memo keys on
+   the source program's contents too, so each gets the clustering it gets
+   alone, whichever is clustered first *)
+let test_cluster_memo_keys_on_program () =
+  let small = List.hd (Registry.small ()) and full = Registry.latbench () in
+  Alcotest.(check string) "one name" full.Workload.name small.Workload.name;
+  let clustered w =
+    Memclust_util.Analysis_cache.content_digest (fst (Experiment.transform Config.base w))
+  in
+  let small_first = clustered small in
+  let full_second = clustered full in
+  Experiment.clear_caches ();
+  let full_first = clustered full in
+  let small_second = clustered small in
+  Alcotest.(check bool) "two programs" true (small_first <> full_first);
+  Alcotest.(check string) "small Latbench's own" small_first small_second;
+  Alcotest.(check string) "full Latbench's own" full_first full_second
+
+(* ---------------------- sim runs reused across lp ---------------------- *)
+
+let digest = Memclust_util.Analysis_cache.content_digest
+
+let caps (cfg : Config.t) = List.map (fun l -> l.Config.mshrs) cfg.Config.levels
+
+(* the last non-empty of a run's [lp] + 1 total-occupancy buckets *)
+let peak ~lp (r : Machine.result) =
+  let rec go k =
+    if k = 0 || Memclust_util.Stats.Histogram.bucket r.Machine.total_mshr_hist k > 0.0
+    then k
+    else go (k - 1)
+  in
+  go lp
+
+(* one core's random trace, after tools/sim_digest.ml: loads, stores and
+   prefetches over 256 lines, with dependences near and far; [mem] of 16
+   instructions, on average, access memory *)
+let gen_core rand ~mem ~barriers =
+  let open Memclust_codegen in
+  let int n = Random.State.int rand n in
+  let t = Trace.create () in
+  let dep i =
+    let d = match int 6 with 0 | 1 -> -1 | 2 | 3 | 4 -> i - 1 - int 8 | _ -> i - 9 - int 92 in
+    if d < 0 then -1 else d
+  in
+  let addr () = 0x40000 + (int 256 * 64) + (int 8 * 8) in
+  let push kind aux =
+    let i = Trace.length t in
+    ignore (Trace.push t ~kind ~aux ~dep1:(dep i) ~dep2:(dep i) ~ref_:0)
+  in
+  for b = 0 to barriers do
+    if b > 0 then push Trace.Barrier_op b;
+    for _ = 1 to int 121 do
+      if int 16 < mem then
+        match int 6 with
+        | 0 | 1 | 2 -> push Trace.Load (addr ())
+        | 3 | 4 -> push Trace.Store (addr ())
+        | _ -> push Trace.Prefetch_op (addr ())
+      else
+        match int 4 with
+        | 0 | 1 -> push Trace.Int_op 1
+        | 2 -> push Trace.Fp_op (1 + int 6)
+        | _ -> push Trace.Branch 1
+    done
+  done;
+  t
+
+(* A random trace on a random machine at random per-level capacities:
+   wherever [reuse_run] offers the run at capacities C', it reads as a
+   fresh run at C' does, and it does offer it at every C' in
+   [max 1 p, 16] when the peak p stayed below the run's lp *)
+let prop_reuse_exact =
+  QCheck.Test.make ~name:"a reused run equals a fresh one" ~count:80 QCheck.small_nat
+    (fun seed ->
+      let rand = Random.State.make [| seed |] in
+      let int n = Random.State.int rand n in
+      let nprocs = 1 + int 4 and barriers = int 3 and mem = 1 + int 5 in
+      let lowered =
+        {
+          Memclust_codegen.Lower.traces =
+            Array.init nprocs (fun _ -> gen_core rand ~mem ~barriers);
+          barriers;
+        }
+      in
+      let machine =
+        match int 4 with
+        | 0 -> Config.base
+        | 1 -> Config.three_level
+        | 2 -> Config.exemplar_like
+        | _ -> Config.with_faults (Faults.scaled ~seed 0.3) Config.base
+      in
+      let run cfg =
+        Machine.run cfg ~mode:Machine.Event ~home:(fun a -> (a lsr 6) mod nprocs) lowered
+      in
+      (* small files saturate, large ones often do not; some levels get
+         larger files than the machine's lp *)
+      let cap = if int 2 = 0 then 1 + int 4 else 8 + int 9 in
+      let ran =
+        Config.with_levels
+          (List.map
+             (fun l -> { l with Config.mshrs = cap + (if int 3 = 0 then int 4 else 0) })
+             machine.Config.levels)
+          machine
+      in
+      let r = run ran in
+      let lp = Config.lp ran in
+      let p = peak ~lp r in
+      List.iter
+        (fun c ->
+          let at = Config.with_mshrs c machine in
+          match Experiment.reuse_run (caps ran) r (caps at) with
+          | Some r' ->
+              if digest r' <> digest (run at) then
+                QCheck.Test.fail_reportf "seed %d: the run at lp %d (peak %d) reused at %d differs"
+                  seed lp p c
+          | None ->
+              if p < lp && c >= Int.max 1 p then
+                QCheck.Test.fail_reportf "seed %d: the run at lp %d (peak %d) not reused at %d"
+                  seed lp p c)
+        (List.init 16 (fun i -> i + 1));
+      true)
+
+let base_at (w : Workload.t) lp =
+  { Experiment.workload = w; config = Config.with_mshrs lp Config.base; nprocs = 1;
+    version = Experiment.Base }
+
+(* a run whose peak reached its lp may have been refused an MSHR: the
+   small Latbench at lp 1 is simulated again at lp 2 *)
+let test_full_run_not_reused () =
+  let w = List.hd (Registry.small ()) in
+  Experiment.clear_caches ();
+  let one = (Experiment.execute_cached (base_at w 1)).Experiment.result in
+  Alcotest.(check int) "lp 1 saturates" 1 (peak ~lp:1 one);
+  Alcotest.(check bool) "the rule refuses it" true
+    (Experiment.reuse_run [ 1; 1 ] one [ 2; 2 ] = None);
+  let two = (Experiment.execute_cached (base_at w 2)).Experiment.result in
+  Alcotest.(check bool) "simulated afresh" true (two.Machine.per_proc != one.Machine.per_proc);
+  Alcotest.(check bool) "lp matters" true (two.Machine.cycles <> one.Machine.cycles);
+  Experiment.clear_caches ();
+  let cold = (Experiment.execute_cached (base_at w 2)).Experiment.result in
+  Alcotest.(check string) "the cold lp-2 run" (digest cold) (digest two)
+
+(* a run that never filled its files serves a smaller lp: lp 16, then
+   lp 4, is one simulation under one harness-sim key, and reads as a
+   cold lp-4 run *)
+let test_unfilled_run_reused () =
+  let w = List.hd (Registry.small ()) in
+  Experiment.clear_caches ();
+  let sixteen = (Experiment.execute_cached (base_at w 16)).Experiment.result in
+  Alcotest.(check bool) "peak at most 4" true (peak ~lp:16 sixteen <= 4);
+  let four = (Experiment.execute_cached (base_at w 4)).Experiment.result in
+  Alcotest.(check bool) "one simulation" true (four.Machine.per_proc == sixteen.Machine.per_proc);
+  Alcotest.(check int) "one harness-sim key" 1
+    (List.assoc "harness-sim" (Memclust_util.Analysis_cache.registered ()));
+  let again = (Experiment.execute_cached (base_at w 4)).Experiment.result in
+  Alcotest.(check bool) "a repeat returns the stored record" true (again == four);
+  Experiment.clear_caches ();
+  let cold = (Experiment.execute_cached (base_at w 4)).Experiment.result in
+  Alcotest.(check string) "the cold lp-4 run" (digest cold) (digest four)
+
 let () =
   Alcotest.run "harness"
     [
@@ -416,6 +572,16 @@ let () =
           Alcotest.test_case "ablation variants keyed apart" `Quick test_ablated_keys;
           Alcotest.test_case "default pipeline shares Clustered's memo" `Quick
             test_default_pipeline_shared;
+          Alcotest.test_case "cluster memo keys on the program" `Quick
+            test_cluster_memo_keys_on_program;
+        ] );
+      ( "sim reuse",
+        [
+          QCheck_alcotest.to_alcotest prop_reuse_exact;
+          Alcotest.test_case "a run that filled its MSHRs is not reused" `Quick
+            test_full_run_not_reused;
+          Alcotest.test_case "a run that never filled them is" `Quick
+            test_unfilled_run_reused;
         ] );
       ( "figures",
         [
