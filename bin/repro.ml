@@ -100,7 +100,7 @@ let apply_resilience_flags watchdog budget faults chaos fail_pass =
     watchdog;
   Option.iter
     (fun s ->
-      if s < 0.0 then bad "--time-budget must be >= 0 (got %g)" s;
+      if not (s >= 0.0) then bad "--time-budget must be >= 0 (got %g)" s;
       Unix.putenv "MEMCLUST_TIME_BUDGET_S" (string_of_float s))
     budget;
   Option.iter
@@ -374,7 +374,7 @@ let analyze_cmd =
     let open Memclust_cluster in
     let p = Program.renumber w.Workload.program in
     let machine = Experiment.machine_of_config Config.base in
-    let loc = Locality.analyze ~line_size:machine.Machine_model.line_size p in
+    let loc = Pass.analyze machine p in
     Format.printf "==== %s: locality classification ====@.%a@." w.Workload.name
       Locality.pp loc;
     let data = Data.create p in
@@ -390,36 +390,24 @@ let analyze_cmd =
               (pm info.Locality.id)
         | _ -> ())
       (Locality.infos loc);
-    (* every innermost loop-like construct *)
-    let rec walk path stmt =
-      match stmt with
-      | Ast.Loop l ->
-          let nested =
-            List.filter
-              (function Ast.Loop _ | Ast.Chase _ -> true | _ -> false)
-              l.Ast.body
-          in
-          if nested = [] then report path (Depgraph.Counted l)
-          else List.iter (walk (path @ [ l.Ast.var ])) l.Ast.body
-      | Ast.Chase c -> report path (Depgraph.Chased c)
-      | Ast.If (_, t, e) ->
-          List.iter (walk path) t;
-          List.iter (walk path) e
-      | Ast.Assign _ | Ast.Use _ | Ast.Barrier | Ast.Prefetch _ -> ()
-    and report path inner =
-      let label =
-        match inner with
-        | Depgraph.Counted l -> "loop " ^ l.Ast.var
-        | Depgraph.Chased c -> "chase " ^ c.Ast.cvar
-      in
-      let graph = Depgraph.analyze loc inner in
-      let fest = Festimate.compute machine loc ~pm ~graph inner in
-      Format.printf "@.==== innermost %s (under %s) ====@.%a@.alpha = %.2f@.%a@."
-        label
-        (String.concat ">" path)
-        Depgraph.pp graph (Depgraph.alpha graph) Festimate.pp fest
-    in
-    List.iter (walk []) p.Ast.body
+    (* every innermost loop-like construct of every top-level loop *)
+    List.iter
+      (function
+        | Ast.Loop nest ->
+            List.iter
+              (fun { Pass.inner; enclosing } ->
+                let e = Pass.estimate machine loc ~pm inner in
+                Format.printf
+                  "@.==== innermost %s %s (under %s) ====@.%a@.alpha = %.2f@.%a@."
+                  (match inner with
+                  | Depgraph.Counted _ -> "loop"
+                  | Depgraph.Chased _ -> "chase")
+                  (Pass.inner_desc inner)
+                  (String.concat ">" (List.map (fun (l : Ast.loop) -> l.Ast.var) enclosing))
+                  Depgraph.pp e.graph e.alpha Festimate.pp e.fest)
+              (Pass.locate_all nest)
+        | _ -> ())
+      p.Ast.body
   in
   Cmd.v (Cmd.info "analyze" ~doc) Term.(const run $ workload_arg)
 
@@ -519,9 +507,13 @@ let () =
   (* fail fast if a preset was edited into an inconsistent state *)
   List.iter Config.validate_exn
     [ Config.base; Config.exemplar_like; Config.three_level ];
-  (* and on a bad MEMCLUST_CHAOS_PASSES / MEMCLUST_FAIL_PASS, naming the
-     valid values, rather than deep inside a worker domain *)
-  (try ignore (Memclust_cluster.Driver.chaos_of_env ())
+  (* and on a malformed MEMCLUST_* variable, naming it and the valid
+     values, rather than deep inside a worker domain *)
+  (try
+     ignore (Memclust_cluster.Driver.chaos_of_env ());
+     ignore (Machine.default_watchdog_cycles ());
+     ignore (Machine.default_time_budget ());
+     ignore (Memclust_util.Domain_pool.domains_of_env ())
    with Invalid_argument m -> prerr_endline m; exit 1);
   exit
     (Cmd.eval

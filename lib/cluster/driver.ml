@@ -140,39 +140,49 @@ let make_pm options ~source p i =
       in
       fun id -> Profile.miss_rate prof id)
 
-let analyze options p =
-  Locality.analyze ~line_size:options.machine.Machine_model.line_size p
+(* A source nest as the fold holds it: variable, body position, loop,
+   innermost constructs and the locality analysis of the nest alone
+   ({!Pass.nest_program}: its references get their whole-program info). *)
+type nest = { var : string; index : int; loop : loop; located : Pass.located list;
+              loc : Locality.t Lazy.t }
 
-(* Evaluate f for the innermost construct identified by [key] inside the
-   top-level nest whose loop variable is [nest_var]; [loc] is [p]'s
-   locality analysis. *)
-let evaluate options ~source ~loc p ~nest_var ~key =
-  match Pass.find_nest p nest_var with
-  | None -> None
-  | Some (i, nest) -> (
-      match
-        List.find_opt
-          (fun (l : Pass.located) -> String.equal (Pass.inner_key l.inner) key)
-          (Pass.locate_all nest)
-      with
-      | None -> None
-      | Some located ->
-          let inner = located.Pass.inner in
-          let graph = Depgraph.analyze loc inner in
-          let alpha = Depgraph.alpha graph in
-          let pm =
-            if options.profile_pm && Festimate.reads_pm loc inner then
-              make_pm options ~source p i
-            else fun _ -> 1.0
-          in
-          let fest = Festimate.compute options.machine loc ~pm ~graph inner in
-          Some (located, graph, alpha, fest))
+let nest_of options p var =
+  Option.map
+    (fun (index, loop) ->
+      let loc = lazy (Pass.analyze options.machine (Pass.nest_program p var)) in
+      { var; index; loop; located = Pass.locate_all loop; loc })
+    (Pass.find_nest p var)
+
+(* The innermost construct identified by [key] in [nest]. *)
+let find_key key nest =
+  List.find_opt
+    (fun (l : Pass.located) -> String.equal (Pass.inner_key l.inner) key)
+    nest.located
+  |> Option.map (fun located -> (nest, located))
+
+(* The estimate of the innermost construct [inner] of [nest] in [p],
+   profiling P_m only where Eq. 3 reads it. *)
+let evaluate options ~source p nest inner =
+  let loc = Lazy.force nest.loc in
+  let pm =
+    if options.profile_pm && Festimate.reads_pm loc inner then
+      make_pm options ~source p nest.index
+    else fun _ -> 1.0
+  in
+  Pass.estimate options.machine loc ~pm inner
+
+(* [p] with the loop over [var] inside [nest] replaced by [repl] (which
+   may also put loops beside the nest at top level), renumbered. *)
+let splice p nest ~var ~repl =
+  Program.renumber
+    (Pass.replace_nest p ~var:nest.var
+       ~repl:(Pass.replace_loop ~var ~repl (Loop nest.loop)))
 
 (* ------------------------------------------------------------------ *)
 (* Unroll-and-jam with binary search on the degree                     *)
 (* ------------------------------------------------------------------ *)
 
-let try_factor ~stamp p ~nest_var (parent : loop) enclosing n =
+let try_factor ~stamp p nest (parent : loop) enclosing n =
   let outer_ranges =
     Legality.ranges_of_nest ~params:p.params
       (List.filter (fun (l : loop) -> not (String.equal l.var parent.var)) enclosing)
@@ -181,14 +191,9 @@ let try_factor ~stamp p ~nest_var (parent : loop) enclosing n =
     Unroll_jam.apply ~params:p.params ~outer_ranges ~stamp:(stamp ()) ~factor:n parent
   with
   | Error e -> Error (Format.asprintf "%a" Unroll_jam.pp_error e)
-  | Ok repl -> (
-      match Pass.find_nest p nest_var with
-      | None -> Error "internal: nest vanished"
-      | Some (_, nest) ->
-          let nest' = Pass.replace_loop ~var:parent.var ~repl (Loop nest) in
-          Ok (Program.renumber (Pass.replace_nest p ~var:nest_var ~repl:nest')))
+  | Ok repl -> Ok (splice p nest ~var:parent.var ~repl)
 
-let resolve_recurrences { Pass.options; source; stamp } p ~nest_var ~key parent
+let resolve_recurrences { Pass.options; source; stamp } p nest ~key parent
     enclosing ~alpha ~f0 =
   let lp = float_of_int options.machine.Machine_model.mshrs in
   let target = alpha *. lp in
@@ -216,15 +221,16 @@ let resolve_recurrences { Pass.options; source; stamp } p ~nest_var ~key parent
   in
   (* f is monotone in the unroll degree: binary-search the largest degree
      whose f stays within α·lp (the paper's contention-conscious rule).
-     Only the candidate's nest changed, and f reads only its references:
-     analyze that nest alone. *)
+     A candidate is a fresh program: find the nest and the construct in
+     it again, and analyze that nest alone (f reads only its
+     references). *)
   let f_of n =
-    match try_factor ~stamp p ~nest_var parent enclosing n with
+    match try_factor ~stamp p nest parent enclosing n with
     | Error msg -> Error msg
     | Ok p' -> (
-        let loc = analyze options (Pass.nest_program p' nest_var) in
-        match evaluate options ~source ~loc p' ~nest_var ~key with
-        | Some (_, _, _, fest) -> Ok (p', fest.Festimate.f)
+        match Option.bind (nest_of options p' nest.var) (find_key key) with
+        | Some (nest', located) ->
+            Ok (p', (evaluate options ~source p' nest' located.Pass.inner).fest.f)
         | None -> Error "internal: nest vanished")
   in
   let best = ref None in
@@ -263,40 +269,29 @@ let resolve_recurrences { Pass.options; source; stamp } p ~nest_var ~key parent
 (* Window-constraint resolution                                        *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_window { Pass.options; source; stamp } ~loc p ~nest_var ~key =
-  match evaluate options ~source ~loc p ~nest_var ~key with
-  | None -> (p, [])
-  | Some (located, graph, _, fest) -> (
-      let lp = float_of_int options.machine.Machine_model.mshrs in
-      let density = fest.Festimate.misses_per_iteration in
-      match located.Pass.inner with
-      | Depgraph.Counted l
-        when graph.Depgraph.recurrences = []
-             && density > 0.0
-             && fest.Festimate.f < lp ->
-          let k =
-            min options.machine.Machine_model.max_unroll
-              (max 2 (int_of_float (Float.ceil (lp /. density))))
-          in
-          (match Inner_unroll.apply ~params:p.params ~stamp:(stamp ()) ~factor:k l with
-          | Error _ -> (p, [])
-          | Ok repl -> (
-              match Pass.find_nest p nest_var with
-              | None -> (p, [])
-              | Some (_, nest) ->
-                  let nest' = Pass.replace_loop ~var:l.var ~repl (Loop nest) in
-                  let p' =
-                    Program.renumber (Pass.replace_nest p ~var:nest_var ~repl:nest')
-                  in
-                  (p', [ Inner_unroll { inner_var = l.var; factor = k } ])))
-      | _ -> (p, []))
+let resolve_window { Pass.options; source; stamp } p nest (located : Pass.located) =
+  let { Pass.graph; fest; _ } = evaluate options ~source p nest located.inner in
+  let lp = float_of_int options.machine.Machine_model.mshrs in
+  let density = fest.Festimate.misses_per_iteration in
+  match located.inner with
+  | Depgraph.Counted l
+    when graph.Depgraph.recurrences = [] && density > 0.0 && fest.Festimate.f < lp -> (
+      let k =
+        min options.machine.Machine_model.max_unroll
+          (max 2 (int_of_float (Float.ceil (lp /. density))))
+      in
+      match Inner_unroll.apply ~params:p.params ~stamp:(stamp ()) ~factor:k l with
+      | Error _ -> (p, [])
+      | Ok repl ->
+          (splice p nest ~var:l.var ~repl, [ Inner_unroll { inner_var = l.var; factor = k } ]))
+  | _ -> (p, [])
 
 (* ------------------------------------------------------------------ *)
 (* Miss-packing scheduling of innermost bodies                         *)
 (* ------------------------------------------------------------------ *)
 
 let schedule_innermost options p =
-  let loc = analyze options p in
+  let loc = Pass.analyze options.machine p in
   let scheduled = ref 0 in
   let reorder body =
     let body' =
@@ -334,36 +329,36 @@ let schedule_innermost options p =
 (* Chase pointer names are not uniquified, so an inner-construct key alone
    can repeat across nests; events qualify it with the nest variable so the
    report attaches each action to the right nest. *)
-let qkey nest_var key = nest_var ^ "/" ^ key
+let qkey nest key = nest.var ^ "/" ^ key
 
-(* Iterate the source nests and their innermost-construct keys, threading
-   the program through [f] — the single nest-indexed traversal that
-   replaces the old driver's shifting-index [while] loop. [f] also gets
-   the program's locality analysis, recomputed only after a key's rewrite
-   has changed the program. *)
+let nest_action nest ~key (l : Pass.located) action =
+  Pass.Nest_action { key = qkey nest key; inner_desc = Pass.inner_desc l.inner; action }
+
+(* The fold over the source nests, threading the program through [f]
+   with each innermost-construct key of a nest (as the fold reached it)
+   and the construct it names. The nest's state is built on reaching it
+   and again only after a key's rewrite, which changes only that nest. *)
 let over_nest_keys options p f =
   let events = ref [] in
   let p = ref p in
-  let loc = ref (lazy (analyze options !p)) in
   List.iter
-    (fun nest_var ->
-      match Pass.find_nest !p nest_var with
+    (fun var ->
+      match nest_of options !p var with
       | None -> ()
-      | Some (_, nest) ->
-          let keys =
-            List.map (fun (l : Pass.located) -> Pass.inner_key l.inner)
-              (Pass.locate_all nest)
-            |> List.sort_uniq String.compare
-          in
-          List.iter
-            (fun key ->
-              let p', evs = f !p ~loc:(Lazy.force !loc) ~nest_var ~key in
-              if p' != !p then begin
-                p := p';
-                loc := lazy (analyze options p')
-              end;
-              events := !events @ evs)
-            keys)
+      | Some first ->
+          let nest = ref (Some first) in
+          List.map (fun (l : Pass.located) -> Pass.inner_key l.inner) first.located
+          |> List.sort_uniq String.compare
+          |> List.iter (fun key ->
+                 match Option.bind !nest (find_key key) with
+                 | None -> ()
+                 | Some (n, located) ->
+                     let p', evs = f !p n ~key located in
+                     if p' != !p then begin
+                       p := p';
+                       nest := nest_of options p' var
+                     end;
+                     events := !events @ evs))
     (Pass.source_nest_vars !p);
   (!p, !events)
 
@@ -382,25 +377,18 @@ let analyze_pass =
        initial f of every innermost construct";
     rewrite =
       (fun { Pass.options; source; _ } p ->
-        over_nest_keys options p (fun p ~loc ~nest_var ~key ->
-            match evaluate options ~source ~loc p ~nest_var ~key with
-            | None -> (p, [])
-            | Some (located, _, alpha, fest) ->
-                let nest_index =
-                  match Pass.find_nest p nest_var with
-                  | Some (i, _) -> i
-                  | None -> -1
-                in
-                ( p,
-                  [ Pass.Nest_seen
-                      {
-                        nest_index;
-                        inner_desc = Pass.inner_desc located.Pass.inner;
-                        key = qkey nest_var key;
-                        alpha;
-                        f_initial = fest.Festimate.f;
-                      };
-                  ] )));
+        over_nest_keys options p (fun p nest ~key located ->
+            let e = evaluate options ~source p nest located.Pass.inner in
+            ( p,
+              [ Pass.Nest_seen
+                  {
+                    nest_index = nest.index;
+                    inner_desc = Pass.inner_desc located.inner;
+                    key = qkey nest key;
+                    alpha = e.alpha;
+                    f_initial = e.fest.f;
+                  };
+              ] )));
   }
 
 let unroll_jam_pass =
@@ -412,48 +400,32 @@ let unroll_jam_pass =
     rewrite =
       (fun ({ Pass.options; source; _ } as ctx) p ->
         let lp = float_of_int options.machine.Machine_model.mshrs in
-        over_nest_keys options p (fun p ~loc ~nest_var ~key ->
-            match evaluate options ~source ~loc p ~nest_var ~key with
-            | None -> (p, [])
-            | Some (located, _, alpha, fest) ->
-                if
-                  alpha > 0.0
-                  && fest.Festimate.f < alpha *. lp
-                  && located.Pass.enclosing <> []
-                then begin
-                  (* try enclosing loops from the immediate parent outward
-                     (the paper defers the deeper-nest choice to Carr &
-                     Kennedy; nearest-first is their common case) *)
-                  let candidates = List.rev located.Pass.enclosing in
-                  let p = ref p in
-                  let events = ref [] in
-                  let rec attempt = function
-                    | [] -> ()
-                    | target :: rest ->
-                        let p', acts =
-                          resolve_recurrences ctx !p ~nest_var ~key
-                            target located.Pass.enclosing ~alpha
-                            ~f0:fest.Festimate.f
-                        in
-                        let succeeded =
-                          List.exists
-                            (function Unroll_jam _ -> true | _ -> false)
-                            acts
-                        in
-                        p := p';
-                        events :=
-                          !events
-                          @ List.map
-                              (fun action ->
-                                Pass.Nest_action
-                                  { key = qkey nest_var key; action })
-                              acts;
-                        if not succeeded then attempt rest
-                  in
-                  attempt candidates;
-                  (!p, !events)
-                end
-                else (p, [])));
+        over_nest_keys options p (fun p nest ~key located ->
+            let { Pass.alpha; fest; _ } =
+              evaluate options ~source p nest located.Pass.inner
+            in
+            if alpha > 0.0 && fest.f < alpha *. lp && located.enclosing <> [] then begin
+              (* try enclosing loops from the immediate parent outward
+                 (the paper defers the deeper-nest choice to Carr &
+                 Kennedy; nearest-first is their common case) *)
+              let p = ref p in
+              let events = ref [] in
+              let rec attempt = function
+                | [] -> ()
+                | target :: rest ->
+                    let p', acts =
+                      resolve_recurrences ctx !p nest ~key target located.enclosing
+                        ~alpha ~f0:fest.f
+                    in
+                    p := p';
+                    events := !events @ List.map (nest_action nest ~key located) acts;
+                    if not (List.exists (function Unroll_jam _ -> true | _ -> false) acts)
+                    then attempt rest
+              in
+              attempt (List.rev located.enclosing);
+              (!p, !events)
+            end
+            else (p, [])));
   }
 
 let window_pass =
@@ -464,13 +436,9 @@ let window_pass =
        iterations cannot fill the MSHRs (paper §3.3)";
     rewrite =
       (fun ctx p ->
-        over_nest_keys ctx.Pass.options p (fun p ~loc ~nest_var ~key ->
-            let p', acts = resolve_window ctx ~loc p ~nest_var ~key in
-            ( p',
-              List.map
-                (fun action ->
-                  Pass.Nest_action { key = qkey nest_var key; action })
-                acts )));
+        over_nest_keys ctx.Pass.options p (fun p nest ~key located ->
+            let p', acts = resolve_window ctx p nest located in
+            (p', List.map (nest_action nest ~key located) acts)));
   }
 
 let scalar_replace_pass =
@@ -578,7 +546,7 @@ let report_of_trace (trace : Pass.Pipeline.trace) =
     | Pass.Nest_seen { nest_index; inner_desc; key; alpha; f_initial } ->
         nests :=
           !nests @ [ (key, { nest_index; inner_desc; alpha; f_initial; actions = [] }) ]
-    | Pass.Nest_action { key; action } -> (
+    | Pass.Nest_action { key; inner_desc; action } -> (
         match List.assoc_opt key !nests with
         | Some _ ->
             nests :=
@@ -588,18 +556,7 @@ let report_of_trace (trace : Pass.Pipeline.trace) =
                   else (k, nr))
                 !nests
         | None ->
-            (* the analyze pass was not selected: synthesize a bare nest entry.
-               Keys look like "nestvar/L:innervar" — recover the inner name. *)
-            let inner_desc =
-              let tail =
-                match String.index_opt key '/' with
-                | Some i -> String.sub key (i + 1) (String.length key - i - 1)
-                | None -> key
-              in
-              if String.length tail > 2 then
-                String.sub tail 2 (String.length tail - 2)
-              else tail
-            in
+            (* the analyze pass was not selected: synthesize a bare nest entry *)
             nests :=
               !nests
               @ [ ( key,

@@ -15,6 +15,11 @@
     + [scalar-replace], [schedule] — scalar replacement and miss-packing
       scheduling of every innermost body.
 
+    [analyze], [unroll-jam] and [window-unroll] fold over the source
+    nests, holding the current nest's constructs and the locality
+    analysis of that nest alone, rebuilt only after its rewrite. Every
+    f and α is {!Pass.estimate}.
+
     A subset of the pipeline is selected by pass name ([?only] of {!run});
     the options never switch a pass off.
 

@@ -62,7 +62,7 @@ type event =
       alpha : float;
       f_initial : float;
     }
-  | Nest_action of { key : string; action : action }
+  | Nest_action of { key : string; inner_desc : string; action : action }
   | Count of { what : string; n : int }
 
 let pp_action ppf = function
@@ -208,6 +208,19 @@ let replace_loop ~var ~repl stmt =
   go stmt
 
 (* ------------------------------------------------------------------ *)
+(* The f/α estimator                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let analyze (machine : Machine_model.t) p =
+  Locality.analyze ~line_size:machine.line_size p
+
+type estimate = { graph : Depgraph.t; alpha : float; fest : Festimate.t }
+
+let estimate machine loc ~pm inner =
+  let graph = Depgraph.analyze loc inner in
+  { graph; alpha = Depgraph.alpha graph; fest = Festimate.compute machine loc ~pm ~graph inner }
+
+(* ------------------------------------------------------------------ *)
 (* The pipeline combinator                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -259,12 +272,10 @@ module Pipeline = struct
   (* Static f/α per innermost construct of every source nest. Used for the
      trace only, so it deliberately skips miss-rate profiling (pm = 1):
      re-profiling the whole program after every pass would dominate
-     pipeline time. Passes that need the profiled f compute it
-     themselves. *)
+     pipeline time. The passes call the same [estimate] with their
+     profiled pm. *)
   let nest_summaries options p =
-    let loc =
-      Locality.analyze ~line_size:options.machine.Machine_model.line_size p
-    in
+    let loc = analyze options.machine p in
     List.concat_map
       (fun var ->
         match find_nest p var with
@@ -272,17 +283,8 @@ module Pipeline = struct
         | Some (_, nest) ->
             List.map
               (fun located ->
-                let graph = Depgraph.analyze loc located.inner in
-                let fest =
-                  Festimate.compute options.machine loc
-                    ~pm:(fun _ -> 1.0)
-                    ~graph located.inner
-                in
-                {
-                  ns_inner = inner_desc located.inner;
-                  ns_alpha = Depgraph.alpha graph;
-                  ns_f = fest.Festimate.f;
-                })
+                let e = estimate options.machine loc ~pm:(fun _ -> 1.0) located.inner in
+                { ns_inner = inner_desc located.inner; ns_alpha = e.alpha; ns_f = e.fest.f })
               (locate_all nest))
       (source_nest_vars p)
 

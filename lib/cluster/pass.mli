@@ -99,7 +99,7 @@ type event =
       alpha : float;
       f_initial : float;
     }
-  | Nest_action of { key : string; action : action }
+  | Nest_action of { key : string; inner_desc : string; action : action }
   | Count of { what : string; n : int }
 
 val pp_action : Format.formatter -> action -> unit
@@ -161,6 +161,23 @@ val replace_loop : var:string -> repl:stmt list -> stmt -> stmt list
 (** Replace the first loop (in program order) with variable [var] inside
     one statement by [repl]; exactly one replacement per call. *)
 
+(** {1 The f/α estimator}
+
+    The one estimate (Eqs. 1–4) the passes, the trace summaries and
+    [repro analyze] make of an innermost construct. *)
+
+val analyze : Machine_model.t -> program -> Memclust_locality.Locality.t
+(** Locality analysis at the machine's line size (the passes analyze one
+    nest's {!nest_program}). *)
+
+type estimate = { graph : Depgraph.t; alpha : float; fest : Festimate.t }
+
+val estimate :
+  Machine_model.t -> Memclust_locality.Locality.t -> pm:(int -> float) -> Depgraph.inner -> estimate
+(** [estimate machine loc ~pm inner]: the dependence graph of [inner],
+    its {!Depgraph.alpha} and {!Festimate.compute}'s f, with [pm] each
+    leading irregular reference's miss rate (profiled, or 1). *)
+
 (** {1 The pipeline} *)
 
 module Pipeline : sig
@@ -217,9 +234,9 @@ module Pipeline : sig
   val measure : program -> ir_size
 
   val nest_summaries : options -> program -> nest_summary list
-  (** Static f/α per innermost construct of every source nest, with
-      [pm = 1] (no profiling: it describes every pass boundary of a
-      trace). *)
+  (** Static f/α per innermost construct of every source nest: the
+      {!estimate} over one whole-program {!analyze}, with [pm = 1] (no
+      profiling: it describes every pass boundary of a trace). *)
 
   val run :
     ?source:source ->

@@ -90,19 +90,24 @@ type engine = {
   mode : mode;
 }
 
+(* An empty value reads as unset; anything else must parse. *)
+let env_value name ~default ~expected parse =
+  match Sys.getenv_opt name with
+  | None | Some "" -> default
+  | Some s -> (
+      match parse s with
+      | Some v -> v
+      | None -> invalid_arg (Printf.sprintf "%s: expected %s, got %S" name expected s))
+
 let default_watchdog_cycles () =
-  match
-    Option.bind (Sys.getenv_opt "MEMCLUST_WATCHDOG_CYCLES") int_of_string_opt
-  with
-  | Some v when v > 0 -> v
-  | _ -> 1_000_000
+  env_value "MEMCLUST_WATCHDOG_CYCLES" ~default:1_000_000
+    ~expected:"a positive number of cycles" (fun s ->
+      Option.bind (int_of_string_opt s) (fun v -> if v > 0 then Some v else None))
 
 let default_time_budget () =
-  match
-    Option.bind (Sys.getenv_opt "MEMCLUST_TIME_BUDGET_S") float_of_string_opt
-  with
-  | Some v when v > 0.0 -> v
-  | _ -> 0.0
+  env_value "MEMCLUST_TIME_BUDGET_S" ~default:0.0
+    ~expected:"a number of seconds >= 0 (0 disables)" (fun s ->
+      Option.bind (float_of_string_opt s) (fun v -> if v >= 0.0 then Some v else None))
 
 let make_engine ?(max_cycles = 400_000_000) ?watchdog_cycles ?time_budget
     ~mode (cfg : Config.t) ~home (lower : Lower.t) =

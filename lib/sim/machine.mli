@@ -53,6 +53,13 @@ val default_mode : unit -> mode
     variable (["cycle"] or ["event"]). Raises [Invalid_argument] on any
     other value of the variable. *)
 
+val default_watchdog_cycles : unit -> int
+val default_time_budget : unit -> float
+(** [MEMCLUST_WATCHDOG_CYCLES] (a positive integer; default 1 000 000)
+    and [MEMCLUST_TIME_BUDGET_S] (seconds [>= 0], 0 disables; default 0).
+    Unset or empty gives the default; any other value raises
+    [Invalid_argument] naming the variable. *)
+
 val resolve_mode : ?mode:mode -> Config.t -> mode
 (** The mode a run of [cfg] will use: an explicit [?mode] wins, then the
     config's [sim_mode] string (["cycle"] or ["event"]; raises
@@ -75,11 +82,10 @@ val run :
     progress, per-level MSHR occupancies and pending completion events —
     when (a) [max_cycles] (default 400 million) is exceeded, (b) no core
     changes state for [watchdog_cycles] consecutive simulated cycles
-    (default 1 million, or the [MEMCLUST_WATCHDOG_CYCLES] environment
-    variable), (c) event mode finds unfinished cores with no pending
-    completion anywhere, or (d) the optional wall-clock budget
-    [time_budget] seconds (or [MEMCLUST_TIME_BUDGET_S]; 0 = disabled,
-    the default) runs out. The watchdog only reads simulator state, so
+    (default {!default_watchdog_cycles}), (c) event mode finds unfinished
+    cores with no pending completion anywhere, or (d) the optional
+    wall-clock budget [time_budget] seconds (default
+    {!default_time_budget}; 0 = disabled) runs out. The watchdog only reads simulator state, so
     results on non-wedged runs are bit-identical with it enabled. *)
 
 val ns_per_cycle : Config.t -> float

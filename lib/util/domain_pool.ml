@@ -150,6 +150,14 @@ let shutdown t =
 
 (* ------------------------------------------------------------------ *)
 
+let domains_of_env () =
+  match Sys.getenv_opt "MEMCLUST_DOMAINS" with
+  | None | Some "" -> None
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some d when d >= 0 -> Some d
+      | _ -> invalid_arg (Printf.sprintf "MEMCLUST_DOMAINS: expected a worker count >= 0, got %S" s))
+
 let default_pool = ref None
 let default_m = Mutex.create ()
 
@@ -160,9 +168,7 @@ let default () =
     | Some t -> t
     | None ->
         let t =
-          match
-            Option.bind (Sys.getenv_opt "MEMCLUST_DOMAINS") int_of_string_opt
-          with
+          match domains_of_env () with
           | Some d -> create ~domains:d ()
           | None -> create ()
         in

@@ -43,7 +43,11 @@ val shutdown : t -> unit
 (** Stop and join the workers. Subsequent [map_result] calls run
     inline. Idempotent. *)
 
+val domains_of_env : unit -> int option
+(** [MEMCLUST_DOMAINS], a worker count [>= 0] ([0] forces sequential);
+    [None] when unset or empty; raises [Invalid_argument] naming the
+    variable on any other value. Spawns nothing. *)
+
 val default : unit -> t
-(** A lazily-created shared pool sized by [MEMCLUST_DOMAINS] (an integer
-    count of worker domains; [0] forces sequential) or
+(** A lazily-created shared pool sized by {!domains_of_env} or
     [recommended_domain_count () - 1]. Shut down automatically at exit. *)

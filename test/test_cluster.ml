@@ -485,43 +485,67 @@ let prop_resumed_profile_exact =
         p.Ast.body;
       true)
 
-(* [f_of] analyzes a candidate's nest alone ([Pass.nest_program]); every
-   reference of the nest, and of any remainder loop split off it, must
-   get the info the whole-program analysis gives it. Checked for every
-   nest of every registry program, as written (loop variables made
-   unique) and as clustered. *)
+(* The driver analyzes each nest alone ([Pass.nest_program]): the fold
+   over source nests and [f_of]'s candidates. Every reference of the
+   nest must be analyzed there, and every reference analyzed there
+   (the nest's, and any remainder loop's split off it) must get the info
+   the whole-program analysis gives it. [None], or the first reference
+   that breaks it. *)
+let nest_locality_mismatch p =
+  let whole = Locality.analyze ~line_size:64 p in
+  List.find_map
+    (fun var ->
+      let _, nest = Option.get (Pass.find_nest p var) in
+      let part = Locality.infos (Locality.analyze ~line_size:64 (Pass.nest_program p var)) in
+      let missing =
+        List.find_map
+          (fun (r : Program.ref_info) ->
+            let id = r.Program.ref_.Ast.ref_id in
+            if List.exists (fun (i : Locality.info) -> i.id = id) part then None
+            else Some (Printf.sprintf "nest %s: ref %d not analyzed" var id))
+          (Program.refs_in_stmts [ Ast.Loop nest ])
+      in
+      match missing with
+      | Some _ -> missing
+      | None ->
+          List.find_map
+            (fun (i : Locality.info) ->
+              if Locality.info whole i.id = i then None
+              else Some (Printf.sprintf "nest %s: ref %d differs from the whole program" var i.id))
+            part)
+    (Pass.source_nest_vars p)
+
+(* Checked for every nest of every registry program, as written (loop
+   variables made unique) and as clustered. *)
 let test_nest_locality_exact () =
   List.iter
     (fun (w : Memclust_workloads.Workload.t) ->
       List.iter
         (fun (label, p) ->
-          let whole = Locality.analyze ~line_size:64 p in
-          List.iter
-            (fun var ->
-              let _, nest = Option.get (Pass.find_nest p var) in
-              let part = Locality.analyze ~line_size:64 (Pass.nest_program p var) in
-              let what = Printf.sprintf "%s %s nest %s" w.name label var in
-              List.iter
-                (fun (r : Program.ref_info) ->
-                  let id = r.Program.ref_.Ast.ref_id in
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s: ref %d analyzed" what id)
-                    true
-                    (List.exists (fun (i : Locality.info) -> i.id = id) (Locality.infos part)))
-                (Program.refs_in_stmts [ Ast.Loop nest ]);
-              List.iter
-                (fun (i : Locality.info) ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s: ref %d as in the whole program" what i.id)
-                    true
-                    (Locality.info whole i.id = i))
-                (Locality.infos part))
-            (Pass.source_nest_vars p))
+          Alcotest.(check (option string)) (w.name ^ " " ^ label) None
+            (nest_locality_mismatch p))
         [
           ("source", fst (Driver.run ~only:[] w.program));
           ("clustered", fst (Driver.run ~init:w.init w.program));
         ])
     (Memclust_workloads.Registry.small ())
+
+(* ... and for every nest of random programs, as written and as clustered. *)
+let prop_nest_locality_exact =
+  QCheck.Test.make ~name:"per-nest locality is exact on random nests" ~count:200
+    Gen_program.arbitrary
+    (fun cfg ->
+      let p = Gen_program.build cfg in
+      List.iter
+        (fun (label, q) ->
+          match nest_locality_mismatch q with
+          | None -> ()
+          | Some m -> QCheck.Test.fail_reportf "%s: %s" label m)
+        [
+          ("source", fst (Driver.run ~only:[] p));
+          ("clustered", fst (Driver.run ~init:(Gen_program.init cfg) p));
+        ];
+      true)
 
 (* ------------------------ pipeline fuzzing ------------------------- *)
 
@@ -587,6 +611,7 @@ let () =
           Alcotest.test_case "cut profile is exact (Em3d)" `Quick test_cut_profile_exact;
           QCheck_alcotest.to_alcotest prop_resumed_profile_exact;
           Alcotest.test_case "per-nest locality is exact" `Quick test_nest_locality_exact;
+          QCheck_alcotest.to_alcotest prop_nest_locality_exact;
         ] );
       ( "regressions",
         [

@@ -81,6 +81,54 @@ let test_time_budget_stops_long_run () =
     ~finally:(fun () -> Unix.putenv "MEMCLUST_TIME_BUDGET_S" "0")
     (fun () -> expect_budget "MEMCLUST_TIME_BUDGET_S" (run ?time_budget:None))
 
+(* The watchdog, budget and pool variables reject a malformed value,
+   naming the variable, instead of running with the default; an empty
+   value reads as unset. The pool's count is only parsed: no pool is
+   created from it. *)
+let test_env_values_checked () =
+  let with_env name v f =
+    let old = Option.value ~default:"" (Sys.getenv_opt name) in
+    Unix.putenv name v;
+    Fun.protect ~finally:(fun () -> Unix.putenv name old) f
+  in
+  let rejects name read v =
+    with_env name v (fun () ->
+        match read () with
+        | () -> Alcotest.failf "%s=%s: accepted" name v
+        | exception Invalid_argument m ->
+            Alcotest.(check bool) (name ^ "=" ^ v ^ ": names the variable") true
+              (contains m name))
+  in
+  let watchdog () = Machine.default_watchdog_cycles () in
+  let budget () = Machine.default_time_budget () in
+  let domains () = Domain_pool.domains_of_env () in
+  List.iter
+    (rejects "MEMCLUST_WATCHDOG_CYCLES" (fun () -> ignore (watchdog ())))
+    [ "5c"; "0"; "-3"; "soon" ];
+  List.iter
+    (rejects "MEMCLUST_TIME_BUDGET_S" (fun () -> ignore (budget ())))
+    [ "soon"; "-1"; "1s" ];
+  List.iter
+    (rejects "MEMCLUST_DOMAINS" (fun () -> ignore (domains ())))
+    [ "abc"; "-1"; "2x" ];
+  let reads name v what check = with_env name v (fun () -> check (name ^ "=" ^ v ^ " " ^ what)) in
+  reads "MEMCLUST_WATCHDOG_CYCLES" "5" "is 5" (fun m -> Alcotest.(check int) m 5 (watchdog ()));
+  reads "MEMCLUST_WATCHDOG_CYCLES" "" "is the default" (fun m ->
+      Alcotest.(check int) m 1_000_000 (watchdog ()));
+  reads "MEMCLUST_TIME_BUDGET_S" "2.5" "is 2.5 s" (fun m ->
+      Alcotest.(check (float 0.0)) m 2.5 (budget ()));
+  List.iter
+    (fun v ->
+      reads "MEMCLUST_TIME_BUDGET_S" v "disables the budget" (fun m ->
+          Alcotest.(check (float 0.0)) m 0.0 (budget ())))
+    [ "0"; "" ];
+  reads "MEMCLUST_DOMAINS" "3" "is 3" (fun m ->
+      Alcotest.(check (option int)) m (Some 3) (domains ()));
+  reads "MEMCLUST_DOMAINS" "0" "is sequential" (fun m ->
+      Alcotest.(check (option int)) m (Some 0) (domains ()));
+  reads "MEMCLUST_DOMAINS" "" "is unset" (fun m ->
+      Alcotest.(check (option int)) m None (domains ()))
+
 (* --------------------------- fault injection ---------------------------- *)
 
 let run_with_faults ?plan () =
@@ -422,6 +470,8 @@ let () =
             test_time_budget_stops_long_run;
           Alcotest.test_case "reports deadlock with state dump" `Quick
             test_watchdog_reports_deadlock;
+          Alcotest.test_case "malformed environment values rejected" `Quick
+            test_env_values_checked;
         ] );
       ( "faults",
         [
