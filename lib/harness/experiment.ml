@@ -204,7 +204,6 @@ let spec_key spec =
 
 (* No memo of its own: the cluster and sim memos serve a repeated point *)
 let execute_cached spec =
-  Printf.eprintf "[run] %s...\n%!" (spec_key spec);
   let w = spec.workload in
   let cfg = scaled_config spec.config w in
   let prefetched p =
@@ -238,6 +237,9 @@ let execute_all specs =
         (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
       specs
   in
+  (* from the calling domain and in spec order, before the fan-out, so
+     the log reads the same whichever order the pool runs the points in *)
+  List.iter (fun s -> Printf.eprintf "[run] %s...\n%!" (spec_key s)) unique;
   let results =
     Domain_pool.map_result ~task_name:spec_key (Domain_pool.default ())
       execute_cached unique

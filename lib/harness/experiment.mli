@@ -95,7 +95,7 @@ val execute_cached : spec -> outcome
     cluster, lowering and simulation memos, so a repeated point costs
     only the memo lookups. The workload's scaled L2 size is applied to
     the config when the config has a two-level hierarchy; single-level
-    configs (Exemplar) are used unchanged. Logs the point to stderr.
+    configs (Exemplar) are used unchanged. Prints nothing.
     Safe to call from multiple domains concurrently (the memo tables are
     mutex-guarded; racing domains may duplicate deterministic work,
     never corrupt state). *)
@@ -103,7 +103,9 @@ val execute_cached : spec -> outcome
 val execute_all : spec list -> spec -> outcome
 (** [execute_all specs] runs every distinct point of [specs] (by
     {!spec_key}) once, across {!Memclust_util.Domain_pool.default}, and
-    returns its lookup. A point that fails (a simulator deadlock, which
+    returns its lookup. Before the fan-out it prints each distinct
+    point's [[run]] line to stderr, in spec order, so two runs of one
+    sweep log the same lines in the same order. A point that fails (a simulator deadlock, which
     the pool does not retry, or a crash that fails its retry too) is
     logged to stderr and loses only its own slot: looking it up raises
     its [Memclust_util.Error.Error].

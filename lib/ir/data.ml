@@ -3,39 +3,47 @@ open Ast
 (* Every array and region keeps its elements in two flat buffers: a tag
    byte per slot and an 8-byte payload per slot (IEEE bits of a float, or
    the int / pointer). The buffers are opaque to the GC: a store is never
-   scanned, a write neither boxes nor goes through [caml_modify], and a
-   read boxes the one [value] it returns. The primitives below read and
-   write the payloads in place without boxing the int64. *)
+   scanned and a write neither boxes nor goes through [caml_modify]. The
+   slot accessors read and write a tag and its payload apart, so the
+   executor moves a value between a store and its registers without
+   boxing it; only [read] boxes, for the [value]-level API. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
-let tag_float = '\000'
-let tag_int = '\001'
-let tag_ptr = '\002'
+let tag_float = 0
+let tag_int = 1
+let tag_ptr = 2
 
 type slots = { tags : Bytes.t; words : Bytes.t }
 
-let make_slots n tag = { tags = Bytes.make n tag; words = Bytes.make (8 * n) '\000' }
+let make_slots n tag =
+  { tags = Bytes.make n (Char.chr tag); words = Bytes.make (8 * n) '\000' }
+
 let length s = Bytes.length s.tags
 let copy_slots s = { tags = Bytes.copy s.tags; words = Bytes.copy s.words }
+let[@inline] tag s k = Char.code (Bytes.get s.tags k)
+let[@inline] int_at s k = Int64.to_int (get64 s.words (8 * k))
+let[@inline] float_at s k = Int64.float_of_bits (get64 s.words (8 * k))
 
-let read s i =
-  let t = Bytes.get s.tags i and w = get64 s.words (8 * i) in
-  if t = tag_float then Vfloat (Int64.float_of_bits w)
-  else if t = tag_int then Vint (Int64.to_int w)
-  else Vptr (Int64.to_int w)
+let[@inline] set_int s k ~tag n =
+  Bytes.set s.tags k (Char.unsafe_chr tag);
+  set64 s.words (8 * k) (Int64.of_int n)
 
-let write s i v =
+let[@inline] set_float s k x =
+  Bytes.set s.tags k (Char.unsafe_chr tag_float);
+  set64 s.words (8 * k) (Int64.bits_of_float x)
+
+let read s k =
+  let t = tag s k in
+  if t = tag_float then Vfloat (float_at s k)
+  else if t = tag_int then Vint (int_at s k)
+  else Vptr (int_at s k)
+
+let write s k v =
   match v with
-  | Vfloat x ->
-      Bytes.set s.tags i tag_float;
-      set64 s.words (8 * i) (Int64.bits_of_float x)
-  | Vint n ->
-      Bytes.set s.tags i tag_int;
-      set64 s.words (8 * i) (Int64.of_int n)
-  | Vptr a ->
-      Bytes.set s.tags i tag_ptr;
-      set64 s.words (8 * i) (Int64.of_int a)
+  | Vfloat x -> set_float s k x
+  | Vint n -> set_int s k ~tag:tag_int n
+  | Vptr a -> set_int s k ~tag:tag_ptr a
 
 (* Tags must match; ints and pointers must be identical, floats within a
    relative [eps] or both NaN (so a store holding a NaN equals its own
@@ -47,8 +55,8 @@ let slots_equal eps a b =
   let rec go i =
     i >= n
     ||
-    let t = Bytes.get a.tags i in
-    t = Bytes.get b.tags i
+    let t = tag a i in
+    t = tag b i
     && (let o = 8 * i in
         if t = tag_float then
           let x = Int64.float_of_bits (get64 a.words o)
@@ -144,11 +152,18 @@ let clamp len i = if i < 0 then 0 else if i >= len then len - 1 else i
 type handle = array_store
 
 let handle = find_array
-let h_addr a i = a.as_base + (clamp (length a.as_data) i * a.as_elem)
-let h_get a i = read a.as_data (clamp (length a.as_data) i)
-let h_set a i v = write a.as_data (clamp (length a.as_data) i) v
-let get t name i = h_get (find_array t name) i
-let set t name i v = h_set (find_array t name) i v
+let[@inline] h_slots a = a.as_data
+let[@inline] h_slot a i = clamp (length a.as_data) i
+let[@inline] h_addr a i = a.as_base + (h_slot a i * a.as_elem)
+
+let get t name i =
+  let a = find_array t name in
+  read a.as_data (h_slot a i)
+
+let set t name i v =
+  let a = find_array t name in
+  write a.as_data (h_slot a i) v
+
 let addr_of t name i = h_addr (find_array t name) i
 let array_base t name = (find_array t name).as_base
 
@@ -195,13 +210,11 @@ type rhandle = { rh_name : string; rh : region_store }
 
 let rhandle t name = { rh_name = name; rh = find_region t name }
 
-let rh_get h ~ptr ~field = read h.rh.rs_data (slot_of_r h.rh h.rh_name ~ptr ~field)
-
-let rh_set h ~ptr ~field v =
-  write h.rh.rs_data (slot_of_r h.rh h.rh_name ~ptr ~field) v
+let[@inline] rh_slots h = h.rh.rs_data
+let rh_slot h ~ptr ~field = slot_of_r h.rh h.rh_name ~ptr ~field
 
 let rh_addr h ~ptr ~field =
-  ignore (slot_of_r h.rh h.rh_name ~ptr ~field);
+  ignore (rh_slot h ~ptr ~field);
   ptr + (field * 8)
 
 let copy t =

@@ -11,10 +11,12 @@
     int or pointer) and one 8-byte payload per slot (the IEEE bits, or the
     int). The buffers hold no OCaml pointers, so the GC never scans a
     store however large it is. A write stores the tag and the payload in
-    place: it allocates nothing and needs no write barrier. A read boxes
-    the one {!Ast.value} it returns (2 words for an int or pointer, 4 for
-    a float). {!create} fills the buffers and {!copy} duplicates them, a
-    memcpy each; {!equal} walks the tags and payloads without boxing. *)
+    place: it allocates nothing and needs no write barrier. The
+    {!section-slots} accessors read a tag and its payload apart and box
+    nothing; the [value]-level reads ({!get}, {!field_get}) are
+    wrappers over them that box the one {!Ast.value} they return (2 words for an int or pointer, 4 for a float). {!create}
+    fills the buffers and {!copy} duplicates them, a memcpy each;
+    {!equal} walks the tags and payloads without boxing. *)
 
 open Ast
 
@@ -24,6 +26,35 @@ val create : ?base:int -> ?align:int -> program -> t
 (** Lay out the program's arrays and regions in declaration order starting
     at [base] (default 0x10000), aligning each object to [align] bytes
     (default 64, one cache line). *)
+
+(** {1:slots Slots}
+
+    The elements of one array or region, addressed by slot index. A
+    slot's tag is {!tag_float}, {!tag_int} or {!tag_ptr}; a float's
+    payload is read with {!float_at}, an int's or a pointer's with
+    {!int_at}. The executor keeps values in these three codes and never
+    boxes one. *)
+
+type slots
+
+val tag_float : int
+(** 0 *)
+
+val tag_int : int
+(** 1 *)
+
+val tag_ptr : int
+(** 2 *)
+
+val tag : slots -> int -> int
+val int_at : slots -> int -> int
+val float_at : slots -> int -> float
+
+val set_int : slots -> int -> tag:int -> int -> unit
+(** [set_int s k ~tag n] stores [n] with [tag] ({!tag_int} or
+    {!tag_ptr}) in slot [k]. *)
+
+val set_float : slots -> int -> float -> unit
 
 (** {1 Arrays} *)
 
@@ -51,8 +82,9 @@ val handle : t -> string -> handle
 (** Raises [Invalid_argument] on an unknown array, like {!get}. *)
 
 val h_addr : handle -> int -> int
-val h_get : handle -> int -> value
-val h_set : handle -> int -> value -> unit
+val h_slots : handle -> slots
+val h_slot : handle -> int -> int
+(** The slot element [i] lives in: [i] clamped like {!get}. *)
 
 (** {1 Regions (heaps of fixed-size nodes)} *)
 
@@ -80,9 +112,12 @@ type rhandle
 val rhandle : t -> string -> rhandle
 (** Raises [Invalid_argument] on an unknown region, like {!field_get}. *)
 
-val rh_get : rhandle -> ptr:int -> field:int -> value
-val rh_set : rhandle -> ptr:int -> field:int -> value -> unit
 val rh_addr : rhandle -> ptr:int -> field:int -> int
+val rh_slots : rhandle -> slots
+
+val rh_slot : rhandle -> ptr:int -> field:int -> int
+(** The slot a field lives in; raises like {!field_get} on a null or foreign
+    pointer or a field outside the node. *)
 
 (** {1 Whole-store operations} *)
 

@@ -12,7 +12,11 @@
       indirect accesses.
 
     Dependence tokens are integers chosen by the emitter ([-1] = no
-    dependence, i.e. the value is already available). *)
+    dependence, i.e. the value is already available).
+
+    A run allocates its closure tree and nothing per operation: values
+    travel as a {!Data} tag plus an unboxed payload, and only {!run_from}'s
+    returned {!state} boxes the scalars. *)
 
 open Ast
 

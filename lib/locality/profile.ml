@@ -5,6 +5,7 @@ open Memclust_ir
 type cache = {
   assoc : int;
   sets : int;
+  set_mask : int;  (* sets - 1 when [sets] is a power of two, else -1 *)
   line_shift : int;
   lines : int array;
   ages : int array;
@@ -20,13 +21,15 @@ let cache ~line_size =
     let rec log2 v acc = if v <= 1 then acc else log2 (v lsr 1) (acc + 1) in
     log2 line_size 0
   in
-  { assoc; sets; line_shift; lines = Array.make (sets * assoc) (-1);
+  { assoc; sets; set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
+    line_shift; lines = Array.make (sets * assoc) (-1);
     ages = Array.make (sets * assoc) 0; clock = 0 }
 
 (* true = miss *)
 let access c addr =
   let line = addr lsr c.line_shift in
-  let set = line mod c.sets in
+  (* [line] is never negative, so the mask and [mod] agree *)
+  let set = if c.set_mask >= 0 then line land c.set_mask else line mod c.sets in
   let base = set * c.assoc in
   c.clock <- c.clock + 1;
   let found = ref (-1) in

@@ -644,11 +644,22 @@ let test_exec_pointer_arithmetic () =
   | _ -> Alcotest.fail "pointer arithmetic lost the pointer"
 
 (* The executor's arithmetic against a reference copy of the original
-   operator table (one closure-built function for every operator). *)
+   operator table, on boxed values. *)
+let ref_to_float = function Vfloat x -> x | Vint i | Vptr i -> float_of_int i
+let ref_to_int = function Vint i | Vptr i -> i | Vfloat x -> int_of_float x
+let ref_is_float = function Vfloat _ -> true | Vint _ | Vptr _ -> false
+
+let reference_unop op v =
+  match (op, v) with
+  | Neg, Vfloat x -> Vfloat (-.x)
+  | Abs, Vfloat x -> Vfloat (Float.abs x)
+  | Neg, (Vint i | Vptr i) -> Vint (-i)
+  | Abs, (Vint i | Vptr i) -> Vint (abs i)
+  | Sqrt, _ -> Vfloat (sqrt (Float.abs (ref_to_float v)))
+  | Trunc, _ -> Vint (ref_to_int v)
+
 let reference_binop op a b =
-  let to_float = function Vfloat x -> x | Vint i | Vptr i -> float_of_int i in
-  let to_int = function Vint i | Vptr i -> i | Vfloat x -> int_of_float x in
-  let is_float = function Vfloat _ -> true | Vint _ | Vptr _ -> false in
+  let to_float = ref_to_float and to_int = ref_to_int and is_float = ref_is_float in
   let fl f = Vfloat (f (to_float a) (to_float b)) in
   let it f = Vint (f (to_int a) (to_int b)) in
   let numeric ffun ifun = if is_float a || is_float b then fl ffun else it ifun in
@@ -709,23 +720,132 @@ let binop_operand_gen =
         (1, map (fun p -> Vptr p) (oneofl [ 0; 64; 0x2000 ]));
       ])
 
+(* Where an operand of the operator properties is read from: a constant,
+   a scalar, an array slot or a region field slot. *)
+type source = From_const | From_scalar | From_array | From_field
+
+let pp_source = function
+  | From_const -> "const"
+  | From_scalar -> "scalar"
+  | From_array -> "array"
+  | From_field -> "field"
+
+let operand_gen =
+  QCheck.Gen.(pair (oneofl [ From_const; From_scalar; From_array; From_field ]) binop_operand_gen)
+
+let pp_operand (src, v) = Printf.sprintf "%s %s" (pp_source src) (pp_value v)
+
+(* What an operation emitted, by the token the store of its result reads. *)
+type emitted = E_int | E_fp of int | E_load
+
+(* Runs [out[0] = op operands], operand [k] placed in slot [k] of its
+   source, and returns the stored value and how the operation emitted. *)
+let run_operator op operands =
+  let decls =
+    ( [ Builder.array_decl "in" 2; Builder.array_decl "out" 1 ],
+      [ Builder.region_decl ~node_size:16 "r" 1 ] )
+  in
+  let node =
+    let arrays, regions = decls in
+    Data.node_addr (Data.create (Builder.program "layout" ~arrays ~regions [])) "r" 0
+  in
+  let operand k (src, v) =
+    let open Builder in
+    match src with
+    | From_const -> ([], Const v)
+    | From_scalar ->
+        let x = Printf.sprintf "s%d" k in
+        ([ assign x (Const v) ], sc x)
+    | From_array -> ([], arr "in" (cst k))
+    | From_field -> ([], ld (fref "r" (Const (Vptr node)) k))
+  in
+  let setups, args = List.split (List.mapi operand operands) in
+  let p =
+    let arrays, regions = decls in
+    Builder.program "operator" ~arrays ~regions
+      (List.concat setups @ [ Builder.store (Builder.aref "out" (Builder.cst 0)) (op args) ])
+  in
+  let d = Data.create p in
+  List.iteri
+    (fun k (src, v) ->
+      match src with
+      | From_array -> Data.set d "in" k v
+      | From_field -> Data.field_set d "r" ~ptr:node ~field:k v
+      | From_const | From_scalar -> ())
+    operands;
+  let kinds = Hashtbl.create 8 and stored = ref (-1) in
+  let fresh kind =
+    let t = Hashtbl.length kinds in
+    Hashtbl.replace kinds t kind;
+    t
+  in
+  let emit =
+    {
+      Exec.null_emitter with
+      e_int = (fun _ _ -> fresh E_int);
+      e_fp = (fun ~lat _ _ -> fresh (E_fp lat));
+      e_load = (fun ~ref_id:_ ~addr:_ _ _ -> fresh E_load);
+      e_store =
+        (fun ~ref_id:_ ~addr:_ v _ ->
+          stored := v;
+          -1);
+    }
+  in
+  Exec.run ~emit p d;
+  (Data.get d "out" 0, Hashtbl.find_opt kinds !stored)
+
 let prop_exec_binop =
   let ops = [ Add; Sub; Mul; Div; Mod; Min; Max; Lt; Le; Eq ] in
   let pp_op op = Format.asprintf "%a" Pretty.pp_expr (Binop (op, Const (Vint 0), Const (Vint 0))) in
   QCheck.Test.make ~name:"binop matches the reference operators" ~count:2000
     (QCheck.make
        ~print:(fun (op, a, b) ->
-         Printf.sprintf "%s  %s  %s" (pp_op op) (pp_value a) (pp_value b))
-       QCheck.Gen.(triple (oneofl ops) binop_operand_gen binop_operand_gen))
-    (fun (op, a, b) ->
-      let p =
-        let open Builder in
-        program "binop" ~arrays:[ array_decl "out" 1 ]
-          [ store (aref "out" (cst 0)) (Binop (op, Const a, Const b)) ]
+         Printf.sprintf "%s  %s  %s" (pp_op op) (pp_operand a) (pp_operand b))
+       QCheck.Gen.(triple (oneofl ops) operand_gen operand_gen))
+    (fun (op, ((_, va) as a), ((_, vb) as b)) ->
+      let v, emitted =
+        run_operator (function [ x; y ] -> Binop (op, x, y) | _ -> assert false) [ a; b ]
       in
-      let d = Data.create p in
-      Exec.run p d;
-      same_value (Data.get d "out" 0) (reference_binop op a b))
+      let expected =
+        if ref_is_float va || ref_is_float vb then E_fp (Exec.fp_latency op) else E_int
+      in
+      same_value v (reference_binop op va vb) && emitted = Some expected)
+
+let prop_exec_unop =
+  let ops = [ Neg; Abs; Sqrt; Trunc ] in
+  let pp_op op = Format.asprintf "%a" Pretty.pp_expr (Unop (op, Const (Vint 0))) in
+  QCheck.Test.make ~name:"unop matches the reference operators" ~count:1000
+    (QCheck.make
+       ~print:(fun (op, a) -> Printf.sprintf "%s  %s" (pp_op op) (pp_operand a))
+       QCheck.Gen.(pair (oneofl ops) operand_gen))
+    (fun (op, ((_, va) as a)) ->
+      let v, emitted =
+        run_operator (function [ x ] -> Unop (op, x) | _ -> assert false) [ a ]
+      in
+      let r = reference_unop op va in
+      let expected =
+        match op with
+        | Sqrt -> E_fp 33
+        | Neg | Abs | Trunc -> if ref_is_float r then E_fp 3 else E_int
+      in
+      same_value v r && emitted = Some expected)
+
+(* Every full-size workload's base program, with the null emitter: the
+   executor boxes no value, so what it allocates is the closure tree it
+   builds per run, a few thousand words against millions of operations. *)
+let test_exec_no_alloc () =
+  List.iter
+    (fun (w : Memclust_workloads.Workload.t) ->
+      let d = Data.create w.program in
+      w.init d;
+      let before = Gc.minor_words () in
+      let st = Exec.run_from Exec.start w.program d in
+      let words = Gc.minor_words () -. before in
+      let per_op = words /. float_of_int (Int.max 1 st.ops) in
+      if per_op >= 0.05 then
+        Alcotest.failf "%s: %.3f words per operation (%.0f words, %d operations)" w.name
+          per_op words st.ops)
+    (Memclust_workloads.Registry.latbench () :: Memclust_workloads.Registry.applications ())
 
 let test_data_elem_size_four () =
   let p =
@@ -837,5 +957,8 @@ let () =
           Alcotest.test_case "4-byte elements" `Quick test_data_elem_size_four;
           qtest prop_affine_compare_consistent;
           qtest prop_exec_binop;
+          qtest prop_exec_unop;
+          Alcotest.test_case "the executor allocates nothing per operation" `Quick
+            test_exec_no_alloc;
         ] );
     ]
