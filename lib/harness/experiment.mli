@@ -105,10 +105,10 @@ val execute_all : spec list -> spec -> outcome
     {!spec_key}) once, across {!Memclust_util.Domain_pool.default}, and
     returns its lookup. Before the fan-out it prints each distinct
     point's [[run]] line to stderr, in spec order, so two runs of one
-    sweep log the same lines in the same order. A point that fails (a simulator deadlock, which
-    the pool does not retry, or a crash that fails its retry too) is
-    logged to stderr and loses only its own slot: looking it up raises
-    its [Memclust_util.Error.Error].
+    sweep log the same lines in the same order. A point that fails (a
+    simulator deadlock, which the pool does not retry, or a crash that
+    fails its retry too) is logged to stderr and loses only its own
+    slot: looking it up raises its [Memclust_util.Error.Error].
     Looking up a spec that was not in [specs] raises [Invalid_argument]. *)
 
 val clear_caches : unit -> unit

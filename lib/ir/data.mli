@@ -13,10 +13,11 @@
     store however large it is. A write stores the tag and the payload in
     place: it allocates nothing and needs no write barrier. The
     {!section-slots} accessors read a tag and its payload apart and box
-    nothing; the [value]-level reads ({!get}, {!field_get}) are
-    wrappers over them that box the one {!Ast.value} they return (2 words for an int or pointer, 4 for a float). {!create}
-    fills the buffers and {!copy} duplicates them, a memcpy each;
-    {!equal} walks the tags and payloads without boxing. *)
+    nothing; the [value]-level reads ({!get}, {!field_get}) are wrappers
+    over them that box the one {!Ast.value} they return (2 words for an
+    int or pointer, 4 for a float). {!create} fills the buffers and
+    {!copy} duplicates them, a memcpy each; {!equal} walks the tags and
+    payloads without boxing. *)
 
 open Ast
 
