@@ -119,23 +119,23 @@ let uniquify_loops (p : program) =
 let pm_cache : (int -> float) Memclust_util.Analysis_cache.t =
   Memclust_util.Analysis_cache.create ~cap:512 ~name:"driver-profile-pm" ()
 
-let make_pm options ~source p i =
+let make_pm { Pass.options; source; snapshots; _ } p i =
   let line_size = options.machine.Machine_model.line_size in
   let cut = Pass.cut_after_nest p i in
   let key =
     Printf.sprintf "%d|%s|%s" line_size
       (match source with
       | None -> "-" (* the zero-filled store of [p]'s declarations *)
-      | Some s -> Lazy.force s.Pass.digest)
+      | Some s -> Memclust_util.Once.force s.Pass.digest)
       (Memclust_util.Analysis_cache.content_digest cut)
   in
   Memclust_util.Analysis_cache.find_or_compute pm_cache key (fun () ->
       let prof =
         match source with
         | Some s ->
-            Profile.run ~line_size ~snapshots:s.Pass.snapshots
+            Profile.run ~line_size ~snapshots
               ~record:(i + 1 < List.length p.body)
-              cut (Lazy.force s.Pass.store)
+              cut (Memclust_util.Once.force s.Pass.store)
         | None -> Profile.run ~line_size cut (Data.create cut)
       in
       fun id -> Profile.miss_rate prof id)
@@ -162,11 +162,11 @@ let find_key key nest =
 
 (* The estimate of the innermost construct [inner] of [nest] in [p],
    profiling P_m only where Eq. 3 reads it. *)
-let evaluate options ~source p nest inner =
+let evaluate ({ Pass.options; _ } as ctx) p nest inner =
   let loc = Lazy.force nest.loc in
   let pm =
     if options.profile_pm && Festimate.reads_pm loc inner then
-      make_pm options ~source p nest.index
+      make_pm ctx p nest.index
     else fun _ -> 1.0
   in
   Pass.estimate options.machine loc ~pm inner
@@ -193,7 +193,7 @@ let try_factor ~stamp p nest (parent : loop) enclosing n =
   | Error e -> Error (Format.asprintf "%a" Unroll_jam.pp_error e)
   | Ok repl -> Ok (splice p nest ~var:parent.var ~repl)
 
-let resolve_recurrences { Pass.options; source; stamp } p nest ~key parent
+let resolve_recurrences ({ Pass.options; stamp; _ } as ctx) p nest ~key parent
     enclosing ~alpha ~f0 =
   let lp = float_of_int options.machine.Machine_model.mshrs in
   let target = alpha *. lp in
@@ -230,7 +230,7 @@ let resolve_recurrences { Pass.options; source; stamp } p nest ~key parent
     | Ok p' -> (
         match Option.bind (nest_of options p' nest.var) (find_key key) with
         | Some (nest', located) ->
-            Ok (p', (evaluate options ~source p' nest' located.Pass.inner).fest.f)
+            Ok (p', (evaluate ctx p' nest' located.Pass.inner).fest.f)
         | None -> Error "internal: nest vanished")
   in
   let best = ref None in
@@ -269,8 +269,8 @@ let resolve_recurrences { Pass.options; source; stamp } p nest ~key parent
 (* Window-constraint resolution                                        *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_window { Pass.options; source; stamp } p nest (located : Pass.located) =
-  let { Pass.graph; fest; _ } = evaluate options ~source p nest located.inner in
+let resolve_window ({ Pass.options; stamp; _ } as ctx) p nest (located : Pass.located) =
+  let { Pass.graph; fest; _ } = evaluate ctx p nest located.inner in
   let lp = float_of_int options.machine.Machine_model.mshrs in
   let density = fest.Festimate.misses_per_iteration in
   match located.inner with
@@ -376,9 +376,9 @@ let analyze_pass =
       "per-nest locality/dependence analysis: records alpha and the \
        initial f of every innermost construct";
     rewrite =
-      (fun { Pass.options; source; _ } p ->
+      (fun ({ Pass.options; _ } as ctx) p ->
         over_nest_keys options p (fun p nest ~key located ->
-            let e = evaluate options ~source p nest located.Pass.inner in
+            let e = evaluate ctx p nest located.Pass.inner in
             ( p,
               [ Pass.Nest_seen
                   {
@@ -398,12 +398,10 @@ let unroll_jam_pass =
       "resolve memory-parallelism recurrences: binary-search the largest \
        unroll-and-jam degree keeping f <= alpha*lp (paper §3.2)";
     rewrite =
-      (fun ({ Pass.options; source; _ } as ctx) p ->
+      (fun ({ Pass.options; _ } as ctx) p ->
         let lp = float_of_int options.machine.Machine_model.mshrs in
         over_nest_keys options p (fun p nest ~key located ->
-            let { Pass.alpha; fest; _ } =
-              evaluate options ~source p nest located.Pass.inner
-            in
+            let { Pass.alpha; fest; _ } = evaluate ctx p nest located.Pass.inner in
             if alpha > 0.0 && fest.f < alpha *. lp && located.enclosing <> [] then begin
               (* try enclosing loops from the immediate parent outward
                  (the paper defers the deeper-nest choice to Carr &
@@ -599,23 +597,13 @@ let select_passes only =
           String.equal p.Pass.name "uniquify" || List.mem p.Pass.name names)
         passes
 
-let run ?(options = default_options) ?init ?only (p : program) =
-  (* one initialized source store per pipeline, built on first use; the
-     profiler and the semantic guard run over copies of it *)
+let run ?(options = default_options) ?init ?source ?only (p : program) =
+  (* the profiler and the semantic guard run over copies of the source's
+     initialized store *)
   let source =
-    Option.map
-      (fun init ->
-        let store =
-          lazy
-            (let d = Data.create p in
-             init d;
-             d)
-        in
-        let digest =
-          lazy (Memclust_util.Analysis_cache.content_digest (Lazy.force store))
-        in
-        { Pass.store; digest; snapshots = Profile.snapshots () })
-      init
+    match source with
+    | Some _ -> source
+    | None -> Option.map (fun init -> Pass.source ~init p) init
   in
   let chaos =
     match options.chaos with

@@ -100,6 +100,7 @@ val chaos_of_env : unit -> chaos option
 val run :
   ?options:options ->
   ?init:(Data.t -> unit) ->
+  ?source:Pass.source ->
   ?only:string list ->
   Ast.program ->
   Ast.program * report
@@ -107,7 +108,12 @@ val run :
     data (pointer chains, index arrays) so profiling sees real access
     patterns and the semantic guard can run; it is called at most once
     per run, on the store every profile and guard execution copies.
-    Without it, profiling sees a zero-filled store and the guard checks
+    [source], which wins over [init], is {!Pass.source} of this program
+    built beforehand: runs that share it (the same program clustered for
+    several machines or pipelines, even from several domains) build its
+    store and digest and run the guard's reference run once between
+    them, and give the programs and reports fresh runs give. Without
+    either, profiling sees a zero-filled store and the guard checks
     structure only. [only] restricts the pipeline to the named passes, in
     pipeline order ([uniquify] always runs; unknown names raise
     [Invalid_argument], as does a [chaos.fail_pass] outside

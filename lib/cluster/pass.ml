@@ -33,11 +33,55 @@ let default_options =
   }
 
 type source = {
-  store : Data.t Lazy.t;
-  digest : string Lazy.t;
-  snapshots : Profile.snapshots;
+  store : Data.t Memclust_util.Once.t;
+  digest : string Memclust_util.Once.t;
+  reference : Data.t option Memclust_util.Once.t;
 }
-type ctx = { options : options; source : source option; stamp : unit -> int }
+
+type ctx = {
+  options : options;
+  source : source option;
+  snapshots : Profile.snapshots;
+  stamp : unit -> int;
+}
+
+(* Differential-execution budgets. The reference run of the source
+   program is bounded tightly — when the workload is too big to
+   interpret cheaply, the guard falls back to structural validation
+   and crash containment. Candidates get headroom (prefetch insertion
+   and unrolling add some dynamic operations); a candidate that blows
+   even that is degraded as a runaway. *)
+let diff_ref_max_ops = 64_000_000
+let diff_cand_max_ops = 128_000_000
+
+(* Everything here depends on the program and [init] only, never on the
+   machine or the passes, so one source serves every pipeline run over
+   the program. The reference store is the source program's final data
+   state: the paper's own methodology (§4) defines correctness as
+   semantic identity to the source, so candidates are compared against
+   the ORIGINAL program, and rollback restores a last-good IR that is
+   itself equivalent to the source. Every execution starts from a copy
+   of the one initialized store, which is sound because no pass may
+   change the declarations [Data.create] lays out (the pipeline enforces
+   it). *)
+let source ~init p =
+  let open Memclust_util in
+  let store =
+    Once.make (fun () ->
+        let d = Data.create p in
+        init d;
+        d)
+  in
+  let digest = Once.make (fun () -> Analysis_cache.content_digest (Once.force store)) in
+  let reference =
+    Once.make (fun () ->
+        try
+          let d = Data.copy (Once.force store) in
+          Exec.run ~max_ops:diff_ref_max_ops (Program.renumber p) d;
+          Some d
+        with Exec.Limit_exceeded -> None)
+  in
+  { store; digest; reference }
 
 (* ------------------------------------------------------------------ *)
 (* Events: what a pass did, in terms the report can aggregate          *)
@@ -295,15 +339,6 @@ module Pipeline = struct
 
   let now_ms () = Unix.gettimeofday () *. 1000.0
 
-  (* Differential-execution budgets. The reference run of the source
-     program is bounded tightly — when the workload is too big to
-     interpret cheaply, the guard falls back to structural validation
-     and crash containment. Candidates get headroom (prefetch insertion
-     and unrolling add some dynamic operations); a candidate that blows
-     even that is degraded as a runaway. *)
-  let diff_ref_max_ops = 64_000_000
-  let diff_cand_max_ops = 128_000_000
-
   (* Chaos corruption: remove the first assignment, searching depth-first
      — most workloads are one big top-level nest, so dropping a top-level
      statement would usually be a no-op. The result stays structurally
@@ -342,42 +377,28 @@ module Pipeline = struct
         (Program.scalars_written p0.body
         @ List.map (fun c -> c.cvar) (Program.chases p0))
     in
-    (* The reference store — the source program's final data state —
-       computed lazily once per pipeline run. The paper's own methodology
-       (§4) defines correctness as semantic identity to the source, so
-       candidates are compared against the ORIGINAL program: rollback
-       restores a last-good IR that is itself equivalent to the source.
-       Every execution starts from a copy of the one initialized source
-       store, which is sound because no pass may change the declarations
-       [Data.create] lays out ([invalid_ir] enforces it). *)
-    let reference =
-      lazy
-        (match source with
-        | None -> None
-        | Some source -> (
-            try
-              let d = Data.copy (Lazy.force source.store) in
-              Exec.run ~max_ops:diff_ref_max_ops p0 d;
-              Some d
-            with Exec.Limit_exceeded -> None))
-    in
     let divergence candidate =
-      match (Lazy.force reference, source) with
-      | Some ref_store, Some source -> (
-          let d = Data.copy (Lazy.force source.store) in
-          match Exec.run ~max_ops:diff_cand_max_ops candidate d with
-          | () ->
-              if Data.equal ref_store d then None
-              else Some "differential execution: final stores diverge from the source program"
-          | exception Exec.Limit_exceeded ->
-              Some "differential execution: dynamic-operation budget exceeded (runaway rewrite?)"
-          | exception e ->
-              (* a corrupted candidate can raise, e.g. reading a scalar
-                 whose assignment it dropped: that diverges too *)
-              Some
-                ("differential execution: the program raised "
-                ^ Printexc.to_string e))
-      | _ -> None
+      match source with
+      | None -> None
+      | Some source -> (
+          match Memclust_util.Once.force source.reference with
+          | None -> None
+          | Some ref_store -> (
+              let d = Data.copy (Memclust_util.Once.force source.store) in
+              match Exec.run ~max_ops:diff_cand_max_ops candidate d with
+              | () ->
+                  if Data.equal ref_store d then None
+                  else
+                    Some "differential execution: final stores diverge from the source program"
+              | exception Exec.Limit_exceeded ->
+                  Some
+                    "differential execution: dynamic-operation budget exceeded (runaway rewrite?)"
+              | exception e ->
+                  (* a corrupted candidate can raise, e.g. reading a scalar
+                     whose assignment it dropped: that diverges too *)
+                  Some
+                    ("differential execution: the program raised "
+                    ^ Printexc.to_string e)))
     in
     let invalid_ir p' =
       match Program.validate p' with
@@ -391,6 +412,9 @@ module Pipeline = struct
        candidate is also differentially executed, so the first divergent
        pass is rolled back. Returns the last-good program and the trace
        entries. *)
+    (* the nest-entry snapshots of this pipeline's profiles, kept by
+       the replay too *)
+    let snapshots = Profile.snapshots () in
     let run_passes ~per_pass =
       (* this run's rename stamps, 1, 2, ... in draw order: the replay
          draws exactly the stamps the first run drew *)
@@ -400,7 +424,7 @@ module Pipeline = struct
           incr last;
           if List.mem !last taken then stamp () else !last
         in
-        { options; source; stamp }
+        { options; source; snapshots; stamp }
       in
       let chaos_rng =
         Option.map
@@ -508,14 +532,17 @@ module Pipeline = struct
        program alone gives the same guarantee as checking every pass. Only
        when it diverges (or runs away) is the pipeline replayed with the
        per-pass check, which repeats the per-pass rollback decisions
-       exactly: same passes, same chaos draws. *)
+       exactly: same passes, same chaos draws. A final program equal to
+       the source in content runs as the source does: it is not run. *)
     let final, entries =
       let ((final, _) as once) = run_passes ~per_pass:false in
-      if final != p0 && timed_check (fun () -> divergence final) <> None then
-        timed_check (fun () -> run_passes ~per_pass:true)
+      if
+        final != p0
+        && final <> p0
+        && timed_check (fun () -> divergence final) <> None
+      then timed_check (fun () -> run_passes ~per_pass:true)
       else once
     in
-    let profiles f ~none = match source with Some s -> f s.snapshots | None -> none in
     ( final,
       {
         program_name = p.p_name;
@@ -523,9 +550,9 @@ module Pipeline = struct
         entries;
         total_ms = now_ms () -. t_start;
         check_ms = !check_ms;
-        profile_runs = profiles Profile.runs ~none:0;
-        profile_resumed = profiles Profile.resumed ~none:0;
-        profile_ms = profiles Profile.run_ms ~none:0.0;
+        profile_runs = Profile.runs snapshots;
+        profile_resumed = Profile.resumed snapshots;
+        profile_ms = Profile.run_ms snapshots;
       } )
 
   (* ---------------------------- rendering --------------------------- *)

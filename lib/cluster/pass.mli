@@ -50,25 +50,37 @@ type options = {
 val default_options : options
 
 type source = {
-  store : Data.t Lazy.t;
+  store : Data.t Memclust_util.Once.t;
       (** the source program's store filled by the workload's
-          initializer, built on first use *)
-  digest : string Lazy.t;
-      (** a digest of [store]'s contents, computed on first use: the
-          miss-rate memo's key for the store *)
-  snapshots : Memclust_locality.Profile.snapshots;
-      (** the nest-entry snapshots of the pipeline's profiles over
-          [store], so a candidate's profile runs only its own nest *)
+          initializer *)
+  digest : string Memclust_util.Once.t;
+      (** a content digest of [store]: the miss-rate memo's key for the
+          store *)
+  reference : Data.t option Memclust_util.Once.t;
+      (** the store after running the (renumbered) source program over a
+          copy of [store]: the semantic guard's reference, [None] when
+          the run exceeds the guard's operation budget *)
 }
-(** The initialized source store of one pipeline run (for miss-rate
-    profiling and the semantic guard). It is shared: run programs over a
-    {!Data.copy} of [store], never over the store itself. It serves every
-    candidate because no pass may change the array and region
-    declarations {!Data.create} lays out. *)
+(** The initialized source store of a program, for miss-rate profiling
+    and the semantic guard. Each part is computed on first use, once,
+    even when domains share the source. It depends only on the program
+    and its initializer, not on the machine or the passes, so one source
+    serves every {!Pipeline.run} over that program. It is shared: run
+    programs over a {!Data.copy} of [store], never over the store
+    itself. It serves every candidate because no pass may change the
+    array and region declarations {!Data.create} lays out. *)
+
+val source : init:(Data.t -> unit) -> program -> source
+(** [source ~init p]: the source of [p], whose store [init] fills (it is
+    called at most once, on the first use of [store]). *)
 
 type ctx = {
   options : options;
   source : source option;
+  snapshots : Memclust_locality.Profile.snapshots;
+      (** the nest-entry snapshots of this pipeline's profiles over the
+          source's store, so a candidate's profile runs only its own
+          nest; a pipeline's own, never shared *)
   stamp : unit -> int;
       (** the next rename stamp for unroll-and-jam and inner unrolling:
           1, 2, ... afresh in each run of the pass sequence, skipping the
@@ -211,7 +223,8 @@ module Pipeline : sig
     entries : entry list;
     total_ms : float;
     check_ms : float;
-        (** the semantic check: the source's reference run, the final
+        (** the semantic check: the source's reference run (if this
+            pipeline was the first over its source to need it), the final
             program's run and, after a divergence, the whole per-pass
             replay *)
     profile_runs : int;
@@ -244,14 +257,17 @@ module Pipeline : sig
     t list ->
     program ->
     program * trace
-  (** Run the passes in order under the fail-safe guard. After
+  (** Run the passes in order under the fail-safe guard. [source] must be
+      the {!source} of this program (by content). After
       every pass the result is renumbered and validated, and its array and
       region declarations must equal the source's; a crash or invalid IR
       is caught right there. When there is a [source] store and the
       source program fits the interpreter op budget, the final program is
       then differentially executed once against the {e original}
-      program's final store. Since every candidate is compared with the
-      source, one final check gives the guarantee of a check per pass.
+      program's final store ([source.reference]), unless it equals the
+      renumbered source program in content. Since every candidate is
+      compared with the source, one final check gives the guarantee of a
+      check per pass.
       A candidate diverges when its final store differs from the
       source's or when its execution raises (a corrupted rewrite can read
       an unassigned scalar). Only if the final program diverges or exceeds

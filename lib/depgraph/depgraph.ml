@@ -28,17 +28,32 @@ let max_dist = 9
 (* Scalar dataflow: which loads feed each scalar's current value    *)
 (* --------------------------------------------------------------- *)
 
+(* [List.assoc_opt], [List.remove_assoc] and [List.mem] with a
+   monomorphic equality, in the same order: the polymorphic ones make a
+   C call per element *)
+let rec assoc_by eq k = function
+  | [] -> None
+  | (k', v) :: rest -> if eq k k' then Some v else assoc_by eq k rest
+
+let rec remove_by eq k = function
+  | [] -> []
+  | ((k', _) as b) :: rest -> if eq k k' then rest else b :: remove_by eq k rest
+
+let mem_int id l = List.exists (Int.equal id) l
+
 (* dependence sets: (ref_id, inner-loop distance), deduplicated by id
    keeping the minimum distance *)
 let merge a b =
   List.fold_left
-    (fun acc (id, d) ->
-      match List.assoc_opt id acc with
+    (fun acc (id, (d : int)) ->
+      match assoc_by Int.equal id acc with
       | Some d' when d' <= d -> acc
-      | _ -> (id, d) :: List.remove_assoc id acc)
+      | _ -> (id, d) :: remove_by Int.equal id acc)
     a b
 
-let shift k set = List.map (fun (id, d) -> (id, min max_dist (d + k))) set
+let shift k set = List.map (fun (id, d) -> (id, Int.min max_dist (d + k))) set
+
+module Names = Set.Make (String)
 
 type walker = {
   loc : Locality.t;
@@ -50,7 +65,7 @@ type walker = {
 }
 
 let scalar_deps w v =
-  match List.assoc_opt v w.scalars with
+  match assoc_by String.equal v w.scalars with
   | Some set -> set
   | None -> (
       (* not yet defined this iteration: value carried from the previous
@@ -63,7 +78,7 @@ let scalar_deps w v =
 let add_edge w ~src ~dst ~cls ~distance =
   if w.emit then w.edges <- { src; dst; cls; distance } :: w.edges
 
-let note_ref w id = if not (List.mem id w.in_scope) then w.in_scope <- id :: w.in_scope
+let note_ref w id = if not (mem_int id w.in_scope) then w.in_scope <- id :: w.in_scope
 
 let rec expr_deps w e =
   match e with
@@ -93,7 +108,7 @@ let rec walk_stmt w stmt =
   match stmt with
   | Assign (Lscalar v, e) ->
       let deps = expr_deps w e in
-      w.scalars <- (v, deps) :: List.remove_assoc v w.scalars
+      w.scalars <- (v, deps) :: remove_by String.equal v w.scalars
   | Assign (Lmem r, e) ->
       ignore (expr_deps w e);
       visit_ref w r
@@ -109,15 +124,10 @@ let rec walk_stmt w stmt =
       let after_else = w.scalars in
       (* conservative union of both branches *)
       let keys =
-        List.sort_uniq String.compare (List.map fst after_then @ List.map fst after_else)
+        Names.elements (Names.of_list (List.map fst after_then @ List.map fst after_else))
       in
-      w.scalars <-
-        List.map
-          (fun k ->
-            let a = Option.value ~default:[] (List.assoc_opt k after_then) in
-            let b = Option.value ~default:[] (List.assoc_opt k after_else) in
-            (k, merge a b))
-          keys
+      let deps_in branch k = Option.value ~default:[] (assoc_by String.equal k branch) in
+      w.scalars <- List.map (fun k -> (k, merge (deps_in after_then k) (deps_in after_else k))) keys
   | Prefetch _ -> () (* hints neither produce values nor serialize misses *)
   | Loop _ | Chase _ ->
       (* nested loop-like constructs are analyzed on their own *)
@@ -166,7 +176,7 @@ let analyze loc inner =
   let w = run_pass loc inner carried ~emit:true in
   (* cache-line edges from the locality classification *)
   let scope = w.in_scope in
-  let in_scope id = List.mem id scope in
+  let in_scope id = mem_int id scope in
   let edges = ref w.edges in
   List.iter
     (fun id ->
@@ -237,17 +247,17 @@ let analyze loc inner =
     List.filter_map
       (fun comp ->
         let internal =
-          List.filter (fun e -> List.mem e.src comp && List.mem e.dst comp) cedges
+          List.filter (fun e -> mem_int e.src comp && mem_int e.dst comp) cedges
         in
         if internal = [] then None
         else begin
           (* enumerate simple cycles inside the component (it is tiny) and
-             take the critical one: max leading-refs-per-iteration *)
+             take the critical one: the most leading refs per iteration *)
           let best = ref None in
           let consider cycle_nodes dist =
             let r = List.length (List.filter is_leading cycle_nodes) in
             if r > 0 then begin
-              let iota = max 1 dist in
+              let iota = Int.max 1 dist in
               let a = float_of_int r /. float_of_int iota in
               match !best with
               | Some (_, _, a') when a' >= a -> ()
@@ -262,7 +272,7 @@ let analyze loc inner =
                   if e.src = v then begin
                     decr budget;
                     if e.dst = start then consider (v :: path) (dist + e.distance)
-                    else if (not (List.mem e.dst path)) && e.dst > start then
+                    else if (not (mem_int e.dst path)) && e.dst > start then
                       dfs start (v :: path) (dist + e.distance) e.dst
                   end)
                 internal
@@ -288,6 +298,18 @@ let analyze loc inner =
 
 let alpha (t : t) = List.fold_left (fun acc r -> Float.max acc r.alpha) 0.0 t.recurrences
 
+(* edges by source, destination, class (cache-line first) and distance *)
+let edge_order a b =
+  let rank = function Cache_line -> 0 | Address -> 1 in
+  let c = Int.compare a.src b.src in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.dst b.dst in
+    if c <> 0 then c
+    else
+      let c = Int.compare (rank a.cls) (rank b.cls) in
+      if c <> 0 then c else Int.compare a.distance b.distance
+
 let pp ppf (t : t) =
   Format.fprintf ppf "@[<v>edges:";
   List.iter
@@ -295,7 +317,7 @@ let pp ppf (t : t) =
       Format.fprintf ppf "@,  #%d -> #%d  %s dist %d" e.src e.dst
         (match e.cls with Cache_line -> "cache-line" | Address -> "address")
         e.distance)
-    (List.sort compare t.edges);
+    (List.sort edge_order t.edges);
   Format.fprintf ppf "@,recurrences:";
   List.iter
     (fun r ->

@@ -16,11 +16,11 @@ let compute ~nodes ~succ =
         if not (Hashtbl.mem index w) then begin
           strongconnect w;
           Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
+            (Int.min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
         end
         else if Hashtbl.find_opt on_stack w = Some true then
           Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
+            (Int.min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
       (succ v);
     if Hashtbl.find lowlink v = Hashtbl.find index v then begin
       let rec pop acc =

@@ -33,23 +33,56 @@ let machine_of_config (cfg : Config.t) =
     max_procs = 16;
   }
 
-(* Clustering is deterministic: memoize per (workload, analysis machine,
-   pipeline) so the multiprocessor and uniprocessor runs, and every
-   caller that names the default pipeline, share one transformation.
+(* Clustering is deterministic. [harness-cluster] keys on the workload
+   name and the source program's contents (two workloads can share a
+   name: Registry.small's and the full Latbench). Under each key sit the
+   program's source ([Pass.source]: its initialized store, that store's
+   digest and the guard's reference run, none of which depends on the
+   machine or the pipeline) and the clusterings done so far, each keyed
+   by the analysis machine, the pipeline and the resolved chaos plan. So
+   the multiprocessor and uniprocessor runs, every caller that names the
+   default pipeline and every lp of a sweep share one source, and each
+   distinct clustering is done once.
 
    All memo tables are [Analysis_cache]s: mutex-guarded (shared across the
    domains of the experiment pool) and bounded, so long bench sweeps can't
-   grow memory without bound. Computation runs outside the lock: two
-   domains racing on the same key may duplicate (deterministic) work, but
-   [execute_all] deduplicates its spec list so this stays rare. *)
-let cluster_cache : (Ast.program * Driver.report) Analysis_cache.t =
+   grow memory without bound. Clustering runs outside every lock: two
+   domains racing on one clustering may duplicate (deterministic) work,
+   but [execute_all] deduplicates its spec list so this stays rare, and
+   both get the one stored first. *)
+let cluster_cache :
+    (Pass.source * (string * (Ast.program * Driver.report)) list) Analysis_cache.t =
   Analysis_cache.create ~cap:128 ~name:"harness-cluster" ()
+
+(* makes reading a source's entry and adding to it a single step, as
+   [sim_lock] does for [sim_cache] *)
+let cluster_lock = Mutex.create ()
 
 (* the driver runs passes in pipeline order whatever order they are named in *)
 let pipeline_key passes scheduler =
   Printf.sprintf "%s/%s"
     (String.concat "," (List.sort_uniq String.compare passes))
     (match scheduler with Driver.Pack_misses -> "pack" | Driver.Balanced -> "balanced")
+
+let chaos_key = function
+  | None -> "-"
+  | Some { Driver.chaos_seed; chaos_rate; fail_pass } ->
+      Printf.sprintf "%d:%h:%s" chaos_seed chaos_rate (Option.value ~default:"" fail_pass)
+
+let cluster_key (w : Workload.t) =
+  Printf.sprintf "%s|%s" w.Workload.name (Analysis_cache.content_digest w.Workload.program)
+
+(* the workload's entry, made with an empty list of clusterings on first
+   use; call under [cluster_lock] *)
+let cluster_entry key (w : Workload.t) =
+  match Analysis_cache.find_opt cluster_cache key with
+  | Some e -> e
+  | None ->
+      let e = (Pass.source ~init:w.Workload.init w.Workload.program, []) in
+      Analysis_cache.set cluster_cache key e;
+      e
+
+let source w = fst (Mutex.protect cluster_lock (fun () -> cluster_entry (cluster_key w) w))
 
 let transform ?(passes = Driver.pass_names)
     ?(scheduler = Driver.default_options.Driver.scheduler) (cfg : Config.t)
@@ -59,21 +92,31 @@ let transform ?(passes = Driver.pass_names)
       Machine_model.max_procs = max 1 w.Workload.mp_procs
     }
   in
-  (* key on the analysis-side machine projection, not the config name:
-     configs that differ only in latencies/clock (e.g. the 1 GHz point)
-     share one clustering; and on the source program's contents, since
-     two workloads can share a name (Registry.small's and the full
-     Latbench) *)
-  let key =
-    Printf.sprintf "%s|%s@w%d.m%d.l%d.p%d|%s" w.Workload.name
-      (Analysis_cache.content_digest w.Workload.program)
-      machine.Machine_model.window machine.Machine_model.mshrs
-      machine.Machine_model.line_size machine.Machine_model.max_procs
-      (pipeline_key passes scheduler)
+  (* resolved here, so the key holds the plan the environment gives *)
+  let chaos = Driver.chaos_of_env () in
+  let key = cluster_key w in
+  (* the analysis-side machine projection, not the config name: configs
+     that differ only in latencies/clock (e.g. the 1 GHz point) share one
+     clustering *)
+  let clustering =
+    Printf.sprintf "w%d.m%d.l%d.p%d|%s|%s" machine.Machine_model.window
+      machine.Machine_model.mshrs machine.Machine_model.line_size
+      machine.Machine_model.max_procs (pipeline_key passes scheduler) (chaos_key chaos)
   in
-  Analysis_cache.find_or_compute cluster_cache key (fun () ->
-      let options = { Driver.default_options with machine; scheduler } in
-      Driver.run ~options ~init:w.Workload.init ~only:passes w.Workload.program)
+  let entry () = cluster_entry key w in
+  let source, done_ = Mutex.protect cluster_lock entry in
+  match List.assoc_opt clustering done_ with
+  | Some r -> r
+  | None ->
+      let options = { Driver.default_options with machine; scheduler; chaos } in
+      let r = Driver.run ~options ~source ~only:passes w.Workload.program in
+      Mutex.protect cluster_lock (fun () ->
+          let source, done_ = entry () in
+          match List.assoc_opt clustering done_ with
+          | Some r -> r
+          | None ->
+              Analysis_cache.set cluster_cache key (source, (clustering, r) :: done_);
+              r)
 
 let scaled_config (cfg : Config.t) (w : Workload.t) =
   (* single-level hierarchies (Exemplar) keep their cache; multi-level
@@ -114,12 +157,14 @@ let lp_of caps = List.fold_left Int.min max_int caps
    inserts one shared entry at each, and it expires at one [ready]), so
    all levels share one occupancy, and within a step it only grows after
    the step's cleanup: the sample taken after each step is that step's
-   peak. A run whose peak [p] stayed below its own lp was never refused
-   an entry, and each allocation found at most [p] - 1 entries, so
-   capacities of at least [p] refuse nothing either and the run is
-   identical cycle for cycle; only the histograms, of lp + 1 buckets,
-   change size. *)
-let reuse_run ran (r : Machine.result) caps =
+   peak. A run that was refused no allocation (no read, write-buffer
+   drain or prefetch found a file full) and peaked at [p] made every
+   allocation with at most [p] - 1 entries in the files, so capacities of
+   at least [p] refuse nothing either and the run is identical cycle for
+   cycle; only the histograms, of lp + 1 buckets, change size. A refusal
+   needs a full file, hence a peak of lp: a run whose peak stayed below
+   its lp refused nothing. *)
+let reuse_run ~refusals ran (r : Machine.result) caps =
   let lp = lp_of ran and lp' = lp_of caps in
   let rec peak k =
     if k = 0 || Stats.Histogram.bucket r.Machine.total_mshr_hist k > 0.0 then k
@@ -135,7 +180,7 @@ let reuse_run ran (r : Machine.result) caps =
     done;
     h'
   in
-  if p < lp && p <= lp' then
+  if refusals = 0 && p <= lp' then
     Some
       { r with
         Machine.read_mshr_hist = rebucket r.Machine.read_mshr_hist;
@@ -149,12 +194,13 @@ let reuse_run ran (r : Machine.result) caps =
    counts — and [Machine.result] is only ever read by the reporting code.
    The key is (workload, nprocs, config contents but for its name and
    MSHR counts, program digest, resolved mode); under it sit the runs
-   done so far, each with its per-level MSHR capacities, so a request at
-   other capacities can reuse a run that [reuse_run] admits. A config is
-   keyed on its content digest, not its name ([Config.with_mshrs] and the
-   other [with_*] builders keep the name) and not its physical sharing,
-   so equal configs built differently share an entry. *)
-let sim_cache : (int list * Machine.result) list Analysis_cache.t =
+   done so far, each with its per-level MSHR capacities and its refusal
+   count, so a request at other capacities can reuse a run that
+   [reuse_run] admits. A config is keyed on its content digest, not its
+   name ([Config.with_mshrs] and the other [with_*] builders keep the
+   name) and not its physical sharing, so equal configs built
+   differently share an entry. *)
+let sim_cache : (int list * int * Machine.result) list Analysis_cache.t =
   Analysis_cache.create ~cap:512 ~name:"harness-sim" ()
 
 (* makes reading a key's runs and adding one a single step, so domains
@@ -162,31 +208,36 @@ let sim_cache : (int list * Machine.result) list Analysis_cache.t =
    run outside it *)
 let sim_lock = Mutex.create ()
 
-(* the resolved mode is part of the key because it can come from outside
-   the config (the MEMCLUST_SIM_MODE environment variable) *)
+(* the resolved mode and fault plan are part of the key because they can
+   come from outside the config (the MEMCLUST_SIM_MODE and
+   MEMCLUST_FAULTS environment variables) *)
 let simulate_cached (w : Workload.t) (cfg : Config.t) ~nprocs program =
   let digest = Analysis_cache.content_digest program in
   let key =
     Printf.sprintf "%s|%d|%s|%s|%s" w.Workload.name nprocs
-      (Analysis_cache.content_digest (Config.with_mshrs 0 { cfg with Config.name = "" }))
+      (Analysis_cache.content_digest
+         (Config.with_mshrs 0
+            { cfg with Config.name = ""; faults = Config.resolve_faults cfg }))
       digest
       (Machine.mode_to_string (Machine.resolve_mode cfg))
   in
   let caps = List.map (fun l -> l.Config.mshrs) cfg.Config.levels in
   let runs () = Option.value ~default:[] (Analysis_cache.find_opt sim_cache key) in
   let stored = runs () in
-  match List.assoc_opt caps stored with
-  | Some r -> r
+  match List.find_opt (fun (ran, _, _) -> ran = caps) stored with
+  | Some (_, _, r) -> r
   | None ->
-      let r =
-        match List.find_map (fun (ran, r) -> reuse_run ran r caps) stored with
-        | Some r -> r
+      let r, refusals =
+        match
+          List.find_map (fun (ran, refusals, r) -> reuse_run ~refusals ran r caps) stored
+        with
+        | Some r -> (r, 0)
         | None ->
             let lowered, home = lowered_digest w ~nprocs ~digest program in
-            Machine.run cfg ~home lowered
+            Machine.run_with_refusals cfg ~home lowered
       in
       Mutex.protect sim_lock (fun () ->
-          Analysis_cache.set sim_cache key ((caps, r) :: runs ()));
+          Analysis_cache.set sim_cache key ((caps, refusals, r) :: runs ()));
       r
 
 let spec_key spec =

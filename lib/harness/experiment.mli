@@ -45,10 +45,24 @@ val transform :
 (** Cluster the workload for the given machine ([max_procs] the
     workload's [mp_procs]) with the named passes (default all, see
     {!Driver.run}'s [only]) and scheduler (default [Pack_misses]).
-    Memoized per workload name, source program contents, analysis-side
-    machine parameters, pass set and scheduler, so the default pipeline
-    named explicitly shares the [Clustered] version's entry, and two
-    workloads of one name over different programs do not share one. *)
+    Memoized in [harness-cluster]: one entry per workload name and
+    source program contents holds the workload's {!source} and every
+    clustering of it, each keyed by the analysis-side machine
+    parameters, the pass set, the scheduler and the chaos plan
+    {!Driver.chaos_of_env} resolves. So the default pipeline named
+    explicitly shares the [Clustered] version's clustering, every
+    clustering of one program (an lp sweep's, say) shares its source,
+    and two workloads of one name over different programs share
+    neither. The result is the one {!Driver.run} gives with a fresh
+    source. *)
+
+val source : Workload.t -> Pass.source
+(** The workload's clustering source ({!Pass.source} of its program and
+    [init]), which every {!transform} of it passes to {!Driver.run}: made
+    on first use and held in [harness-cluster] under the workload name
+    and the program's contents. Its store, digest and reference run are
+    each computed at most once, by the first clustering that needs them,
+    until {!clear_caches}. *)
 
 val lowered_for :
   Workload.t -> nprocs:int -> Ast.program -> Memclust_codegen.Lower.t * (int -> int)
@@ -64,25 +78,29 @@ val simulate_cached :
     every config simulating the same program) and simulate. The
     [harness-sim] memo keys on the workload, nprocs, the config's
     contents but for its name and MSHR counts, the program digest and
-    the resolved simulation mode, and holds every run done under that
-    key with its per-level MSHR capacities. A request at capacities
-    already run returns that run's result; otherwise a run that
-    {!reuse_run} admits is re-bucketed and stored under the new
-    capacities; only when none does is the program simulated. So once
-    an lp sweep has run a point whose MSHR files never filled, every lp
-    at or above that run's peak occupancy reads it instead of
-    simulating again. The returned result is shared: treat it as
-    read-only. *)
+    the resolved simulation mode and fault plan ({!Config.resolve_faults}),
+    and holds every run done under that key with its per-level MSHR
+    capacities and its refusal count ({!Machine.run_with_refusals}). A
+    request at capacities already run returns that run's result;
+    otherwise a run that {!reuse_run} admits is re-bucketed and stored
+    under the new capacities; only when none does is the program
+    simulated. So once an lp sweep has run a point that no full MSHR
+    file ever refused, every lp at or above that run's peak occupancy
+    reads it instead of simulating again. The returned result is
+    shared: treat it as read-only. *)
 
-val reuse_run : int list -> Machine.result -> int list -> Machine.result option
-(** [reuse_run ran r caps] is [r], a run at per-level MSHR capacities
-    [ran] (processor side first), as a run of the same machine and
-    program at capacities [caps] reads, when [r] shows it must read so:
-    its peak MSHR occupancy [p] (the last non-empty bucket of
-    [total_mshr_hist]) is below [ran]'s lp and at most [caps]'s. Then
-    no allocation was ever refused, and none would be at [caps], so
-    the runs are identical but for the MSHR histograms' sizes (lp + 1
-    buckets), which the result gets re-bucketed to. [None] otherwise. *)
+val reuse_run :
+  refusals:int -> int list -> Machine.result -> int list -> Machine.result option
+(** [reuse_run ~refusals ran r caps] is [r], a run at per-level MSHR
+    capacities [ran] (processor side first) whose full files refused
+    [refusals] allocations, as a run of the same machine and program at
+    capacities [caps] reads, when it must read so: no allocation was
+    refused and its peak MSHR occupancy [p] (the last non-empty bucket
+    of [total_mshr_hist]) is at most [caps]'s lp. Then none would be
+    refused at [caps] either, so the runs are identical but for the MSHR
+    histograms' sizes (lp + 1 buckets), which the result gets
+    re-bucketed to. [None] otherwise. A peak below [ran]'s lp implies
+    no refusal, since a refusal needs a full file. *)
 
 val spec_key : spec -> string
 (** ["workload|config#digest|nprocs|version|mode"], the config keyed on

@@ -78,11 +78,11 @@ let trip_of params (path : loop list) (l : loop) =
     (fun (outer : loop) ->
       let llo, _ = eval_range outer.lo in
       let _, hhi = eval_range outer.hi in
-      Hashtbl.replace ranges outer.var (llo, max llo (hhi - 1)))
+      Hashtbl.replace ranges outer.var (llo, Int.max llo (hhi - 1)))
     path;
   let llo, _ = eval_range l.lo in
   let _, hhi = eval_range l.hi in
-  max 1 ((hhi - llo + l.step - 1) / l.step)
+  Int.max 1 ((hhi - llo + l.step - 1) / l.step)
 
 (* Does a reference at constant offset [delta] elements *behind* a group
    leader reuse the leader's cache lines?  Three ways (paper's group
@@ -92,7 +92,7 @@ let trip_of params (path : loop list) (l : loop) =
    - reuse carried by up to [outer_cap] iterations of an enclosing loop
      (stencil rows), in which case the data is already cached (dist 0). *)
 let reuse_distance ~stride ~elem ~trip ~outer_coeffs ~line_size delta =
-  let line_elems = max 1 (line_size / elem) in
+  let line_elems = Int.max 1 (line_size / elem) in
   let stride = if stride = 0 then 1 else stride in
   let try_rem rem =
     if abs rem < line_elems then Some (abs rem / abs stride)
@@ -230,8 +230,8 @@ let analyze ~line_size (p : program) : t =
                 let sorted =
                   List.sort
                     (fun a b ->
-                      if stride > 0 then compare (offset b) (offset a)
-                      else compare (offset a) (offset b))
+                      if stride > 0 then Int.compare (offset b) (offset a)
+                      else Int.compare (offset a) (offset b))
                     group
                 in
                 let trip =
@@ -250,7 +250,7 @@ let analyze ~line_size (p : program) : t =
                         outers
                 in
                 let abs_sb = abs stride_bytes in
-                let lm = max 1 (line_size / abs_sb) in
+                let lm = Int.max 1 (line_size / abs_sb) in
                 let self_spatial = abs_sb < line_size in
                 let leaders = ref [] in
                 List.iter

@@ -532,6 +532,7 @@ let retired_instructions t = t.retired_count
 
 let l1_misses t = Hierarchy.l1_misses t.h
 let mshr_full_events t = Hierarchy.mshr_full_events t.h
+let mshr_refusals t = Hierarchy.refusals t.h
 let wbuf_full_events t = t.wbuf_full_events
 
 let prefetches t = Hierarchy.prefetches t.h

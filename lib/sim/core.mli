@@ -98,6 +98,10 @@ val l1_misses : t -> int
 val mshr_full_events : t -> int
 (** load-issue attempts rejected because some MSHR file was full *)
 
+val mshr_refusals : t -> int
+(** MSHR allocations refused on a full file: loads, write-buffer drains
+    and prefetches ({!Hierarchy.refusals}) *)
+
 val wbuf_full_events : t -> int
 (** Stores whose issue was delayed by at least one cycle because the
     write buffer (pending + in-flight writes) was full. Counted once per

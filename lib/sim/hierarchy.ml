@@ -110,6 +110,7 @@ type t = {
   mutable read_misses : int;
   mutable read_miss_lat : float;
   mutable mshr_full_count : int;
+  mutable refusals : int;  (* allocations that found a file full *)
   mutable prefetch_count : int;
   mutable prefetch_miss_count : int;  (* prefetches that went to memory *)
   mutable late_prefetch_count : int;
@@ -165,6 +166,7 @@ let create sh ~proc =
     read_misses = 0;
     read_miss_lat = 0.0;
     mshr_full_count = 0;
+    refusals = 0;
     prefetch_count = 0;
     prefetch_miss_count = 0;
     late_prefetch_count = 0;
@@ -279,6 +281,7 @@ let read t ~now addr =
     | _ ->
         if any_full t then begin
           t.mshr_full_count <- t.mshr_full_count + 1;
+          t.refusals <- t.refusals + 1;
           None
         end
         else begin
@@ -324,7 +327,10 @@ let write t ~now addr =
       fill_all t ~version:v' ~addr;
       Some (now + t.levels.(!hit_level).lat)
     end
-    else if any_full t then None
+    else if any_full t then begin
+      t.refusals <- t.refusals + 1;
+      None
+    end
     else begin
       let home = t.sh.home addr in
       let kind = miss_kind t ~writer:w ~home in
@@ -349,7 +355,8 @@ let prefetch t ~now addr =
     let n = Array.length t.levels in
     let k = probe t ~version:v ~addr 0 in
     if k < n then fill_above t k ~version:v ~addr
-    else if not (any_full t) then begin
+    else if any_full t then t.refusals <- t.refusals + 1
+    else begin
       let home = t.sh.home addr in
       let kind = miss_kind t ~writer:w ~home in
       let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
@@ -393,6 +400,7 @@ let read_misses t = t.read_misses
 let read_miss_latency_sum t = t.read_miss_lat
 let l1_misses t = t.level_misses.(0)
 let mshr_full_events t = t.mshr_full_count
+let refusals t = t.refusals
 let prefetches t = t.prefetch_count
 let prefetch_misses t = t.prefetch_miss_count
 let late_prefetches t = t.late_prefetch_count

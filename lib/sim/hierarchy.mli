@@ -102,6 +102,14 @@ val l1_misses : t -> int
 (** Demand loads missing the first level (= [level_stats].(0).lv_misses). *)
 
 val mshr_full_events : t -> int
+
+val refusals : t -> int
+(** MSHR allocations that found a file full: demand reads, write-buffer
+    drains and prefetches, as attempted ({!replay_retry} adds nothing).
+    Event mode does not repeat a sleeping core's attempts, so the count
+    can differ between modes; whether it is 0 cannot (a skipped step
+    repeats the step before it). *)
+
 val prefetches : t -> int
 val prefetch_misses : t -> int
 val late_prefetches : t -> int

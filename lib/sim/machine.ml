@@ -361,14 +361,17 @@ let assemble e =
     instructions = fold_procs e Core.retired_instructions;
   }
 
-let run ?max_cycles ?watchdog_cycles ?time_budget ?mode (cfg : Config.t) ~home
-    (lower : Lower.t) =
+let run_with_refusals ?max_cycles ?watchdog_cycles ?time_budget ?mode
+    (cfg : Config.t) ~home (lower : Lower.t) =
   let mode = resolve_mode ?mode cfg in
   let e =
     make_engine ?max_cycles ?watchdog_cycles ?time_budget ~mode cfg ~home lower
   in
   advance e;
-  assemble e
+  (assemble e, fold_procs e Core.mshr_refusals)
+
+let run ?max_cycles ?watchdog_cycles ?time_budget ?mode cfg ~home lower =
+  fst (run_with_refusals ?max_cycles ?watchdog_cycles ?time_budget ?mode cfg ~home lower)
 
 let pp_result ppf r =
   Format.fprintf ppf

@@ -88,6 +88,22 @@ val run :
     {!default_time_budget}; 0 = disabled) runs out. The watchdog only reads simulator state, so
     results on non-wedged runs are bit-identical with it enabled. *)
 
+val run_with_refusals :
+  ?max_cycles:int ->
+  ?watchdog_cycles:int ->
+  ?time_budget:float ->
+  ?mode:mode ->
+  Config.t ->
+  home:(int -> int) ->
+  Lower.t ->
+  result * int
+(** {!run}, and the number of MSHR allocations some full file refused,
+    summed over processors ({!Hierarchy.refusals}: loads, write-buffer
+    drains and prefetches). A run that refused none reads the same at
+    any capacities at least its peak occupancy (the harness's
+    [Experiment.reuse_run] reuses it so). Whether it is 0 does not
+    depend on the mode. *)
+
 val ns_per_cycle : Config.t -> float
 
 val pp_result : Format.formatter -> result -> unit

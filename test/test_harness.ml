@@ -354,7 +354,8 @@ let cluster_entries () =
   List.assoc "harness-cluster" (Memclust_util.Analysis_cache.registered ())
 
 (* the ablation's variants: a pass list or a scheduler alone makes a
-   distinct point with its own clustering *)
+   distinct point with its own clustering, all three under the
+   workload's one [harness-cluster] entry *)
 let test_ablated_keys () =
   let open Memclust_cluster in
   let w = tiny () in
@@ -372,8 +373,20 @@ let test_ablated_keys () =
   Alcotest.(check int) "distinct spec keys" 3
     (List.length (List.sort_uniq String.compare keys));
   Experiment.clear_caches ();
-  List.iter (fun v -> ignore (Experiment.execute_cached (spec v))) variants;
-  Alcotest.(check int) "one clustering each" 3 (cluster_entries ())
+  let reports =
+    List.map (fun v -> Option.get (Experiment.execute_cached (spec v)).Experiment.cluster_report)
+      variants
+  in
+  Alcotest.(check int) "one harness-cluster entry" 1 (cluster_entries ());
+  let distinct = function
+    | [ a; b; c ] -> a != b && b != c && a != c
+    | _ -> false
+  in
+  Alcotest.(check bool) "one clustering each" true (distinct reports);
+  Alcotest.(check bool) "each stored" true
+    (List.for_all2
+       (fun v r -> Option.get (Experiment.execute_cached (spec v)).Experiment.cluster_report == r)
+       variants reports)
 
 (* the default pipeline, named or not, is the Clustered version's
    clustering: one [harness-cluster] entry *)
@@ -425,8 +438,10 @@ let peak ~lp (r : Machine.result) =
 
 (* one core's random trace, after tools/sim_digest.ml: loads, stores and
    prefetches over 256 lines, with dependences near and far; [mem] of 16
-   instructions, on average, access memory *)
-let gen_core rand ~mem ~barriers =
+   instructions, on average, access memory. [`Stores] and [`Prefetches]
+   make every memory access a store or a prefetch, so full MSHR files
+   refuse only write-buffer drains or only prefetches *)
+let gen_core ?(kinds = `All) rand ~mem ~barriers =
   let open Memclust_codegen in
   let int n = Random.State.int rand n in
   let t = Trace.create () in
@@ -443,10 +458,10 @@ let gen_core rand ~mem ~barriers =
     if b > 0 then push Trace.Barrier_op b;
     for _ = 1 to int 121 do
       if int 16 < mem then
-        match int 6 with
-        | 0 | 1 | 2 -> push Trace.Load (addr ())
-        | 3 | 4 -> push Trace.Store (addr ())
-        | _ -> push Trace.Prefetch_op (addr ())
+        match (kinds, int 6) with
+        | `Stores, _ | `All, (3 | 4) -> push Trace.Store (addr ())
+        | `Prefetches, _ | `All, 5 -> push Trace.Prefetch_op (addr ())
+        | `All, _ -> push Trace.Load (addr ())
       else
         match int 4 with
         | 0 | 1 -> push Trace.Int_op 1
@@ -458,18 +473,24 @@ let gen_core rand ~mem ~barriers =
 
 (* A random trace on a random machine at random per-level capacities:
    wherever [reuse_run] offers the run at capacities C', it reads as a
-   fresh run at C' does, and it does offer it at every C' in
-   [max 1 p, 16] when the peak p stayed below the run's lp *)
+   fresh run at C' does, and it does offer it at every C' in [max 1 p,
+   16] when the run was refused no allocation. A peak p below the run's
+   lp implies no refusal (the rule that came before admits no more).
+   One trace in four stores only and one in four prefetches only, so
+   runs whose only refusals are write-buffer drains or prefetches come
+   up: a count that missed those would offer them, and they differ
+   from fresh runs. *)
 let prop_reuse_exact =
   QCheck.Test.make ~name:"a reused run equals a fresh one" ~count:80 QCheck.small_nat
     (fun seed ->
       let rand = Random.State.make [| seed |] in
       let int n = Random.State.int rand n in
       let nprocs = 1 + int 4 and barriers = int 3 and mem = 1 + int 5 in
+      let kinds = match int 4 with 0 -> `Stores | 1 -> `Prefetches | _ -> `All in
       let lowered =
         {
           Memclust_codegen.Lower.traces =
-            Array.init nprocs (fun _ -> gen_core rand ~mem ~barriers);
+            Array.init nprocs (fun _ -> gen_core ~kinds rand ~mem ~barriers);
           barriers;
         }
       in
@@ -481,7 +502,8 @@ let prop_reuse_exact =
         | _ -> Config.with_faults (Faults.scaled ~seed 0.3) Config.base
       in
       let run cfg =
-        Machine.run cfg ~mode:Machine.Event ~home:(fun a -> (a lsr 6) mod nprocs) lowered
+        Machine.run_with_refusals cfg ~mode:Machine.Event
+          ~home:(fun a -> (a lsr 6) mod nprocs) lowered
       in
       (* small files saturate, large ones often do not; some levels get
          larger files than the machine's lp *)
@@ -493,37 +515,81 @@ let prop_reuse_exact =
              machine.Config.levels)
           machine
       in
-      let r = run ran in
+      let r, refusals = run ran in
       let lp = Config.lp ran in
       let p = peak ~lp r in
+      if p < lp && refusals > 0 then
+        QCheck.Test.fail_reportf "seed %d: peak %d below lp %d, yet %d refusals" seed p lp
+          refusals;
+      (* event mode skips a sleeping core's repeated attempts, so only
+         whether the count is 0 must agree with cycle mode *)
+      let _, cycle_refusals =
+        Machine.run_with_refusals ran ~mode:Machine.Cycle ~home:(fun a -> (a lsr 6) mod nprocs)
+          lowered
+      in
+      if (refusals = 0) <> (cycle_refusals = 0) then
+        QCheck.Test.fail_reportf "seed %d: %d refusals in event mode, %d in cycle mode" seed
+          refusals cycle_refusals;
       List.iter
         (fun c ->
           let at = Config.with_mshrs c machine in
-          match Experiment.reuse_run (caps ran) r (caps at) with
+          match Experiment.reuse_run ~refusals (caps ran) r (caps at) with
           | Some r' ->
-              if digest r' <> digest (run at) then
-                QCheck.Test.fail_reportf "seed %d: the run at lp %d (peak %d) reused at %d differs"
-                  seed lp p c
+              if digest r' <> digest (fst (run at)) then
+                QCheck.Test.fail_reportf
+                  "seed %d: the run at lp %d (peak %d, %d refusals) reused at %d differs" seed lp
+                  p refusals c
           | None ->
-              if p < lp && c >= Int.max 1 p then
+              if refusals = 0 && c >= Int.max 1 p then
                 QCheck.Test.fail_reportf "seed %d: the run at lp %d (peak %d) not reused at %d"
                   seed lp p c)
         (List.init 16 (fun i -> i + 1));
       true)
 
+(* A core that only stores, or only prefetches, to 64 distinct lines:
+   at lp 1 its full file refuses drains, or drops prefetches, and never
+   a read. Counting those refusals is what keeps the lp-1 run from
+   serving lp 2, which reads differently. *)
+let test_drain_and_prefetch_refusals () =
+  List.iter
+    (fun (what, kind) ->
+      let t = Memclust_codegen.Trace.create () in
+      for i = 0 to 63 do
+        ignore (Memclust_codegen.Trace.push t ~kind ~aux:(0x40000 + (i * 64)) ~dep1:(-1)
+                  ~dep2:(-1) ~ref_:0)
+      done;
+      let lowered = { Memclust_codegen.Lower.traces = [| t |]; barriers = 0 } in
+      let run lp =
+        Machine.run_with_refusals (Config.with_mshrs lp Config.base) ~home:(fun _ -> 0) lowered
+      in
+      let one, refusals = run 1 and two, _ = run 2 in
+      Alcotest.(check int) (what ^ ": no read refused") 0 one.Machine.mshr_full_events;
+      Alcotest.(check bool) (what ^ ": refused at lp 1") true (refusals > 0);
+      Alcotest.(check bool) (what ^ ": lp 2 reads differently") true (digest one <> digest two);
+      Alcotest.(check bool) (what ^ ": not reused") true
+        (Experiment.reuse_run ~refusals [ 1; 1 ] one [ 2; 2 ] = None))
+    [ ("stores", Memclust_codegen.Trace.Store); ("prefetches", Memclust_codegen.Trace.Prefetch_op) ]
+
 let base_at (w : Workload.t) lp =
   { Experiment.workload = w; config = Config.with_mshrs lp Config.base; nprocs = 1;
     version = Experiment.Base }
 
-(* a run whose peak reached its lp may have been refused an MSHR: the
-   small Latbench at lp 1 is simulated again at lp 2 *)
+(* a run that was refused an MSHR is not reused: the small Latbench at
+   lp 1 is simulated again at lp 2 *)
 let test_full_run_not_reused () =
   let w = List.hd (Registry.small ()) in
   Experiment.clear_caches ();
   let one = (Experiment.execute_cached (base_at w 1)).Experiment.result in
   Alcotest.(check int) "lp 1 saturates" 1 (peak ~lp:1 one);
+  let refusals =
+    let program = Program.renumber w.Workload.program in
+    let lowered, home = Experiment.lowered_for w ~nprocs:1 program in
+    let cfg = Config.with_l2 w.Workload.l2_bytes (base_at w 1).Experiment.config in
+    snd (Machine.run_with_refusals cfg ~home lowered)
+  in
+  Alcotest.(check bool) "refused at lp 1" true (refusals > 0);
   Alcotest.(check bool) "the rule refuses it" true
-    (Experiment.reuse_run [ 1; 1 ] one [ 2; 2 ] = None);
+    (Experiment.reuse_run ~refusals [ 1; 1 ] one [ 2; 2 ] = None);
   let two = (Experiment.execute_cached (base_at w 2)).Experiment.result in
   Alcotest.(check bool) "simulated afresh" true (two.Machine.per_proc != one.Machine.per_proc);
   Alcotest.(check bool) "lp matters" true (two.Machine.cycles <> one.Machine.cycles);
@@ -548,6 +614,225 @@ let test_unfilled_run_reused () =
   Experiment.clear_caches ();
   let cold = (Experiment.execute_cached (base_at w 4)).Experiment.result in
   Alcotest.(check string) "the cold lp-4 run" (digest cold) (digest four)
+
+(* a run that filled its files but was refused nothing serves a larger
+   lp: the small Latbench base peaks at 2 of 2 MSHRs, and lp 4 reads
+   that run *)
+let test_filled_unrefused_run_reused () =
+  let w = List.hd (Registry.small ()) in
+  Experiment.clear_caches ();
+  let two = (Experiment.execute_cached (base_at w 2)).Experiment.result in
+  Alcotest.(check int) "lp 2 fills" 2 (peak ~lp:2 two);
+  let four = (Experiment.execute_cached (base_at w 4)).Experiment.result in
+  Alcotest.(check bool) "one simulation" true (four.Machine.per_proc == two.Machine.per_proc);
+  Experiment.clear_caches ();
+  let cold = (Experiment.execute_cached (base_at w 4)).Experiment.result in
+  Alcotest.(check string) "the cold lp-4 run" (digest cold) (digest four)
+
+(* ------------- memo keys on what the environment resolves ------------- *)
+
+(* [f ()] with the variable set to [v], restored after (an empty value
+   reads as unset) *)
+let with_env var v f =
+  let old = Option.value ~default:"" (Sys.getenv_opt var) in
+  Unix.putenv var v;
+  Fun.protect ~finally:(fun () -> Unix.putenv var old) f
+
+(* a fault plan from MEMCLUST_FAULTS is part of the simulation: a warm
+   memo gives the run a cold one does *)
+let test_sim_memo_keys_on_env_faults () =
+  let w = List.hd (Registry.small ()) in
+  let spec = base_at w 4 in
+  Experiment.clear_caches ();
+  let clean = (Experiment.execute_cached spec).Experiment.result in
+  let warm =
+    with_env "MEMCLUST_FAULTS" "7:0.3" (fun () ->
+        (Experiment.execute_cached spec).Experiment.result)
+  in
+  Experiment.clear_caches ();
+  let cold =
+    with_env "MEMCLUST_FAULTS" "7:0.3" (fun () ->
+        (Experiment.execute_cached spec).Experiment.result)
+  in
+  Alcotest.(check bool) "the faults change the run" true (clean.Machine.cycles <> cold.Machine.cycles);
+  Alcotest.(check string) "warm memo = cold run" (digest cold) (digest warm)
+
+(* a chaos plan from MEMCLUST_FAIL_PASS is part of the clustering: a warm
+   memo degrades as a cold one does *)
+let test_cluster_memo_keys_on_env_chaos () =
+  let w = List.hd (Registry.small ()) in
+  let degraded () =
+    Memclust_cluster.Pass.Pipeline.degraded_passes
+      (snd (Experiment.transform Config.base w)).Memclust_cluster.Driver.trace
+    |> List.map fst
+  in
+  Experiment.clear_caches ();
+  Alcotest.(check (list string)) "clean" [] (degraded ());
+  let warm = with_env "MEMCLUST_FAIL_PASS" "unroll-jam" degraded in
+  Experiment.clear_caches ();
+  let cold = with_env "MEMCLUST_FAIL_PASS" "unroll-jam" degraded in
+  Alcotest.(check (list string)) "cold run degrades" [ "unroll-jam" ] cold;
+  Alcotest.(check (list string)) "warm memo = cold run" cold warm;
+  Alcotest.(check (list string)) "clean again" [] (degraded ())
+
+(* ---------------- one clustering source per program ---------------- *)
+
+open Memclust_cluster
+
+(* a report whose trace has its times zeroed: what two runs of one
+   clustering agree on *)
+let untimed (r : Driver.report) =
+  let t = r.Driver.trace in
+  { r with
+    Driver.trace =
+      { t with
+        Pass.Pipeline.total_ms = 0.0; check_ms = 0.0; profile_ms = 0.0;
+        entries = List.map (fun e -> { e with Pass.Pipeline.wall_ms = 0.0 }) t.Pass.Pipeline.entries } }
+
+let clustering_digest (p, r) = digest (p, untimed r)
+
+let lp_config (w : Workload.t) lp = Config.with_l2 w.Workload.l2_bytes (Config.with_mshrs lp Config.base)
+
+(* what [Experiment.transform] must give: [Driver.run] with a source of
+   its own *)
+let fresh_transform (w : Workload.t) cfg =
+  let machine =
+    { (Experiment.machine_of_config cfg) with Machine_model.max_procs = max 1 w.Workload.mp_procs }
+  in
+  Driver.run ~options:{ Driver.default_options with machine } ~init:w.Workload.init w.Workload.program
+
+let lps = [ 1; 2; 4; 8; 16 ]
+
+(* The programs whose clusterings profile P_m: the small Latbench and
+   MST, and Em3d, whose final store depends on its initial one
+   (out[n] -= ...), so a reference run over a store a profile has
+   written reads differently *)
+let profiled = [ "Latbench"; "MST"; "Em3d" ]
+
+(* Those programs clustered at lp 1-16, ascending and descending,
+   through the harness (one shared source) and by fresh [Driver.run]s
+   in the same order from the same cleared caches (so the P_m memo hits
+   alike): the same programs, reports and untimed traces. Then the small
+   and the full Latbench, which share a name: each gets its own
+   source. *)
+let test_shared_source_equals_fresh () =
+  let small = Registry.small () in
+  let by_name n = List.find (fun (w : Workload.t) -> String.equal w.Workload.name n) small in
+  let compare_runs what points =
+    Experiment.clear_caches ();
+    let fresh = List.map (fun (w, cfg) -> clustering_digest (fresh_transform w cfg)) points in
+    Experiment.clear_caches ();
+    List.iter2
+      (fun (w, cfg) want ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s: %s at lp %d" what w.Workload.name (Config.lp cfg))
+          want
+          (clustering_digest (Experiment.transform cfg w)))
+      points fresh
+  in
+  List.iter
+    (fun name ->
+      let w = by_name name in
+      compare_runs "ascending" (List.map (fun lp -> (w, lp_config w lp)) lps);
+      compare_runs "descending" (List.rev_map (fun lp -> (w, lp_config w lp)) lps))
+    profiled;
+  let full = Registry.latbench () in
+  compare_runs "one name, two programs"
+    [ (by_name "Latbench", lp_config full 4); (full, lp_config full 4) ]
+
+(* Across those clusterings the source's store is built once ([init]
+   runs once), and its digest and reference run are computed once: the
+   values the first clustering that needed them left stay in place. The
+   store is still the initialized one (every run copied it), and the
+   reference is the source program's run over it. *)
+let test_source_computed_once () =
+  List.iter
+    (fun name ->
+      let w0 = List.find (fun (w : Workload.t) -> String.equal w.Workload.name name) (Registry.small ()) in
+      let initialized () =
+        let d = Data.create w0.Workload.program in
+        w0.Workload.init d;
+        d
+      in
+      let inits = Atomic.make 0 in
+      let w = { w0 with Workload.init = (fun d -> Atomic.incr inits; w0.Workload.init d) } in
+      Experiment.clear_caches ();
+      let s = Experiment.source w in
+      let first = ref None in
+      List.iter
+        (fun lp ->
+          let p, _ = Experiment.transform (lp_config w lp) w in
+          (* Latbench and MST ship their source unchanged at lp 1, so the
+             guard runs nothing for them there (Em3d's passes still
+             change it) *)
+          if lp = 1 && Option.is_none !first && not (String.equal name "Em3d") then begin
+            Alcotest.(check string) (name ^ ": lp 1 ships the source")
+              (digest (Program.renumber w.Workload.program)) (digest p);
+            Alcotest.(check bool) (name ^ ": no reference run for it") true
+              (Option.is_none (Memclust_util.Once.peek s.Pass.reference))
+          end;
+          match (!first, Memclust_util.Once.peek s.Pass.digest, Memclust_util.Once.peek s.Pass.reference) with
+          | None, Some d, Some r -> first := Some (d, r)
+          | _ -> ())
+        (lps @ List.rev lps);
+      Alcotest.(check bool) (name ^ ": one source") true (Experiment.source w == s);
+      Alcotest.(check int) (name ^ ": one store") 1 (Atomic.get inits);
+      match (!first, Memclust_util.Once.peek s.Pass.digest, Memclust_util.Once.peek s.Pass.reference) with
+      | Some (d, r), Some d', Some r' ->
+          Alcotest.(check bool) (name ^ ": one digest") true (d == d');
+          Alcotest.(check bool) (name ^ ": one reference run") true (r == r');
+          let final = initialized () in
+          Exec.run (Program.renumber w.Workload.program) final;
+          Alcotest.(check bool) (name ^ ": the source's run") true
+            (match r with Some r -> Data.equal r final | None -> false);
+          Alcotest.(check bool) (name ^ ": the store as initialized") true
+            (Data.equal (Memclust_util.Once.force s.Pass.store) (initialized ()))
+      | _ -> Alcotest.failf "%s: digest or reference never computed" name)
+    profiled
+
+(* The lp points of both programs, base and clustered, on a pool of two
+   domains (sharing each source across domains) read as they do run
+   inline one after another *)
+let test_pooled_equals_inline () =
+  let specs =
+    List.concat_map
+      (fun (w : Workload.t) ->
+        List.concat_map
+          (fun lp ->
+            List.map
+              (fun version ->
+                { Experiment.workload = w; config = Config.with_mshrs lp Config.base; nprocs = 1; version })
+              [ Experiment.Base; Experiment.Clustered ])
+          lps)
+      (List.filter
+         (fun (w : Workload.t) -> List.mem w.Workload.name [ "Latbench"; "MST" ])
+         (Registry.small ()))
+  in
+  let outcome_digest (o : Experiment.outcome) =
+    digest
+      ( Experiment.spec_key o.Experiment.spec,
+        o.Experiment.result,
+        o.Experiment.program,
+        Option.map (fun r -> (untimed r).Driver.nests) o.Experiment.cluster_report )
+  in
+  Experiment.clear_caches ();
+  let inline = List.map (fun s -> outcome_digest (Experiment.execute_cached s)) specs in
+  Experiment.clear_caches ();
+  let pool = Memclust_util.Domain_pool.create ~domains:1 () in
+  let pooled =
+    Fun.protect ~finally:(fun () -> Memclust_util.Domain_pool.shutdown pool) (fun () ->
+        Memclust_util.Domain_pool.map_result pool Experiment.execute_cached specs)
+  in
+  List.iter2
+    (fun want -> function
+      | Ok o -> Alcotest.(check string) (Experiment.spec_key o.Experiment.spec) want (outcome_digest o)
+      | Error e -> Alcotest.fail (Memclust_util.Error.to_string e))
+    inline pooled;
+  Experiment.clear_caches ();
+  let get = Experiment.execute_all specs in
+  List.iter2
+    (fun s want -> Alcotest.(check string) (Experiment.spec_key s) want (outcome_digest (get s)))
+    specs inline
 
 let () =
   Alcotest.run "harness"
@@ -582,6 +867,25 @@ let () =
             test_full_run_not_reused;
           Alcotest.test_case "a run that never filled them is" `Quick
             test_unfilled_run_reused;
+          Alcotest.test_case "a filled run that was refused nothing is" `Quick
+            test_filled_unrefused_run_reused;
+          Alcotest.test_case "drain and prefetch refusals count" `Quick
+            test_drain_and_prefetch_refusals;
+        ] );
+      ( "environment",
+        [
+          Alcotest.test_case "sim memo keys on MEMCLUST_FAULTS" `Quick
+            test_sim_memo_keys_on_env_faults;
+          Alcotest.test_case "cluster memo keys on MEMCLUST_FAIL_PASS" `Quick
+            test_cluster_memo_keys_on_env_chaos;
+        ] );
+      ( "shared source",
+        [
+          Alcotest.test_case "clustering through it equals a fresh run" `Quick
+            test_shared_source_equals_fresh;
+          Alcotest.test_case "store, digest and reference computed once" `Quick
+            test_source_computed_once;
+          Alcotest.test_case "pooled equals inline" `Quick test_pooled_equals_inline;
         ] );
       ( "figures",
         [

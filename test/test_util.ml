@@ -333,6 +333,41 @@ let prop_pqueue_fifo_ties =
       in
       drain true)
 
+(* Two domains force one cell while its computation is still running:
+   it runs once and both get its value. A computation that raises
+   leaves the cell empty, and the next force computes again. *)
+let test_once () =
+  let runs = Atomic.make 0 in
+  let started = Atomic.make false in
+  let cell =
+    Once.make (fun () ->
+        Atomic.incr runs;
+        Atomic.set started true;
+        Unix.sleepf 0.05;
+        ref 42)
+  in
+  let other = Domain.spawn (fun () -> Once.force cell) in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let mine = Once.force cell in
+  let theirs = Domain.join other in
+  Alcotest.(check int) "computed once" 1 (Atomic.get runs);
+  Alcotest.(check bool) "one value" true (mine == theirs);
+  Alcotest.(check bool) "peek sees it" true
+    (match Once.peek cell with Some v -> v == mine | None -> false);
+  let tries = ref 0 in
+  let flaky =
+    Once.make (fun () ->
+        incr tries;
+        if !tries = 1 then failwith "first try" else !tries)
+  in
+  Alcotest.check_raises "the first force raises" (Failure "first try") (fun () ->
+      ignore (Once.force flaky));
+  Alcotest.(check (option int)) "still empty" None (Once.peek flaky);
+  Alcotest.(check int) "computed again" 2 (Once.force flaky);
+  Alcotest.(check int) "and kept" 2 (Once.force flaky)
+
 let () =
   Alcotest.run "util"
     [
@@ -372,6 +407,7 @@ let () =
           Alcotest.test_case "content digest ignores sharing" `Quick
             test_content_digest_ignores_sharing;
         ] );
+      ("once", [ Alcotest.test_case "computes once across domains" `Quick test_once ]);
       ( "plot",
         [
           Alcotest.test_case "bar" `Quick test_plot_bar;
