@@ -872,14 +872,14 @@ let () =
           Alcotest.test_case "drain and prefetch refusals count" `Quick
             test_drain_and_prefetch_refusals;
         ] );
-      ( "environment",
+      ( "env memos",
         [
           Alcotest.test_case "sim memo keys on MEMCLUST_FAULTS" `Quick
             test_sim_memo_keys_on_env_faults;
           Alcotest.test_case "cluster memo keys on MEMCLUST_FAIL_PASS" `Quick
             test_cluster_memo_keys_on_env_chaos;
         ] );
-      ( "shared source",
+      ( "sources",
         [
           Alcotest.test_case "clustering through it equals a fresh run" `Quick
             test_shared_source_equals_fresh;
